@@ -109,6 +109,9 @@ def make_zz_titles(rng: random.Random, count: int) -> list[str]:
 
 
 def make_en_titles(rng: random.Random, count: int) -> list[str]:
+    limit = len(EN_TITLE_POOL) ** 2
+    if count > limit:
+        raise ValueError(f"at most {limit} distinct en titles can be made, asked for {count}")
     titles: list[str] = []
     seen: set[str] = set()
     while len(titles) < count:

@@ -1,21 +1,28 @@
 """Command line pipeline: ingest through assembled collection.
 
-Each subcommand is one pipeline stage writing into its own directory
-under the configured output root, finishing with a stage manifest that
-records the config hash and the files produced.  A stage whose manifest
-matches the current config and whose outputs all exist is skipped on
-rerun, which makes ``totsim pipeline`` resumable; ``--force`` reruns
-regardless.  All diagnostics go to stderr; outputs contain no
-timestamps, so identical inputs and seed give byte-identical trees.
+The ten stages are declared once, in order, in ``STAGES``: each entry
+names the directory the stage writes under the configured output root
+and the body that fills it.  One runner, :func:`run_stage`, serves every
+subcommand.  It skips a stage whose manifest matches the current config
+hash and whose outputs all exist, which makes ``totsim pipeline``
+resumable (``--force`` reruns regardless); otherwise it runs the body and
+writes the stage manifest recording the config hash and the files
+produced.  Every file one stage hands to another has one path function,
+shared by its writer and its readers, and a reader that finds it missing
+names the stage that produces it.  All diagnostics go to stderr; outputs
+contain no timestamps, so identical inputs and seed give byte-identical
+trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collection import (
     CollectionSpec,
@@ -35,7 +42,7 @@ from .corpus import (
     load_domain_mapping,
     partition_corpus,
 )
-from .errors import ConfigError, EvaluationError, TotsimError
+from .errors import ConfigError, ConstantVectorError, EvaluationError, TotsimError
 from .evaluation import (
     METRICS,
     CorrelationResult,
@@ -45,7 +52,6 @@ from .evaluation import (
     evaluate_pool,
     load_qrels,
     select_best_strategy,
-    write_qrels,
 )
 from .generation import (
     PromptVariation,
@@ -78,63 +84,58 @@ from .util import atomic_write_text, read_json, read_jsonl, write_json, write_js
 
 logger = logging.getLogger(__name__)
 
-STAGE_ORDER = (
-    "ingest",
-    "partition",
-    "sample",
-    "generate",
-    "index",
-    "search",
-    "evaluate",
-    "correlate",
-    "select",
-    "assemble",
-)
+
+class Stage(NamedTuple):
+    """Where a stage writes, and the body that writes it.
+
+    The body returns the files it wrote and any extra manifest fields.
+    """
+
+    directory: str
+    body: Callable[[PipelineConfig, Path], tuple[list[Path], dict]]
 
 
-def _stage_dir(config: PipelineConfig, stage: str) -> Path:
-    return config.output_dir / ("collection" if stage == "assemble" else stage)
+def _artifact(config: PipelineConfig, producer: str, *parts: str) -> Path:
+    return config.output_dir.joinpath(STAGES[producer].directory, *parts)
 
 
-def _stage_complete(config: PipelineConfig, stage: str) -> bool:
-    stage_dir = _stage_dir(config, stage)
-    manifest_path = stage_dir / "manifest.json"
-    if not manifest_path.exists():
-        return False
-    try:
-        manifest = read_json(manifest_path)
-    except (OSError, ValueError):
-        return False
-    if manifest.get("stage") != stage or manifest.get("config_hash") != config.content_hash():
-        return False
-    return all((stage_dir / rel).exists() for rel in manifest.get("outputs", []))
+def _partition_map_path(config: PipelineConfig, code: str) -> Path:
+    return _artifact(config, "partition", f"{code}.tsv")
 
 
-def _finish_stage(
-    config: PipelineConfig, stage: str, outputs: Sequence[Path], extra: Mapping | None = None
-) -> None:
-    stage_dir = _stage_dir(config, stage)
-    manifest = {
-        "stage": stage,
-        "schema_version": 1,
-        "config_hash": config.content_hash(),
-        "seed": config.seed,
-        "outputs": sorted(str(path.relative_to(stage_dir)) for path in outputs),
-    }
-    if extra:
-        manifest.update(extra)
-    write_json(stage_dir / "manifest.json", manifest)
+def _sample_path(config: PipelineConfig, code: str, partition: Partition) -> Path:
+    return _artifact(config, "sample", f"{code}-{partition.value}.jsonl")
 
 
-def _skip(config: PipelineConfig, stage: str, force: bool) -> bool:
-    if not force and _stage_complete(config, stage):
-        logger.info("%s: outputs match current config; skipping (use --force to rerun)", stage)
-        return True
-    return False
+def _generate_path(config: PipelineConfig, code: str, set_name: str) -> Path:
+    return _artifact(config, "generate", code, f"{set_name}.jsonl")
 
 
-def _require_output(path: Path, producer: str) -> Path:
+def _index_path(config: PipelineConfig, code: str) -> Path:
+    return _artifact(config, "index", f"{code}.json")
+
+
+def _run_path(config: PipelineConfig, code: str, set_name: str, system_id: str) -> Path:
+    return _artifact(config, "search", code, set_name, f"{system_id}.run")
+
+
+def _report_path(config: PipelineConfig, code: str, set_name: str) -> Path:
+    return _artifact(config, "evaluate", code, f"{set_name}.jsonl")
+
+
+def _correlations_path(config: PipelineConfig, code: str) -> Path:
+    return _artifact(config, "correlate", f"{code}.jsonl")
+
+
+def _strategy_path(config: PipelineConfig, code: str) -> Path:
+    return _artifact(config, "select", f"{code}.json")
+
+
+def _existing(config: PipelineConfig, path: Path) -> Path:
+    """``path``, which an earlier stage wrote; if it is missing, name that stage."""
     if not path.exists():
+        directory = path.relative_to(config.output_dir).parts[0]
+        producer = next(name for name, stage in STAGES.items() if stage.directory == directory)
         raise ConfigError(f"missing {path}; run 'totsim {producer}' first")
     return path
 
@@ -155,20 +156,21 @@ def _partitions_for(code: str) -> tuple[Partition, ...]:
     return (Partition.MONOLINGUAL, Partition.BILINGUAL)
 
 
-def _variations_for(code: str, partition: Partition) -> tuple[PromptVariation, ...]:
-    # English is its own source language, so the translated-prompt and
-    # English-article axes collapse to plain V1.
-    if code == "en":
-        return (PromptVariation.V1,)
-    return PromptVariation.for_partition(partition)
+def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str]]:
+    """A language's synthetic query sets as (partition, variation, set name)."""
+    for partition in _partitions_for(code):
+        # English is its own source language, so the translated-prompt and
+        # English-article axes collapse to plain V1.
+        if code == "en":
+            variations: tuple[PromptVariation, ...] = (PromptVariation.V1,)
+        else:
+            variations = PromptVariation.for_partition(partition)
+        for variation in variations:
+            yield partition, variation, f"{partition.value}-{variation.value}"
 
 
-def _set_name(partition: Partition, variation: PromptVariation) -> str:
-    return f"{partition.value}-{variation.value}"
-
-
-def _partition_map_path(config: PipelineConfig, code: str) -> Path:
-    return _stage_dir(config, "partition") / f"{code}.tsv"
+def _real_slice_name(partition: Partition) -> str:
+    return f"real-{partition.value}"
 
 
 def _read_partition_map(path: Path) -> dict[str, Partition]:
@@ -211,22 +213,33 @@ def _accepted_queries(records) -> tuple[dict[str, str], dict[str, str]]:
     return queries, qrels
 
 
-def cmd_ingest(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "ingest", force):
-        return
+def _query_sets(
+    config: PipelineConfig, code: str
+) -> dict[str, tuple[dict[str, str], dict[str, str]]]:
+    """A language's query sets by name, as (texts, qrels): synthetic, then real."""
+    sets = {
+        name: _accepted_queries(
+            read_query_manifest(_existing(config, _generate_path(config, code, name)))
+        )
+        for _, _, name in _synthetic_sets(code)
+    }
+    entry = config.language(code)
+    if entry.real_queries is not None:
+        sets["real"] = (_load_queries_tsv(entry.real_queries), load_qrels(entry.real_qrels))
+    return sets
+
+
+def _ingest(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     counts: dict[str, int] = {}
     for entry in config.languages:
         corpus = ingest_corpus(entry.corpus, entry.code)
         counts[entry.code] = len(corpus)
     if config.english_corpus is not None and "en" not in counts:
         counts["en"] = len(ingest_corpus(config.english_corpus, "en"))
-    _finish_stage(config, "ingest", [], {"document_counts": counts})
+    return [], {"document_counts": counts}
 
 
-def cmd_partition(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "partition", force):
-        return
-    stage_dir = _stage_dir(config, "partition")
+def _partition(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     english = _load_english(config)
     outputs: list[Path] = []
     counts: dict[str, dict[str, int]] = {}
@@ -237,30 +250,21 @@ def cmd_partition(config: PipelineConfig, force: bool = False) -> None:
             raise ConfigError("missing config key english_corpus (needed for partitioning)")
         corpus = _load_corpus(config, entry.code)
         mapping = partition_corpus(corpus, english)
-        path = stage_dir / f"{entry.code}.tsv"
+        path = _partition_map_path(config, entry.code)
         atomic_write_text(
             path,
             "".join(f"{doc_id}\t{mapping[doc_id].value}\n" for doc_id in sorted(mapping)),
         )
         outputs.append(path)
-        per_partition: dict[str, int] = {}
-        for partition in mapping.values():
-            per_partition[partition.value] = per_partition.get(partition.value, 0) + 1
-        counts[entry.code] = per_partition
-    _finish_stage(config, "partition", outputs, {"partition_counts": counts})
+        counts[entry.code] = dict(Counter(partition.value for partition in mapping.values()))
+    return outputs, {"partition_counts": counts}
 
 
-def _domain_mapping(config: PipelineConfig):
+def _sample(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     if config.domain_mapping is not None:
-        return load_domain_mapping(config.domain_mapping)
-    return default_domain_mapping()
-
-
-def cmd_sample(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "sample", force):
-        return
-    stage_dir = _stage_dir(config, "sample")
-    mapping = _domain_mapping(config)
+        mapping = load_domain_mapping(config.domain_mapping)
+    else:
+        mapping = default_domain_mapping()
     outputs: list[Path] = []
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
@@ -269,7 +273,7 @@ def cmd_sample(config: PipelineConfig, force: bool = False) -> None:
             partition_of = {doc.doc_id: Partition.FULL for doc in corpus}
         else:
             partition_of = _read_partition_map(
-                _require_output(_partition_map_path(config, entry.code), "partition")
+                _existing(config, _partition_map_path(config, entry.code))
             )
         for partition in _partitions_for(entry.code):
             pool = [doc for doc in corpus if partition_of[doc.doc_id] is partition]
@@ -294,20 +298,17 @@ def cmd_sample(config: PipelineConfig, force: bool = False) -> None:
                 seed=config.seed,
             )
             candidates = sample_candidates(stratified, sampling_config, partition)
-            path = stage_dir / f"{entry.code}-{partition.value}.jsonl"
+            path = _sample_path(config, entry.code, partition)
             write_candidate_manifest(path, candidates, sampling_config)
             outputs.append(path)
             counts[f"{entry.code}-{partition.value}"] = {
                 "pool": len(pool),
                 "sampled": len(candidates),
             }
-    _finish_stage(config, "sample", outputs, {"sample_counts": counts, "rng": RNG_ALGORITHM})
+    return outputs, {"sample_counts": counts, "rng": RNG_ALGORITHM}
 
 
-def cmd_generate(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "generate", force):
-        return
-    stage_dir = _stage_dir(config, "generate")
+def _generate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     templates = TemplateSet.load(config.templates_dir)
     generator = config.make_generator()
     translator = config.make_translator()
@@ -316,38 +317,38 @@ def cmd_generate(config: PipelineConfig, force: bool = False) -> None:
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        for partition in _partitions_for(entry.code):
-            manifest_path = _require_output(
-                _stage_dir(config, "sample") / f"{entry.code}-{partition.value}.jsonl", "sample"
+        candidates = {
+            partition: read_candidate_manifest(
+                _existing(config, _sample_path(config, entry.code, partition))
             )
-            candidates = read_candidate_manifest(manifest_path)
-            for variation in _variations_for(entry.code, partition):
-                records = generate_batch(
-                    candidates,
-                    variation,
-                    corpus,
-                    english,
-                    generator,
-                    templates,
-                    translator=translator,
-                    char_budget=config.char_budget,
-                    workers=config.workers,
-                )
-                path = stage_dir / entry.code / f"{_set_name(partition, variation)}.jsonl"
-                write_query_manifest(path, records)
-                outputs.append(path)
-                discarded = sum(1 for r in records if r.discarded)
-                counts[f"{entry.code}/{_set_name(partition, variation)}"] = {
-                    "accepted": len(records) - discarded,
-                    "discarded": discarded,
-                }
-    _finish_stage(config, "generate", outputs, {"generation_counts": counts})
+            for partition in _partitions_for(entry.code)
+        }
+        for partition, variation, set_name in _synthetic_sets(entry.code):
+            records = generate_batch(
+                candidates[partition],
+                variation,
+                corpus,
+                english,
+                generator,
+                templates,
+                translator=translator,
+                char_budget=config.char_budget,
+                summarize_temperature=config.summarize_temperature,
+                generate_temperature=config.generate_temperature,
+                workers=config.workers,
+            )
+            path = _generate_path(config, entry.code, set_name)
+            write_query_manifest(path, records)
+            outputs.append(path)
+            discarded = sum(1 for r in records if r.discarded)
+            counts[f"{entry.code}/{set_name}"] = {
+                "accepted": len(records) - discarded,
+                "discarded": discarded,
+            }
+    return outputs, {"generation_counts": counts}
 
 
-def cmd_index(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "index", force):
-        return
-    stage_dir = _stage_dir(config, "index")
+def _index(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     stats: dict[str, dict[str, int]] = {}
     for entry in config.languages:
@@ -357,62 +358,24 @@ def cmd_index(config: PipelineConfig, force: bool = False) -> None:
         else:
             tokenizer = tokenizer_for_language(entry.code)
         index = build_index(corpus, tokenizer)
-        path = stage_dir / f"{entry.code}.json"
+        path = _index_path(config, entry.code)
         save_index(index, path)
         outputs.append(path)
         stats[entry.code] = {"documents": index.doc_count, "terms": len(index.postings)}
-    _finish_stage(config, "index", outputs, {"index_stats": stats})
+    return outputs, {"index_stats": stats}
 
 
-def _query_sets(config: PipelineConfig, code: str) -> dict[str, dict[str, str]]:
-    """All query sets for a language: synthetic per partition-variation, plus real."""
-    sets: dict[str, dict[str, str]] = {}
-    entry = config.language(code)
-    for partition in _partitions_for(code):
-        for variation in _variations_for(code, partition):
-            name = _set_name(partition, variation)
-            manifest_path = _require_output(
-                _stage_dir(config, "generate") / code / f"{name}.jsonl", "generate"
-            )
-            queries, _ = _accepted_queries(read_query_manifest(manifest_path))
-            sets[name] = queries
-    if entry.real_queries is not None:
-        sets["real"] = _load_queries_tsv(entry.real_queries)
-    return sets
-
-
-def cmd_search(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "search", force):
-        return
-    stage_dir = _stage_dir(config, "search")
+def _search(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
-        index = load_index(
-            _require_output(_stage_dir(config, "index") / f"{entry.code}.json", "index")
-        )
-        for set_name, queries in sorted(_query_sets(config, entry.code).items()):
+        index = load_index(_existing(config, _index_path(config, entry.code)))
+        for set_name, (queries, _) in sorted(_query_sets(config, entry.code).items()):
             for system in default_lexical_pool():
                 run = run_search(system, queries, index, depth=config.depth)
-                path = stage_dir / entry.code / set_name / f"{system.system_id}.run"
+                path = _run_path(config, entry.code, set_name, system.system_id)
                 write_run_file(run, path)
                 outputs.append(path)
-    _finish_stage(config, "search", outputs)
-
-
-def _set_qrels(config: PipelineConfig, code: str) -> dict[str, dict[str, str]]:
-    qrels_by_set: dict[str, dict[str, str]] = {}
-    entry = config.language(code)
-    for partition in _partitions_for(code):
-        for variation in _variations_for(code, partition):
-            name = _set_name(partition, variation)
-            manifest_path = _require_output(
-                _stage_dir(config, "generate") / code / f"{name}.jsonl", "generate"
-            )
-            _, qrels = _accepted_queries(read_query_manifest(manifest_path))
-            qrels_by_set[name] = qrels
-    if entry.real_qrels is not None:
-        qrels_by_set["real"] = load_qrels(entry.real_qrels)
-    return qrels_by_set
+    return outputs, {}
 
 
 def _pool_runs(
@@ -423,9 +386,7 @@ def _pool_runs(
     runs: list[RunResult] = []
     expected = sorted(qrels)
     for system in default_lexical_pool():
-        path = _require_output(
-            _stage_dir(config, "search") / code / set_name / f"{system.system_id}.run", "search"
-        )
+        path = _existing(config, _run_path(config, code, set_name, system.system_id))
         runs.append(
             load_external_run(path, expected, depth=config.depth, system_id=system.system_id)
         )
@@ -438,34 +399,29 @@ def _pool_runs(
     return runs
 
 
-def _write_reports(path: Path, reports: Sequence[MetricReport]) -> None:
+def _write_reports(path: Path, reports: Sequence[MetricReport]) -> Path:
     write_jsonl(path, (r.to_dict() for r in sorted(reports, key=lambda r: r.system_id)))
+    return path
 
 
 def _read_reports(path: Path) -> list[MetricReport]:
     return [MetricReport.from_dict(row) for row in read_jsonl(path)]
 
 
-def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "evaluate", force):
-        return
-    stage_dir = _stage_dir(config, "evaluate")
+def _evaluate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
-        qrels_by_set = _set_qrels(config, entry.code)
-        for set_name, qrels in sorted(qrels_by_set.items()):
+        query_sets = _query_sets(config, entry.code)
+        for set_name, (_, qrels) in sorted(query_sets.items()):
             if not qrels:
                 logger.warning("%s/%s has no queries; skipping evaluation", entry.code, set_name)
                 continue
-            runs = _pool_runs(config, entry.code, set_name, qrels)
-            reports = evaluate_pool(runs, qrels)
-            path = stage_dir / entry.code / f"{set_name}.jsonl"
-            _write_reports(path, reports)
-            outputs.append(path)
-        real_qrels = qrels_by_set.get("real")
+            reports = evaluate_pool(_pool_runs(config, entry.code, set_name, qrels), qrels)
+            outputs.append(_write_reports(_report_path(config, entry.code, set_name), reports))
+        real_qrels = query_sets["real"][1] if "real" in query_sets else {}
         if real_qrels and entry.code != "en" and config.slice_real_by_partition:
             partition_of = _read_partition_map(
-                _require_output(_partition_map_path(config, entry.code), "partition")
+                _existing(config, _partition_map_path(config, entry.code))
             )
             runs = _pool_runs(config, entry.code, "real", real_qrels)
             for partition in _partitions_for(entry.code):
@@ -488,11 +444,9 @@ def cmd_evaluate(config: PipelineConfig, force: bool = False) -> None:
                     )
                     for run in runs
                 ]
-                reports = evaluate_pool(sliced, kept)
-                path = stage_dir / entry.code / f"real-{partition.value}.jsonl"
-                _write_reports(path, reports)
-                outputs.append(path)
-    _finish_stage(config, "evaluate", outputs)
+                path = _report_path(config, entry.code, _real_slice_name(partition))
+                outputs.append(_write_reports(path, evaluate_pool(sliced, kept)))
+    return outputs, {}
 
 
 def _real_partition(
@@ -506,19 +460,25 @@ def _real_partition(
     return partition
 
 
-def _correlations_path(config: PipelineConfig, code: str) -> Path:
-    return _stage_dir(config, "correlate") / f"{code}.jsonl"
+def _real_reports(config: PipelineConfig, code: str, partition: Partition) -> list[MetricReport]:
+    sliced_path = _report_path(config, code, _real_slice_name(partition))
+    if partition is not Partition.FULL and sliced_path.exists():
+        return _read_reports(sliced_path)
+    if partition is not Partition.FULL:
+        logger.warning("%s: using the full real set for the %s partition", code, partition.value)
+    return _read_reports(_existing(config, _report_path(config, code, "real")))
 
 
 def _correlation_row(
-    partition: Partition, variation: PromptVariation, result: CorrelationResult
+    partition: Partition, variation: PromptVariation, result: CorrelationResult | None
 ) -> dict:
+    """One table row; every correlation is None when ``result`` is undefined."""
     row: dict = {"partition": partition.value, "variation": variation.value}
     for metric in METRICS:
-        row[f"{metric}_tau"] = result.per_metric[metric].tau
-        row[f"{metric}_pearson"] = result.per_metric[metric].pearson
-    row["mean_tau"] = result.mean_tau
-    row["mean_pearson"] = result.mean_pearson
+        row[f"{metric}_tau"] = result.per_metric[metric].tau if result else None
+        row[f"{metric}_pearson"] = result.per_metric[metric].pearson if result else None
+    row["mean_tau"] = result.mean_tau if result else None
+    row["mean_pearson"] = result.mean_pearson if result else None
     return row
 
 
@@ -540,20 +500,15 @@ def _correlation_table(rows: Sequence[dict]) -> str:
     headers.extend(["mean_tau", "mean_r"])
     lines = ["\t".join(headers)]
     for row in rows:
+        values = [row[f"{metric}_{kind}"] for metric in METRICS for kind in ("tau", "pearson")]
+        values.extend([row["mean_tau"], row["mean_pearson"]])
         cells = [row["partition"], row["variation"]]
-        for metric in METRICS:
-            cells.extend(
-                [f"{row[f'{metric}_tau']:.4f}", f"{row[f'{metric}_pearson']:.4f}"]
-            )
-        cells.extend([f"{row['mean_tau']:.4f}", f"{row['mean_pearson']:.4f}"])
+        cells.extend(f"{float('nan') if value is None else value:.4f}" for value in values)
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
 
-def cmd_correlate(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "correlate", force):
-        return
-    stage_dir = _stage_dir(config, "correlate")
+def _correlate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
         if entry.real_qrels is None:
@@ -561,102 +516,96 @@ def cmd_correlate(config: PipelineConfig, force: bool = False) -> None:
                 "%s has no real query set; skipping correlation", entry.code
             )
             continue
-        evaluate_dir = _stage_dir(config, "evaluate") / entry.code
+        real_reports = {
+            partition: _real_reports(config, entry.code, partition)
+            for partition in _partitions_for(entry.code)
+        }
         rows: list[dict] = []
-        for partition in _partitions_for(entry.code):
-            sliced_path = evaluate_dir / f"real-{partition.value}.jsonl"
-            if partition is not Partition.FULL and sliced_path.exists():
-                real_reports = _read_reports(sliced_path)
-            else:
-                if partition is not Partition.FULL:
-                    logger.warning(
-                        "%s: using the full real set for the %s partition",
-                        entry.code,
-                        partition.value,
-                    )
-                real_reports = _read_reports(
-                    _require_output(evaluate_dir / "real.jsonl", "evaluate")
+        for partition, variation, set_name in _synthetic_sets(entry.code):
+            synthetic_path = _existing(config, _report_path(config, entry.code, set_name))
+            try:
+                result = correlate(real_reports[partition], _read_reports(synthetic_path))
+            except ConstantVectorError as exc:
+                logger.warning(
+                    "%s/%s/%s: %s; its correlations are left undefined",
+                    entry.code,
+                    partition.value,
+                    variation.value,
+                    exc,
                 )
-            for variation in _variations_for(entry.code, partition):
-                synthetic_path = _require_output(
-                    evaluate_dir / f"{_set_name(partition, variation)}.jsonl", "evaluate"
-                )
-                result = correlate(real_reports, _read_reports(synthetic_path))
-                rows.append(_correlation_row(partition, variation, result))
+                result = None
+            rows.append(_correlation_row(partition, variation, result))
         path = _correlations_path(config, entry.code)
         write_jsonl(path, rows)
         table_path = stage_dir / f"{entry.code}.txt"
         atomic_write_text(table_path, _correlation_table(rows))
         outputs.extend([path, table_path])
-    _finish_stage(config, "correlate", outputs)
+    return outputs, {}
 
 
-def cmd_select(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "select", force):
-        return
-    stage_dir = _stage_dir(config, "select")
+def _selected_variations(config: PipelineConfig, code: str) -> dict[Partition, str]:
+    """The best variation per partition among defined correlations; V1 where none is."""
+    results = {
+        (Partition(row["partition"]), row["variation"]): _result_from_row(row)
+        for row in read_jsonl(_existing(config, _correlations_path(config, code)))
+        if row["mean_tau"] is not None
+    }
+    selected = select_best_strategy(results) if results else {}
+    for partition in _partitions_for(code):
+        if partition not in selected:
+            logger.warning(
+                "%s: no defined correlation in the %s partition; defaulting to V1",
+                code,
+                partition.value,
+            )
+            selected[partition] = PromptVariation.V1.value
+    return selected
+
+
+def _select(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
-        path = stage_dir / f"{entry.code}.json"
-        if entry.code == "en":
-            strategy = {Partition.FULL.value: PromptVariation.V1.value}
-        elif entry.real_qrels is None:
+        selected: dict[Partition, str] = {}
+        if entry.code != "en" and entry.real_qrels is None:
             logger.warning(
                 "%s has no correlations; defaulting every partition to V1", entry.code
             )
-            strategy = {
-                partition.value: PromptVariation.V1.value
-                for partition in _partitions_for(entry.code)
-            }
-        else:
-            results = {
-                (Partition(row["partition"]), row["variation"]): _result_from_row(row)
-                for row in read_jsonl(
-                    _require_output(_correlations_path(config, entry.code), "correlate")
-                )
-            }
-            selected = select_best_strategy(results)
-            strategy = {partition.value: variation for partition, variation in selected.items()}
+        elif entry.code != "en":
+            selected = _selected_variations(config, entry.code)
+        strategy = {
+            partition.value: selected.get(partition, PromptVariation.V1.value)
+            for partition in _partitions_for(entry.code)
+        }
+        path = _strategy_path(config, entry.code)
         write_json(path, strategy)
         outputs.append(path)
-    _finish_stage(config, "select", outputs)
+    return outputs, {}
 
 
-def cmd_assemble(config: PipelineConfig, force: bool = False) -> None:
-    if _skip(config, "assemble", force):
-        return
-    stage_dir = _stage_dir(config, "assemble")
+def _assemble(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        strategy_raw = read_json(
-            _require_output(_stage_dir(config, "select") / f"{entry.code}.json", "select")
-        )
+        strategy_raw = read_json(_existing(config, _strategy_path(config, entry.code)))
         strategy_map = {
             Partition(partition): PromptVariation(variation)
             for partition, variation in strategy_raw.items()
         }
-        candidates = {}
-        records = []
-        for partition in _partitions_for(entry.code):
+        candidates = {
+            candidate.doc_id: candidate
+            for partition in _partitions_for(entry.code)
             for candidate in read_candidate_manifest(
-                _require_output(
-                    _stage_dir(config, "sample") / f"{entry.code}-{partition.value}.jsonl",
-                    "sample",
-                )
-            ):
-                candidates[candidate.doc_id] = candidate
-            variation = strategy_map[partition]
-            records.extend(
-                read_query_manifest(
-                    _require_output(
-                        _stage_dir(config, "generate")
-                        / entry.code
-                        / f"{_set_name(partition, variation)}.jsonl",
-                        "generate",
-                    )
-                )
+                _existing(config, _sample_path(config, entry.code, partition))
             )
+        }
+        records = [
+            record
+            for partition, variation, set_name in _synthetic_sets(entry.code)
+            if strategy_map[partition] is variation
+            for record in read_query_manifest(
+                _existing(config, _generate_path(config, entry.code, set_name))
+            )
+        ]
         spec = CollectionSpec(
             language=entry.code,
             strategy_map=strategy_map,
@@ -677,25 +626,60 @@ def cmd_assemble(config: PipelineConfig, force: bool = False) -> None:
         logger.info("%s: collection validated clean", entry.code)
         for name in ("queries.tsv", "qrels.txt", "splits.tsv", "manifest.json"):
             outputs.append(bundle_dir / name)
-    _finish_stage(config, "assemble", outputs)
+    return outputs, {}
+
+
+# The pipeline, in the order ``totsim pipeline`` runs it.
+STAGES: dict[str, Stage] = {
+    "ingest": Stage("ingest", _ingest),
+    "partition": Stage("partition", _partition),
+    "sample": Stage("sample", _sample),
+    "generate": Stage("generate", _generate),
+    "index": Stage("index", _index),
+    "search": Stage("search", _search),
+    "evaluate": Stage("evaluate", _evaluate),
+    "correlate": Stage("correlate", _correlate),
+    "select": Stage("select", _select),
+    "assemble": Stage("collection", _assemble),
+}
+
+
+def _manifest_matches(stage_dir: Path, stage: str, config_hash: str) -> bool:
+    try:
+        manifest = read_json(stage_dir / "manifest.json")
+    except (OSError, ValueError):
+        return False
+    if manifest.get("stage") != stage or manifest.get("config_hash") != config_hash:
+        return False
+    return all((stage_dir / rel).exists() for rel in manifest.get("outputs", []))
+
+
+def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> None:
+    """Run one stage, unless its manifest shows its outputs are current."""
+    stage_dir = config.output_dir / STAGES[stage].directory
+    config_hash = config.content_hash()
+    if not force and _manifest_matches(stage_dir, stage, config_hash):
+        logger.info("%s: outputs match current config; skipping (use --force to rerun)", stage)
+        return
+    outputs, extra = STAGES[stage].body(config, stage_dir)
+    manifest = {
+        "stage": stage,
+        "schema_version": 1,
+        "config_hash": config_hash,
+        "seed": config.seed,
+        "outputs": sorted(str(path.relative_to(stage_dir)) for path in outputs),
+    }
+    manifest.update(extra)
+    write_json(stage_dir / "manifest.json", manifest)
 
 
 def cmd_pipeline(config: PipelineConfig, force: bool = False) -> None:
-    for stage in STAGE_ORDER:
-        COMMANDS[stage](config, force)
+    for stage in STAGES:
+        run_stage(stage, config, force)
 
 
 COMMANDS: dict[str, Callable[[PipelineConfig, bool], None]] = {
-    "ingest": cmd_ingest,
-    "partition": cmd_partition,
-    "sample": cmd_sample,
-    "generate": cmd_generate,
-    "index": cmd_index,
-    "search": cmd_search,
-    "evaluate": cmd_evaluate,
-    "correlate": cmd_correlate,
-    "select": cmd_select,
-    "assemble": cmd_assemble,
+    **{stage: functools.partial(run_stage, stage) for stage in STAGES},
     "pipeline": cmd_pipeline,
 }
 

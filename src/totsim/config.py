@@ -95,10 +95,11 @@ class PipelineConfig:
         return self.full_target_count or 2 * self.target_count
 
     def content_hash(self) -> str:
-        # Where the outputs land does not change what they contain, so two
-        # configs that differ only in output_dir hash the same.
+        # Where the outputs land, and how many workers write them, does not
+        # change what they contain, so neither enters the hash.
         view = self.to_dict()
         del view["output_dir"]
+        del view["workers"]
         return stable_hash(view)
 
     def _portable(self, path: Path | None) -> str | None:

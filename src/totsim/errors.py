@@ -16,6 +16,7 @@ __all__ = [
     "GenerationError",
     "RunFileError",
     "EvaluationError",
+    "ConstantVectorError",
     "CollectionError",
     "ConfigError",
 ]
@@ -51,6 +52,10 @@ class RunFileError(TotsimError):
 
 class EvaluationError(TotsimError):
     """Metric computation or correlation received invalid inputs."""
+
+
+class ConstantVectorError(EvaluationError):
+    """A correlation is undefined because one score vector is constant."""
 
 
 class CollectionError(TotsimError):

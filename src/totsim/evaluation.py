@@ -15,9 +15,9 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import EvaluationError
+from .errors import ConstantVectorError, EvaluationError
 from .retrieval import RunResult
 from .util import atomic_write_text
 
@@ -158,20 +158,16 @@ def evaluate_run(run: RunResult, qrels: Mapping[str, str], query_ids: Sequence[s
     )
 
 
-def evaluate_pool(
-    runs: Sequence[RunResult],
-    qrels: Mapping[str, str],
-    query_filter: Callable[[str], bool] | None = None,
-) -> list[MetricReport]:
-    """Evaluate every run over the (optionally filtered) qrels universe.
+def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[MetricReport]:
+    """Evaluate every run over the qrels universe.
 
     Raises:
         EvaluationError: when a run mentions a query absent from the
-            qrels, or the filter leaves nothing to evaluate.
+            qrels, or the qrels are empty.
     """
-    query_ids = sorted(q for q in qrels if query_filter is None or query_filter(q))
+    query_ids = sorted(qrels)
     if not query_ids:
-        raise EvaluationError("query filter left no queries to evaluate")
+        raise EvaluationError("cannot evaluate over an empty query set")
     universe = set(qrels)
     for run in runs:
         unknown = set(run.rankings) - universe
@@ -208,61 +204,29 @@ def rank_systems(reports: Sequence[MetricReport], metric: str) -> SystemRanking:
     )
 
 
-def _count_inversions(values: list[float]) -> int:
-    # Merge sort inversion count; equal elements are not inversions.
-    if len(values) < 2:
-        return 0
-    mid = len(values) // 2
-    left = values[:mid]
-    right = values[mid:]
-    inversions = _count_inversions(left) + _count_inversions(right)
-    merged = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if right[j] < left[i]:
-            inversions += len(left) - i
-            merged.append(right[j])
-            j += 1
-        else:
-            merged.append(left[i])
-            i += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    values[:] = merged
-    return inversions
-
-
-def _tie_term(values: Iterable[float]) -> int:
-    counts: dict[float, int] = {}
-    for value in values:
-        counts[value] = counts.get(value, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+def _compare(a: float, b: float) -> int:
+    return (a > b) - (a < b)
 
 
 def _kendall_tau_values(xs: Sequence[float], ys: Sequence[float]) -> float:
+    # tau-b = (concordant - discordant) / sqrt(pairs untied in x * pairs
+    # untied in y), summed over all pairs; pools hold about ten systems.
     n = len(xs)
     if n != len(ys):
         raise EvaluationError(f"score vectors differ in length: {n} vs {len(ys)}")
     if n < 2:
         raise EvaluationError("tau requires at least two systems")
-    pairs = sorted(zip(xs, ys))
-    n0 = n * (n - 1) // 2
-    n1 = _tie_term(x for x, _ in pairs)
-    n2 = _tie_term(y for _, y in pairs)
-    n3 = _tie_term_pairs(pairs)
-    discordant = _count_inversions([y for _, y in pairs])
-    s = n0 - n1 - n2 + n3 - 2 * discordant
-    denominator = math.sqrt((n0 - n1) * (n0 - n2))
-    if denominator == 0.0:
-        raise EvaluationError("tau undefined: one of the score vectors is constant")
-    return s / denominator
-
-
-def _tie_term_pairs(pairs: Sequence[tuple[float, float]]) -> int:
-    counts: dict[tuple[float, float], int] = {}
-    for pair in pairs:
-        counts[pair] = counts.get(pair, 0) + 1
-    return sum(c * (c - 1) // 2 for c in counts.values())
+    s = untied_x = untied_y = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = _compare(xs[i], xs[j])
+            dy = _compare(ys[i], ys[j])
+            s += dx * dy
+            untied_x += dx != 0
+            untied_y += dy != 0
+    if untied_x == 0 or untied_y == 0:
+        raise ConstantVectorError("tau undefined: one of the score vectors is constant")
+    return s / math.sqrt(untied_x * untied_y)
 
 
 def kendall_tau(first: SystemRanking, second: SystemRanking) -> float:
@@ -270,8 +234,7 @@ def kendall_tau(first: SystemRanking, second: SystemRanking) -> float:
 
     Computed on the score vectors aligned by system id, so ties in either
     ranking are handled by the tie-corrected denominator rather than by
-    arbitrary ordering.  Sorting plus merge-sort inversion counting keeps
-    this O(n log n).
+    arbitrary ordering.
 
     Raises:
         EvaluationError: mismatched system sets, fewer than two systems,
@@ -306,7 +269,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     var_x = math.fsum(d * d for d in dx)
     var_y = math.fsum(d * d for d in dy)
     if var_x == 0.0 or var_y == 0.0:
-        raise EvaluationError("pearson correlation undefined for a constant vector")
+        raise ConstantVectorError("pearson correlation undefined for a constant vector")
     return math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(var_x * var_y)
 
 
@@ -356,6 +319,8 @@ def correlate(
     Raises:
         EvaluationError: when the two report lists cover different
             systems; the diagnostic names the difference.
+        ConstantVectorError: when a metric is equal across the pool on
+            either side, which leaves its correlation undefined.
     """
     real_systems = {r.system_id for r in real_reports}
     synthetic_systems = {r.system_id for r in synthetic_reports}

@@ -425,6 +425,8 @@ def generate_batch(
     templates: TemplateSet,
     translator: Translator | None = None,
     char_budget: int = DEFAULT_CHAR_BUDGET,
+    summarize_temperature: float = SUMMARIZE_TEMPERATURE,
+    generate_temperature: float = GENERATE_TEMPERATURE,
     workers: int = 1,
 ) -> list[SyntheticQuery | DiscardRecord]:
     """Generate for every candidate, preserving candidate order.
@@ -444,6 +446,8 @@ def generate_batch(
             templates,
             translator=translator,
             char_budget=char_budget,
+            summarize_temperature=summarize_temperature,
+            generate_temperature=generate_temperature,
         )
 
     if workers <= 1:

@@ -13,6 +13,7 @@ from conftest import TOY_DIR
 from totsim.cli import main, parse_args
 from totsim.config import load_config
 from totsim.errors import ConfigError
+from totsim.evaluation import MetricReport
 from totsim.providers import (
     CannedResponseProvider,
     ChatTranslator,
@@ -21,7 +22,7 @@ from totsim.providers import (
     IdentityTranslator,
     MappingTranslator,
 )
-from totsim.util import write_json
+from totsim.util import write_json, write_jsonl
 
 TOY_CONFIG = TOY_DIR / "config.yaml"
 
@@ -91,6 +92,9 @@ def test_content_hash_ignores_output_dir_only() -> None:
     config = load_config(TOY_CONFIG)
     moved = dataclasses.replace(config, output_dir=Path("/elsewhere"))
     assert moved.content_hash() == config.content_hash()
+    # outputs do not depend on the worker count either
+    rescaled = dataclasses.replace(config, workers=4)
+    assert rescaled.content_hash() == config.content_hash()
     reseeded = dataclasses.replace(config, seed=8)
     assert reseeded.content_hash() != config.content_hash()
 
@@ -341,3 +345,104 @@ def test_completed_stage_skips_until_forced(pipeline_tree: Path) -> None:
     assert select_path.read_text(encoding="utf-8") == '{"scribble": true}'
     assert main(["select", "--config", config_arg, "--force"]) == 0
     assert select_path.read_bytes() == original
+
+
+def tree_state(root: Path) -> dict[Path, tuple[int, int]]:
+    return {
+        path: (path.stat().st_mtime_ns, path.stat().st_ino)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+
+
+def test_worker_count_change_reruns_nothing(pipeline_tree: Path) -> None:
+    out = pipeline_tree / "out"
+    before = tree_state(out)
+    config_arg = str(pipeline_tree / "config.yaml")
+    assert main(["pipeline", "--config", config_arg, "--workers", "2"]) == 0
+    assert tree_state(out) == before
+
+
+def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:
+    toy = tmp_path / "toy"
+    shutil.copytree(TOY_DIR, toy)
+    config_path = toy / "config.yaml"
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(
+        text.replace(
+            "generation:\n  provider: mock\n",
+            "generation:\n  provider: mock\n"
+            "  summarize_temperature: 0.9\n  generate_temperature: 0.7\n",
+        ),
+        encoding="utf-8",
+    )
+    for stage in ("partition", "sample", "generate"):
+        assert main([stage, "--config", str(config_path)]) == 0
+    manifest = toy / "out" / "generate" / "zz" / "monolingual-V1.jsonl"
+    rows = [json.loads(line) for line in manifest.read_text(encoding="utf-8").splitlines()]
+    assert rows
+    for row in rows:
+        assert "summarize_temperature=0.9;generate_temperature=0.7" in row["provider_fingerprint"]
+
+
+def write_reports(path: Path, ndcg_100: list[float], mrr: list[float]) -> None:
+    write_jsonl(
+        path,
+        (
+            MetricReport(
+                system_id=f"s{i}", ndcg_100=n, ndcg_1000=n, mrr=m, query_count=4
+            ).to_dict()
+            for i, (n, m) in enumerate(zip(ndcg_100, mrr))
+        ),
+    )
+
+
+def test_constant_metric_vector_leaves_its_row_undefined(
+    tmp_path: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    toy = tmp_path / "toy"
+    shutil.copytree(TOY_DIR, toy)
+    config_arg = str(toy / "config.yaml")
+    evaluate_dir = toy / "out" / "evaluate" / "zz"
+    rising = [0.1, 0.2, 0.3]
+    write_reports(evaluate_dir / "real.jsonl", rising, rising)
+    # every monolingual variation and bilingual-V1 rank the pool as one tie
+    for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1"):
+        write_reports(evaluate_dir / f"{name}.jsonl", [0.5, 0.5, 0.5], rising)
+    write_reports(evaluate_dir / "bilingual-V2.jsonl", rising, rising)
+    for name in ("bilingual-V3", "bilingual-V4"):
+        write_reports(evaluate_dir / f"{name}.jsonl", rising[::-1], rising[::-1])
+    assert main(["correlate", "--config", config_arg]) == 0
+    correlations = toy / "out" / "correlate" / "zz.jsonl"
+    rows = [json.loads(line) for line in correlations.read_text(encoding="utf-8").splitlines()]
+    undefined = [
+        (row["partition"], row["variation"]) for row in rows if row["mean_tau"] is None
+    ]
+    assert undefined == [("monolingual", "V1"), ("monolingual", "V2"), ("bilingual", "V1")]
+    for row in rows:
+        fields = [value for key, value in row.items() if key.endswith(("_tau", "_pearson"))]
+        assert len(fields) == 8
+        if row["mean_tau"] is None:
+            assert fields == [None] * 8
+    assert "zz/bilingual/V1" in caplog.text
+    table = (toy / "out" / "correlate" / "zz.txt").read_text(encoding="utf-8").splitlines()
+    assert table[1].split("\t")[2:] == ["nan"] * 8
+    caplog.clear()
+    assert main(["select", "--config", config_arg]) == 0
+    choice = json.loads((toy / "out" / "select" / "zz.json").read_text(encoding="utf-8"))
+    assert choice == {"monolingual": "V1", "bilingual": "V2"}
+    assert "no defined correlation in the monolingual partition" in caplog.text
+
+
+def test_correlate_still_fails_on_mismatched_pools(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    toy = tmp_path / "toy"
+    shutil.copytree(TOY_DIR, toy)
+    evaluate_dir = toy / "out" / "evaluate" / "zz"
+    write_reports(evaluate_dir / "real.jsonl", [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+    for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1", "bilingual-V2",
+                 "bilingual-V3", "bilingual-V4"):
+        write_reports(evaluate_dir / f"{name}.jsonl", [0.1, 0.2], [0.1, 0.2])
+    assert main(["correlate", "--config", str(toy / "config.yaml")]) == 1
+    assert "different systems" in capsys.readouterr().err

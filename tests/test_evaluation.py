@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from totsim.errors import EvaluationError
+from totsim.errors import ConstantVectorError, EvaluationError
 from totsim.evaluation import (
     METRICS,
     CorrelationResult,
@@ -131,17 +131,10 @@ def test_evaluate_pool_rejects_unknown_queries() -> None:
         evaluate_pool(runs, {"q1": "d1"})
 
 
-def test_evaluate_pool_filter() -> None:
-    run = RunResult(
-        system_id="s", rankings={"a-1": [("d1", 1.0)], "b-1": [("d2", 1.0)]}
-    )
-    qrels = {"a-1": "d1", "b-1": "d2"}
-    full = evaluate_pool([run], qrels)[0]
-    assert full.mrr == 1.0
-    only_a = evaluate_pool([run], qrels, query_filter=lambda q: q.startswith("a"))[0]
-    assert only_a.query_count == 1
-    with pytest.raises(EvaluationError, match="filter"):
-        evaluate_pool([run], qrels, query_filter=lambda q: False)
+def test_evaluate_pool_rejects_empty_qrels() -> None:
+    run = RunResult(system_id="s", rankings={})
+    with pytest.raises(EvaluationError, match="empty"):
+        evaluate_pool([run], {})
 
 
 def test_rank_systems_orders_and_breaks_ties() -> None:
@@ -173,6 +166,19 @@ def test_tau_rejects_degenerate_inputs() -> None:
         _kendall_tau_values([1], [2])
     with pytest.raises(EvaluationError, match="constant"):
         _kendall_tau_values([5, 5, 5], [1, 2, 3])
+
+
+def test_correlate_flags_a_constant_metric_vector() -> None:
+    real = [report("a", 0.9, 0.9, 0.9), report("b", 0.5, 0.5, 0.5), report("c", 0.1, 0.1, 0.1)]
+    flat = [report("a", 0.4, 0.9, 0.9), report("b", 0.4, 0.5, 0.5), report("c", 0.4, 0.1, 0.1)]
+    with pytest.raises(ConstantVectorError, match="constant"):
+        correlate(real, flat)
+    with pytest.raises(ConstantVectorError, match="constant"):
+        pearson_r([3, 3], [1, 2])
+    # a mismatched pool is a real error, not an undefined correlation
+    with pytest.raises(EvaluationError, match="different systems") as excinfo:
+        correlate(real, flat[:2])
+    assert not isinstance(excinfo.value, ConstantVectorError)
 
 
 def test_kendall_tau_aligns_by_system_id() -> None:
