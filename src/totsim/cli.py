@@ -112,7 +112,7 @@ def _generate_path(config: PipelineConfig, code: str, set_name: str) -> Path:
 
 
 def _index_path(config: PipelineConfig, code: str) -> Path:
-    return _artifact(config, "index", f"{code}.json")
+    return _artifact(config, "index", f"{code}.npz")
 
 
 def _run_path(config: PipelineConfig, code: str, set_name: str, system_id: str) -> Path:
@@ -361,7 +361,7 @@ def _index(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
         path = _index_path(config, entry.code)
         save_index(index, path)
         outputs.append(path)
-        stats[entry.code] = {"documents": index.doc_count, "terms": len(index.postings)}
+        stats[entry.code] = {"documents": index.doc_count, "terms": len(index.terms)}
     return outputs, {"index_stats": stats}
 
 

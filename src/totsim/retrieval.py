@@ -1,31 +1,55 @@
-"""Lexical retrieval over a shared inverted index, plus run file IO.
+"""Lexical retrieval over a shared CSR inverted index, plus run file IO.
 
 Two scoring functions run against the same index so that hyperparameter
 sweeps measure ranking behavior, not indexing differences:
 
-* BM25 with ``idf = ln((N - df + 0.5) / (df + 0.5) + 1)`` and the usual
-  ``tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))`` saturation.
+* BM25 with the Lucene ``idf = ln((N - df + 0.5) / (df + 0.5) + 1)`` and
+  the usual ``tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))``
+  saturation.
 * Query likelihood with Dirichlet smoothing,
   ``sum_t log((tf + mu * ctf / CL) / (dl + mu))`` over query tokens with
   non-zero collection frequency.
 
+The index is compressed sparse row: documents are numbered in ascending
+``doc_id`` order, terms in sorted order, and the postings of term ``t``
+are the slice ``offsets[t]:offsets[t + 1]`` of parallel doc-number and
+term-frequency arrays.  Each language's index is one pickle-free ``.npz``
+archive (format version 2) whose ``meta`` member holds the document ids,
+terms, language and tokenizer as canonical JSON; it is written with fixed
+member timestamps, so the same corpus always gives the same bytes.
+
+Scoring is term-at-a-time: a query gathers only the postings of its
+matched terms and accumulates one addend per posting into its document.
+Each document's addends are summed in ascending order, so documents whose
+addends form equal multisets get bit-equal scores, and rankings honour the
+(-score, doc_id) rule exactly instead of by float summation noise.
+
 Tokenization is either lowercase word splitting for alphabetic scripts
-or character bigrams over CJK runs (with word splitting applied to any
+or character n-grams over CJK runs (with word splitting applied to any
 embedded non-CJK stretches), matching how mixed-script articles are
 usually indexed without language-specific segmenters.
+
+numpy is imported inside the index and scoring functions only: importing
+this module, and with it the command line, does not load it.
 """
 
 from __future__ import annotations
 
+import bisect
+import json
 import logging
-import math
 import re
+import zipfile
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import RunFileError, TotsimError
-from .util import atomic_write_text, dump_json, read_json
+from .util import atomic_output, atomic_write_text, dump_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +75,7 @@ __all__ = [
 
 DEFAULT_DEPTH = 1000
 INDEX_FORMAT = "totsim-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 MODE_WHITESPACE = "whitespace"
 MODE_CJK_NGRAM = "cjk-ngram"
@@ -72,12 +96,13 @@ _CJK_RANGES = (
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+# Splitting on a captured CJK run alternates non-CJK text (even positions)
+# with CJK runs (odd positions).
+_CJK_SPLIT_RE = re.compile(
+    "([" + "".join(f"\\u{lo:04x}-\\u{hi:04x}" for lo, hi in _CJK_RANGES) + "]+)"
+)
+
 CJK_LANGUAGES = {"zh", "ja", "ko"}
-
-
-def _is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
 
 
 @dataclass(frozen=True)
@@ -96,33 +121,15 @@ class Tokenizer:
     def tokenize(self, text: str) -> list[str]:
         if self.mode == MODE_WHITESPACE:
             return _WORD_RE.findall(text.lower())
+        n = self.ngram
         tokens: list[str] = []
-        run: list[str] = []
-        other: list[str] = []
-        def flush_run() -> None:
-            if not run:
-                return
-            joined = "".join(run)
-            if len(joined) < self.ngram:
-                tokens.append(joined)
+        for position, part in enumerate(_CJK_SPLIT_RE.split(text)):
+            if position % 2 == 0:
+                tokens.extend(_WORD_RE.findall(part.lower()))
+            elif len(part) < n:
+                tokens.append(part)
             else:
-                tokens.extend(
-                    joined[i : i + self.ngram] for i in range(len(joined) - self.ngram + 1)
-                )
-            run.clear()
-        def flush_other() -> None:
-            if other:
-                tokens.extend(_WORD_RE.findall("".join(other).lower()))
-                other.clear()
-        for ch in text:
-            if _is_cjk(ch):
-                flush_other()
-                run.append(ch)
-            else:
-                flush_run()
-                other.append(ch)
-        flush_run()
-        flush_other()
+                tokens.extend(part[i : i + n] for i in range(len(part) - n + 1))
         return tokens
 
     def to_dict(self) -> dict:
@@ -140,99 +147,250 @@ def tokenizer_for_language(language: str) -> Tokenizer:
     return Tokenizer(mode=MODE_WHITESPACE)
 
 
-@dataclass
+# The numeric members of an index archive, besides ``meta``.
+_INDEX_ARRAYS = ("offsets", "postings_docs", "postings_tfs", "doc_lengths")
+
+
+@dataclass(eq=False)
 class InvertedIndex:
-    """Term postings plus the document statistics both scorers need."""
+    """CSR postings plus the document statistics both scorers need.
+
+    Document number ``i`` is ``doc_ids[i]`` and term number ``t`` is
+    ``terms[t]``, both ascending.  The postings of term ``t`` are
+    ``postings_docs[offsets[t]:offsets[t + 1]]`` (int32 doc numbers,
+    ascending) with ``postings_tfs`` (int32) alongside; ``doc_lengths``
+    holds each document's token count.
+    """
 
     language: str
     tokenizer: Tokenizer
-    doc_lengths: dict[str, int]
-    postings: dict[str, dict[str, int]]
-    collection_length: int
+    doc_ids: list[str]
+    terms: list[str]
+    offsets: np.ndarray
+    postings_docs: np.ndarray
+    postings_tfs: np.ndarray
+    doc_lengths: np.ndarray
+    collection_length: int = field(init=False)
+    term_ctf: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        n_postings = len(self.postings_docs)
+        consistent = (
+            len(self.offsets) == len(self.terms) + 1
+            and len(self.doc_lengths) == len(self.doc_ids)
+            and len(self.postings_tfs) == n_postings
+            and int(self.offsets[0]) == 0
+            and int(self.offsets[-1]) == n_postings
+            and bool(np.all(np.diff(self.offsets) > 0))
+            and bool(np.all((self.postings_docs >= 0) & (self.postings_docs < len(self.doc_ids))))
+        )
+        if not consistent:
+            raise TotsimError(f"{self.language} index: postings arrays do not fit together")
+        self.collection_length = int(self.doc_lengths.sum())
+        self.term_ctf = (
+            np.add.reduceat(self.postings_tfs.astype(np.int64), self.offsets[:-1])
+            if n_postings
+            else np.zeros(0, dtype=np.int64)
+        )
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     @property
     def avg_doc_length(self) -> float:
-        if not self.doc_lengths:
+        if not self.doc_ids:
             return 0.0
-        return self.collection_length / len(self.doc_lengths)
+        return self.collection_length / len(self.doc_ids)
+
+    def term_id(self, term: str) -> int | None:
+        """The term's number, or ``None`` when no document contains it."""
+        position = bisect.bisect_left(self.terms, term)
+        if position < len(self.terms) and self.terms[position] == term:
+            return position
+        return None
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        t = self.term_id(term)
+        return 0 if t is None else int(self.offsets[t + 1] - self.offsets[t])
 
     def ctf(self, term: str) -> int:
-        return sum(self.postings.get(term, {}).values())
+        t = self.term_id(term)
+        return 0 if t is None else int(self.term_ctf[t])
 
 
 def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     """Index every document body in ``corpus`` with ``tokenizer``.
 
     Only bodies are indexed; titles and aliases stay out so retrieval
-    difficulty reflects the article text alone.
+    difficulty reflects the article text alone.  Documents are numbered
+    in ascending ``doc_id`` order whatever order ``corpus`` yields them in.
     """
-    doc_lengths: dict[str, int] = {}
-    postings: dict[str, dict[str, int]] = {}
-    collection_length = 0
-    for doc in corpus:
+    import numpy as np
+
+    docs = sorted(corpus, key=lambda doc: doc.doc_id)
+    # Postings are collected in doc order under first-seen term numbers,
+    # then renumbered to sorted term order; a stable sort by term keeps
+    # each term's postings in ascending doc order.
+    seen: dict[str, int] = {}
+    post_terms: list[int] = []
+    post_docs: list[int] = []
+    post_tfs: list[int] = []
+    lengths: list[int] = []
+    for number, doc in enumerate(docs):
         tokens = tokenizer.tokenize(doc.body)
-        doc_lengths[doc.doc_id] = len(tokens)
-        collection_length += len(tokens)
-        for token in tokens:
-            entry = postings.setdefault(token, {})
-            entry[doc.doc_id] = entry.get(doc.doc_id, 0) + 1
-    logger.info(
-        "indexed %d documents, %d terms, %d total tokens",
-        len(doc_lengths),
-        len(postings),
-        collection_length,
-    )
-    return InvertedIndex(
+        lengths.append(len(tokens))
+        for token, tf in Counter(tokens).items():
+            post_terms.append(seen.setdefault(token, len(seen)))
+            post_docs.append(number)
+            post_tfs.append(tf)
+    terms = sorted(seen)
+    renumber = np.empty(len(terms), dtype=np.int64)
+    renumber[[seen[term] for term in terms]] = np.arange(len(terms))
+    term_of = renumber[np.asarray(post_terms, dtype=np.int64)]
+    order = np.argsort(term_of, kind="stable")
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
+    index = InvertedIndex(
         language=corpus.language,
         tokenizer=tokenizer,
-        doc_lengths=doc_lengths,
-        postings=postings,
-        collection_length=collection_length,
+        doc_ids=[doc.doc_id for doc in docs],
+        terms=terms,
+        offsets=offsets,
+        postings_docs=np.asarray(post_docs, dtype=np.int32)[order],
+        postings_tfs=np.asarray(post_tfs, dtype=np.int32)[order],
+        doc_lengths=np.asarray(lengths, dtype=np.int64),
     )
+    logger.info(
+        "indexed %d documents, %d terms, %d total tokens",
+        index.doc_count,
+        len(terms),
+        index.collection_length,
+    )
+    return index
 
 
 def save_index(index: InvertedIndex, path: Path | str) -> None:
-    """Write the index as canonical JSON; reload and re-save is byte-identical."""
-    payload = {
+    """Write the index as one ``.npz`` archive; reload and re-save is byte-identical.
+
+    Members are stored uncompressed with the zip format's fixed epoch
+    timestamp (``numpy.savez`` stamps the current time), so the bytes
+    depend only on the index.
+    """
+    import numpy as np
+
+    meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "language": index.language,
         "tokenizer": index.tokenizer.to_dict(),
-        "doc_lengths": index.doc_lengths,
-        "postings": index.postings,
-        "collection_length": index.collection_length,
+        "doc_ids": index.doc_ids,
+        "terms": index.terms,
     }
-    atomic_write_text(path, dump_json(payload) + "\n")
+    members = {"meta": np.frombuffer(dump_json(meta).encode("utf-8"), dtype=np.uint8)}
+    members.update((name, getattr(index, name)) for name in _INDEX_ARRAYS)
+    with atomic_output(path) as handle, zipfile.ZipFile(handle, "w") as archive:
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
 
 
 def load_index(path: Path | str) -> InvertedIndex:
-    payload = read_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != INDEX_FORMAT:
-        raise TotsimError(f"{path}: not a {INDEX_FORMAT} file")
-    if payload.get("version") != INDEX_VERSION:
-        raise TotsimError(
-            f"{path}: unsupported index version {payload.get('version')!r}"
-        )
+    """Read an index written by :func:`save_index`.
+
+    Raises:
+        TotsimError: the file is not a version-2 index archive (a version-1
+            JSON index included) or its arrays do not fit together.
+    """
+    import numpy as np
+
+    with open(path, "rb") as handle:
+        if not zipfile.is_zipfile(handle):
+            raise TotsimError(f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} archive")
+        handle.seek(0)
+        try:
+            with np.load(handle, allow_pickle=False) as archive:
+                meta = json.loads(archive["meta"].tobytes())
+                if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
+                    raise TotsimError(f"{path}: not a {INDEX_FORMAT} file")
+                if meta.get("version") != INDEX_VERSION:
+                    raise TotsimError(
+                        f"{path}: unsupported index version {meta.get('version')!r}"
+                    )
+                arrays = {name: archive[name] for name in _INDEX_ARRAYS}
+        except (KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise TotsimError(f"{path}: not a readable {INDEX_FORMAT} file ({exc})") from exc
     return InvertedIndex(
-        language=payload["language"],
-        tokenizer=Tokenizer.from_dict(payload["tokenizer"]),
-        doc_lengths=payload["doc_lengths"],
-        postings=payload["postings"],
-        collection_length=payload["collection_length"],
+        language=meta["language"],
+        tokenizer=Tokenizer.from_dict(meta["tokenizer"]),
+        doc_ids=meta["doc_ids"],
+        terms=meta["terms"],
+        **arrays,
     )
 
 
-def _rank(scores: dict[str, float], depth: int) -> list[tuple[str, float]]:
-    # Ties break by ascending doc_id so rankings are reproducible.
-    ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return ordered[:depth]
+def _score(
+    query: str,
+    index: InvertedIndex,
+    depth: int,
+    *,
+    k1: float | None = None,
+    b: float | None = None,
+    mu: float | None = None,
+) -> list[tuple[str, float]]:
+    """Term-at-a-time scoring shared by BM25 (``k1``, ``b``) and QL (``mu``).
+
+    Query tokens absent from the collection are dropped and the rest
+    counted, so a repeated token adds ``qtf`` times its per-posting
+    weight.  Candidates are the documents in the gathered postings; their
+    addends accumulate into one slot per document, visited in ascending
+    addend order so every document's sum is taken in a canonical order.
+    """
+    import numpy as np
+
+    qtf_of: dict[int, int] = {}
+    for token, count in Counter(index.tokenizer.tokenize(query)).items():
+        t = index.term_id(token)
+        if t is not None:
+            qtf_of[t] = count
+    if not qtf_of:
+        return []
+    term_ids = np.array(sorted(qtf_of), dtype=np.int64)
+    qtf = np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
+    starts = index.offsets[term_ids]
+    counts = index.offsets[term_ids + 1] - starts
+    # Gathered posting j belongs to matched term owner[j] and sits at that
+    # term's start plus j's rank among the term's gathered postings.
+    owner = np.repeat(np.arange(len(term_ids)), counts)
+    positions = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    docs = index.postings_docs[positions]
+    tf = index.postings_tfs[positions].astype(np.float64)
+    if mu is None:
+        df = counts.astype(np.float64)
+        idf = np.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
+        norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_doc_length)
+        addends = qtf[owner] * (idf[owner] * tf * (k1 + 1.0) / (tf + norm))
+    else:
+        prior = mu * index.term_ctf[term_ids] / index.collection_length
+        log_prior = np.log(prior)
+        addends = qtf[owner] * (np.log(tf + prior[owner]) - log_prior[owner])
+    # bincount adds its weights in input order; equal addends are
+    # interchangeable, so an unstable sort by value suffices.
+    order = np.argsort(addends)
+    sums = np.bincount(docs[order], weights=addends[order], minlength=index.doc_count)
+    candidates = np.flatnonzero(np.bincount(docs, minlength=index.doc_count))
+    scores = sums[candidates]
+    if mu is not None:
+        base = float((qtf * log_prior).sum())
+        scores = base + scores - qtf.sum() * np.log(index.doc_lengths[candidates] + mu)
+    top = np.lexsort((candidates, -scores))[:depth]
+    doc_ids = index.doc_ids
+    return [
+        (doc_ids[number], score)
+        for number, score in zip(candidates[top].tolist(), scores[top].tolist())
+    ]
 
 
 def score_bm25(
@@ -244,32 +402,10 @@ def score_bm25(
 ) -> list[tuple[str, float]]:
     """Rank documents containing at least one query token by BM25.
 
-    Scores accumulate per document in query token order (repeated tokens
-    contribute once per occurrence), and ties sort by ascending doc id.
+    Repeated query tokens contribute once per occurrence, and ties sort
+    by ascending doc id.
     """
-    tokens = index.tokenizer.tokenize(query)
-    matched = [t for t in tokens if t in index.postings]
-    if not matched:
-        return []
-    candidates = sorted({doc_id for t in set(matched) for doc_id in index.postings[t]})
-    n_docs = index.doc_count
-    avgdl = index.avg_doc_length
-    idf = {
-        t: math.log((n_docs - index.df(t) + 0.5) / (index.df(t) + 0.5) + 1.0)
-        for t in set(matched)
-    }
-    scores: dict[str, float] = {}
-    for doc_id in candidates:
-        dl = index.doc_lengths[doc_id]
-        norm = k1 * (1.0 - b + b * dl / avgdl)
-        score = 0.0
-        for token in matched:
-            tf = index.postings[token].get(doc_id)
-            if tf is None:
-                continue
-            score += idf[token] * tf * (k1 + 1.0) / (tf + norm)
-        scores[doc_id] = score
-    return _rank(scores, depth)
+    return _score(query, index, depth, k1=k1, b=b)
 
 
 def score_ql_dirichlet(
@@ -281,25 +417,12 @@ def score_ql_dirichlet(
     """Rank by Dirichlet-smoothed query log likelihood.
 
     Tokens absent from the whole collection are dropped; candidate
-    documents are those containing at least one remaining token.
+    documents are those containing at least one remaining token.  The
+    score is ``sum_t qtf * log(prior_t)`` plus, per posting,
+    ``qtf * (log(tf + prior_t) - log(prior_t))``, minus
+    ``|matched| * log(dl + mu)``.
     """
-    tokens = index.tokenizer.tokenize(query)
-    matched = [t for t in tokens if t in index.postings]
-    if not matched:
-        return []
-    candidates = sorted({doc_id for t in set(matched) for doc_id in index.postings[t]})
-    collection_length = index.collection_length
-    ctf = {t: index.ctf(t) for t in set(matched)}
-    scores: dict[str, float] = {}
-    for doc_id in candidates:
-        dl = index.doc_lengths[doc_id]
-        score = 0.0
-        for token in matched:
-            tf = index.postings[token].get(doc_id, 0)
-            prior = mu * ctf[token] / collection_length
-            score += math.log((tf + prior) / (dl + mu))
-        scores[doc_id] = score
-    return _rank(scores, depth)
+    return _score(query, index, depth, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -429,6 +552,9 @@ def load_external_run(
     expected = set(expected_queries)
     per_query: dict[str, list[tuple[int, float, str, int]]] = {}
     seen_docs: dict[str, set[str]] = {}
+    # One string object per distinct doc id: a run repeats each document
+    # across many queries, and evaluate holds a whole pool of runs.
+    doc_names: dict[str, str] = {}
     file_tag: str | None = None
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -439,6 +565,7 @@ def load_external_run(
             if len(parts) != 6:
                 raise RunFileError(f"{path.name} line {line_no}: expected 6 columns, got {len(parts)}")
             query_id, _q0, doc_id, rank_str, score_str, tag = parts
+            doc_id = doc_names.setdefault(doc_id, doc_id)
             try:
                 rank = int(rank_str)
                 score = float(score_str)

@@ -6,12 +6,14 @@ import hashlib
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, BinaryIO, Iterable, Iterator
 
 __all__ = [
     "stable_hash",
     "dump_json",
+    "atomic_output",
     "atomic_write_text",
     "write_json",
     "read_json",
@@ -35,23 +37,31 @@ def dump_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and rename.
+@contextmanager
+def atomic_output(path: Path | str) -> Iterator[BinaryIO]:
+    """Yield a binary handle on a temp file that replaces ``path`` on success.
 
     Readers never observe a half-written file even if the process dies
-    mid-write.
+    mid-write; on any error the temp file is removed and ``path`` is left
+    as it was.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_text(path: Path | str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` via a temp file and rename."""
+    with atomic_output(path) as handle:
+        handle.write(text.encode("utf-8"))
 
 
 def write_json(path: Path | str, obj: Any) -> None:

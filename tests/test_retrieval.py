@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import math
+import random
+import re
+import subprocess
+import sys
+import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,6 +74,86 @@ def test_cjk_tokenizer_splits_runs_at_non_cjk() -> None:
     assert CJK.tokenize("東京 大阪") == ["東京", "大阪"]
 
 
+# The per-character tokenizer the regex split replaced, kept as the oracle.
+ORACLE_CJK_RANGES = (
+    (0x1100, 0x11FF),
+    (0x3040, 0x309F),
+    (0x30A0, 0x30FF),
+    (0x3130, 0x318F),
+    (0x31F0, 0x31FF),
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0xAC00, 0xD7A3),
+    (0xF900, 0xFAFF),
+)
+
+
+def oracle_cjk_tokenize(text: str, ngram: int) -> list[str]:
+    def is_cjk(ch: str) -> bool:
+        return any(lo <= ord(ch) <= hi for lo, hi in ORACLE_CJK_RANGES)
+
+    tokens: list[str] = []
+    run: list[str] = []
+    other: list[str] = []
+
+    def flush_run() -> None:
+        if not run:
+            return
+        joined = "".join(run)
+        if len(joined) < ngram:
+            tokens.append(joined)
+        else:
+            tokens.extend(joined[i : i + ngram] for i in range(len(joined) - ngram + 1))
+        run.clear()
+
+    def flush_other() -> None:
+        if other:
+            tokens.extend(re.findall(r"[^\W_]+", "".join(other).lower()))
+            other.clear()
+
+    for ch in text:
+        if is_cjk(ch):
+            flush_other()
+            run.append(ch)
+        else:
+            flush_run()
+            other.append(ch)
+    flush_run()
+    flush_other()
+    return tokens
+
+
+# Both ends of every CJK range and the code points just outside them.
+RANGE_EDGES = [
+    chr(code)
+    for lo, hi in ORACLE_CJK_RANGES
+    for code in (lo - 1, lo, hi, hi + 1)
+]
+MIXED_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(RANGE_EDGES + list(" _-.,1aZéß東京한국タ\n")),
+        st.characters(),
+    ),
+    max_size=40,
+)
+
+
+@given(text=MIXED_TEXT, ngram=st.integers(min_value=1, max_value=3))
+@settings(max_examples=400, deadline=None)
+def test_cjk_tokenizer_matches_per_character_oracle(text: str, ngram: int) -> None:
+    assert Tokenizer(mode="cjk-ngram", ngram=ngram).tokenize(text) == oracle_cjk_tokenize(
+        text, ngram
+    )
+
+
+def test_cjk_tokenizer_range_edges_match_oracle() -> None:
+    edges = "".join(RANGE_EDGES)
+    for ngram in (1, 2, 3):
+        tokenizer = Tokenizer(mode="cjk-ngram", ngram=ngram)
+        for text in (edges, " ".join(RANGE_EDGES), "a" + edges + "b", edges[:2]):
+            assert tokenizer.tokenize(text) == oracle_cjk_tokenize(text, ngram)
+
+
 def test_tokenizer_validates_configuration() -> None:
     with pytest.raises(TotsimError):
         Tokenizer(mode="byte-pair")
@@ -91,10 +178,14 @@ def test_build_index_statistics() -> None:
     assert index.doc_count == 3
     assert index.collection_length == 8
     assert index.avg_doc_length == pytest.approx(8 / 3)
-    assert index.doc_lengths == {"a": 4, "b": 2, "c": 2}
-    assert index.postings["fish"] == {"a": 2, "c": 1}
+    assert dict(zip(index.doc_ids, index.doc_lengths.tolist())) == {"a": 4, "b": 2, "c": 2}
+    fish = index.term_id("fish")
+    span = slice(index.offsets[fish], index.offsets[fish + 1])
+    postings = zip(index.postings_docs[span].tolist(), index.postings_tfs[span].tolist())
+    assert {index.doc_ids[doc]: tf for doc, tf in postings} == {"a": 2, "c": 1}
     assert index.df("fish") == 2
     assert index.ctf("fish") == 3
+    assert index.term_id("absent") is None
     assert index.df("absent") == 0
     assert index.ctf("absent") == 0
 
@@ -104,27 +195,68 @@ def test_build_index_ignores_titles_and_aliases() -> None:
         "en", make_doc("a", title="unique_title", aliases=("secret",), body="plain words")
     )
     index = build_index(corpus, WS)
-    assert "unique_title" not in index.postings
-    assert "secret" not in index.postings
+    assert index.terms == ["plain", "words"]
+    assert index.term_id("unique_title") is None
+    assert index.term_id("secret") is None
 
 
 def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
     index = fish_index()
-    first = tmp_path / "first.json"
-    second = tmp_path / "second.json"
+    first = tmp_path / "first.npz"
+    second = tmp_path / "second.npz"
     save_index(index, first)
-    save_index(load_index(first), second)
+    loaded = load_index(first)
+    save_index(loaded, second)
     assert first.read_bytes() == second.read_bytes()
-    assert INDEX_FORMAT in first.read_text(encoding="utf-8")
+    assert INDEX_FORMAT.encode("utf-8") in first.read_bytes()
+    assert score_bm25("red fish", loaded) == score_bm25("red fish", index)
+
+
+def test_index_bytes_do_not_depend_on_corpus_order(tmp_path: Path) -> None:
+    docs = [make_doc(f"d{i}", body=f"w{i % 3} w{i % 5} shared") for i in range(12)]
+    shuffled = docs[:]
+    random.Random(5).shuffle(shuffled)
+    assert shuffled != docs
+    save_index(build_index(make_corpus("en", *docs), WS), tmp_path / "sorted.npz")
+    save_index(build_index(make_corpus("en", *shuffled), WS), tmp_path / "shuffled.npz")
+    assert (tmp_path / "sorted.npz").read_bytes() == (tmp_path / "shuffled.npz").read_bytes()
 
 
 def test_load_index_rejects_foreign_files(tmp_path: Path) -> None:
-    path = tmp_path / "bad.json"
+    path = tmp_path / "bad.npz"
     path.write_text('{"format": "other"}', encoding="utf-8")
     with pytest.raises(TotsimError):
         load_index(path)
-    path.write_text('{"format": "totsim-index", "version": 99}', encoding="utf-8")
+    # A version-1 index was a single JSON document.
+    path.write_text(
+        '{"format": "totsim-index", "version": 1, "postings": {}}', encoding="utf-8"
+    )
     with pytest.raises(TotsimError, match="version"):
+        load_index(path)
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("other.npy", b"not an index")
+    with pytest.raises(TotsimError):
+        load_index(path)
+    good = tmp_path / "good.npz"
+    save_index(fish_index(), good)
+    with zipfile.ZipFile(good) as source, zipfile.ZipFile(path, "w") as archive:
+        for name in source.namelist():
+            data = source.read(name)
+            if name == "meta.npy":
+                data = data.replace(b'"version":2', b'"version":9')
+            archive.writestr(name, data)
+    with pytest.raises(TotsimError, match="version 9"):
+        load_index(path)
+    # A well-formed archive whose arrays disagree is rejected too.
+    with zipfile.ZipFile(good) as source, zipfile.ZipFile(path, "w") as archive:
+        for name in source.namelist():
+            data = source.read(name)
+            if name == "doc_lengths.npy":
+                buffer = io.BytesIO()
+                np.save(buffer, np.array([4, 2], dtype=np.int64))
+                data = buffer.getvalue()
+            archive.writestr(name, data)
+    with pytest.raises(TotsimError, match="do not fit"):
         load_index(path)
 
 
@@ -146,6 +278,34 @@ def test_bm25_breaks_score_ties_by_doc_id() -> None:
     # b and c score identically on this query, so order falls back to id.
     ranking = score_bm25("red fish", fish_index(), k1=1.2, b=0.75)
     assert [doc for doc, _ in ranking[1:]] == ["b", "c"]
+
+
+def mirrored_index() -> InvertedIndex:
+    # a and b hold the same term frequencies on mirrored terms, so every
+    # system scores them from the same multiset of addends.
+    corpus = make_corpus(
+        "en",
+        make_doc("a", body="x y y z z z"),
+        make_doc("b", body="x x x y y z"),
+        make_doc("c", body="w w w"),
+    )
+    return build_index(corpus, WS)
+
+
+@pytest.mark.parametrize(
+    "score",
+    [
+        lambda query, index: score_bm25(query, index, k1=1.2, b=0.75),
+        lambda query, index: score_ql_dirichlet(query, index, mu=10.0),
+    ],
+    ids=["bm25", "ql"],
+)
+def test_exact_ties_break_by_doc_id_whatever_the_term_order(score) -> None:
+    index = mirrored_index()
+    for query in ("x y z", "z y x", "y z x"):
+        ranking = score(query, index)
+        assert [doc for doc, _ in ranking] == ["a", "b"]
+        assert ranking[0][1] == ranking[1][1]
 
 
 def test_bm25_ignores_unknown_tokens_and_empty_queries() -> None:
@@ -270,6 +430,17 @@ def test_external_run_round_trip(tmp_path: Path) -> None:
     assert loaded.rankings == run.rankings
 
 
+def test_external_run_shares_repeated_doc_id_strings(tmp_path: Path) -> None:
+    path = write_lines(
+        tmp_path / "run.run",
+        [f"q{q} Q0 doc{d} {d + 1} {1.0 - d / 10} sys" for q in range(3) for d in range(3)],
+    )
+    run = load_external_run(path, ["q0", "q1", "q2"])
+    for rank in range(3):
+        first = run.rankings["q0"][rank][0]
+        assert all(run.rankings[q][rank][0] is first for q in ("q1", "q2"))
+
+
 def write_lines(path: Path, lines: list[str]) -> Path:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
@@ -347,3 +518,18 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
     write_run_file(run, path)
     loaded = load_external_run(path, ["q1"])
     assert loaded.rankings == rankings
+
+
+def test_importing_the_cli_does_not_load_numpy() -> None:
+    # numpy is loaded by the index and search code paths only, so stages
+    # that never index or search keep their memory footprint.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; import totsim.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert result.stdout.strip() == "False"
