@@ -1,17 +1,18 @@
 """Command line pipeline: ingest through assembled collection.
 
 The ten stages are declared once, in order, in ``STAGES``: each entry
-names the directory the stage writes under the configured output root
-and the body that fills it.  One runner, :func:`run_stage`, serves every
-subcommand.  It skips a stage whose manifest matches the current config
-hash and whose outputs all exist, which makes ``totsim pipeline``
-resumable (``--force`` reruns regardless); otherwise it runs the body and
-writes the stage manifest recording the config hash and the files
-produced.  Every file one stage hands to another has one path function,
-shared by its writer and its readers, and a reader that finds it missing
-names the stage that produces it.  All diagnostics go to stderr; outputs
-contain no timestamps, so identical inputs and seed give byte-identical
-trees.
+names the directory the stage writes under the configured output root,
+the body that fills it and the version of the format it writes.  One
+runner, :func:`run_stage`, serves every subcommand.  It skips a stage
+whose manifest matches the current config hash and format version and
+whose outputs all exist, which makes ``totsim pipeline`` resumable
+(``--force`` reruns regardless); otherwise it runs the body and writes
+the stage manifest recording the config hash, the format version and the
+files produced.  Every file one stage hands to another has one path
+function, shared by its writer and its readers, and a reader that finds
+it missing names the stage that produces it.  All diagnostics go to
+stderr; outputs contain no timestamps, so identical inputs and seed give
+byte-identical trees.
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ from .evaluation import (
     MetricCorrelation,
     MetricReport,
     correlate,
-    evaluate_pool,
+    evaluate_ranks,
     load_qrels,
+    read_rank_file,
     select_best_strategy,
+    target_ranks,
+    write_rank_file,
 )
 from .generation import (
     PromptVariation,
@@ -61,7 +65,6 @@ from .generation import (
     write_query_manifest,
 )
 from .retrieval import (
-    RunResult,
     Tokenizer,
     build_index,
     default_lexical_pool,
@@ -86,13 +89,17 @@ logger = logging.getLogger(__name__)
 
 
 class Stage(NamedTuple):
-    """Where a stage writes, and the body that writes it.
+    """Where a stage writes, the body that writes it, and its output format.
 
     The body returns the files it wrote and any extra manifest fields.
+    ``version`` goes up whenever the stage's outputs change form, so a
+    tree written in an older form reruns the stage instead of being
+    skipped or handed on.
     """
 
     directory: str
     body: Callable[[PipelineConfig, Path], tuple[list[Path], dict]]
+    version: int = 1
 
 
 def _artifact(config: PipelineConfig, producer: str, *parts: str) -> Path:
@@ -117,6 +124,10 @@ def _index_path(config: PipelineConfig, code: str) -> Path:
 
 def _run_path(config: PipelineConfig, code: str, set_name: str, system_id: str) -> Path:
     return _artifact(config, "search", code, set_name, f"{system_id}.run")
+
+
+def _ranks_path(config: PipelineConfig, code: str, set_name: str) -> Path:
+    return _artifact(config, "search", code, set_name, "ranks.tsv")
 
 
 def _report_path(config: PipelineConfig, code: str, set_name: str) -> Path:
@@ -369,38 +380,54 @@ def _search(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
-        for set_name, (queries, _) in sorted(_query_sets(config, entry.code).items()):
+        for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
+            ranks: dict[str, dict[str, int]] = {}
             for system in default_lexical_pool():
                 run = run_search(system, queries, index, depth=config.depth)
                 path = _run_path(config, entry.code, set_name, system.system_id)
                 write_run_file(run, path)
                 outputs.append(path)
+                ranks[system.system_id] = target_ranks(run, qrels)
+            path = _ranks_path(config, entry.code, set_name)
+            write_rank_file(ranks, path)
+            outputs.append(path)
     return outputs, {}
 
 
-def _pool_runs(
+def _pool_ranks(
     config: PipelineConfig, code: str, set_name: str, qrels: Mapping[str, str]
-) -> list[RunResult]:
-    """Load the shared system pool's runs for one query set."""
-    entry = config.language(code)
-    runs: list[RunResult] = []
+) -> dict[str, dict[str, int]]:
+    """Each pool system's target rank per query of one set, by system id.
+
+    The lexical systems' ranks are the ones ``search`` recorded; the
+    external runs are parsed and checked here.
+    """
+    path = _existing(config, _ranks_path(config, code, set_name))
+    ranks = read_rank_file(path)
     expected = sorted(qrels)
-    for system in default_lexical_pool():
-        path = _existing(config, _run_path(config, code, set_name, system.system_id))
-        runs.append(
-            load_external_run(path, expected, depth=config.depth, system_id=system.system_id)
+    lexical = sorted(system.system_id for system in default_lexical_pool())
+    if sorted(ranks) != lexical or any(sorted(by_query) != expected for by_query in ranks.values()):
+        raise ConfigError(
+            f"{path} does not cover this query set and system pool; run 'totsim search --force'"
         )
+    entry = config.language(code)
     for system_id in sorted(entry.external_runs):
-        runs.append(
-            load_external_run(
-                entry.external_runs[system_id], expected, depth=config.depth, system_id=system_id
-            )
+        run = load_external_run(
+            entry.external_runs[system_id], expected, depth=config.depth, system_id=system_id
         )
-    return runs
+        ranks[system_id] = target_ranks(run, qrels)
+    return ranks
 
 
-def _write_reports(path: Path, reports: Sequence[MetricReport]) -> Path:
-    write_jsonl(path, (r.to_dict() for r in sorted(reports, key=lambda r: r.system_id)))
+def _write_reports(
+    path: Path, ranks: Mapping[str, Mapping[str, int]], query_ids: Sequence[str]
+) -> Path:
+    """Score every system in ``ranks`` over ``query_ids`` into one report file."""
+    reports = (
+        evaluate_ranks(system_id, {query_id: by_query[query_id] for query_id in query_ids})
+        for system_id, by_query in sorted(ranks.items())
+    )
+    write_jsonl(path, (report.to_dict() for report in reports))
     return path
 
 
@@ -411,42 +438,43 @@ def _read_reports(path: Path) -> list[MetricReport]:
 def _evaluate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
-        query_sets = _query_sets(config, entry.code)
-        for set_name, (_, qrels) in sorted(query_sets.items()):
+        for set_name, (_, qrels) in sorted(_query_sets(config, entry.code).items()):
             if not qrels:
                 logger.warning("%s/%s has no queries; skipping evaluation", entry.code, set_name)
                 continue
-            reports = evaluate_pool(_pool_runs(config, entry.code, set_name, qrels), qrels)
-            outputs.append(_write_reports(_report_path(config, entry.code, set_name), reports))
-        real_qrels = query_sets["real"][1] if "real" in query_sets else {}
-        if real_qrels and entry.code != "en" and config.slice_real_by_partition:
-            partition_of = _read_partition_map(
-                _existing(config, _partition_map_path(config, entry.code))
-            )
-            runs = _pool_runs(config, entry.code, "real", real_qrels)
-            for partition in _partitions_for(entry.code):
-                kept = {
-                    qid: doc for qid, doc in real_qrels.items()
-                    if _real_partition(qid, doc, partition_of) is partition
-                }
-                if not kept:
-                    logger.warning(
-                        "%s: no real queries fall in the %s partition; correlation there "
-                        "will fall back to the full real set",
-                        entry.code,
-                        partition.value,
-                    )
-                    continue
-                sliced = [
-                    RunResult(
-                        system_id=run.system_id,
-                        rankings={qid: run.rankings.get(qid, []) for qid in kept},
-                    )
-                    for run in runs
-                ]
-                path = _report_path(config, entry.code, _real_slice_name(partition))
-                outputs.append(_write_reports(path, evaluate_pool(sliced, kept)))
+            ranks = _pool_ranks(config, entry.code, set_name, qrels)
+            path = _report_path(config, entry.code, set_name)
+            outputs.append(_write_reports(path, ranks, sorted(qrels)))
+            if set_name == "real" and entry.code != "en" and config.slice_real_by_partition:
+                outputs.extend(_write_real_slices(config, entry.code, qrels, ranks))
     return outputs, {}
+
+
+def _write_real_slices(
+    config: PipelineConfig,
+    code: str,
+    qrels: Mapping[str, str],
+    ranks: Mapping[str, Mapping[str, int]],
+) -> list[Path]:
+    """Report the real set once per partition, over the queries whose target is in it."""
+    partition_of = _read_partition_map(_existing(config, _partition_map_path(config, code)))
+    outputs: list[Path] = []
+    for partition in _partitions_for(code):
+        kept = [
+            query_id for query_id, doc_id in qrels.items()
+            if _real_partition(query_id, doc_id, partition_of) is partition
+        ]
+        if not kept:
+            logger.warning(
+                "%s: no real queries fall in the %s partition; correlation there "
+                "will fall back to the full real set",
+                code,
+                partition.value,
+            )
+            continue
+        path = _report_path(config, code, _real_slice_name(partition))
+        outputs.append(_write_reports(path, ranks, kept))
+    return outputs
 
 
 def _real_partition(
@@ -635,8 +663,10 @@ STAGES: dict[str, Stage] = {
     "partition": Stage("partition", _partition),
     "sample": Stage("sample", _sample),
     "generate": Stage("generate", _generate),
-    "index": Stage("index", _index),
-    "search": Stage("search", _search),
+    # 2: one CSR ``.npz`` archive per language.
+    "index": Stage("index", _index, version=2),
+    # 2: adds ``ranks.tsv`` beside each query set's run files.
+    "search": Stage("search", _search, version=2),
     "evaluate": Stage("evaluate", _evaluate),
     "correlate": Stage("correlate", _correlate),
     "select": Stage("select", _select),
@@ -644,12 +674,12 @@ STAGES: dict[str, Stage] = {
 }
 
 
-def _manifest_matches(stage_dir: Path, stage: str, config_hash: str) -> bool:
+def _manifest_matches(stage_dir: Path, key: Mapping[str, object]) -> bool:
     try:
         manifest = read_json(stage_dir / "manifest.json")
     except (OSError, ValueError):
         return False
-    if manifest.get("stage") != stage or manifest.get("config_hash") != config_hash:
+    if any(manifest.get(field) != value for field, value in key.items()):
         return False
     return all((stage_dir / rel).exists() for rel in manifest.get("outputs", []))
 
@@ -657,15 +687,17 @@ def _manifest_matches(stage_dir: Path, stage: str, config_hash: str) -> bool:
 def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> None:
     """Run one stage, unless its manifest shows its outputs are current."""
     stage_dir = config.output_dir / STAGES[stage].directory
-    config_hash = config.content_hash()
-    if not force and _manifest_matches(stage_dir, stage, config_hash):
+    key = {
+        "stage": stage,
+        "schema_version": STAGES[stage].version,
+        "config_hash": config.content_hash(),
+    }
+    if not force and _manifest_matches(stage_dir, key):
         logger.info("%s: outputs match current config; skipping (use --force to rerun)", stage)
         return
     outputs, extra = STAGES[stage].body(config, stage_dir)
     manifest = {
-        "stage": stage,
-        "schema_version": 1,
-        "config_hash": config_hash,
+        **key,
         "seed": config.seed,
         "outputs": sorted(str(path.relative_to(stage_dir)) for path in outputs),
     }

@@ -2,7 +2,10 @@
 
 Every query has exactly one relevant document, which collapses NDCG to
 ``1 / log2(rank + 1)`` for the rank at which the target appears (zero if
-it is absent from the top k).  A pool of systems is scored on a real
+it is absent from the top k) and reciprocal rank to ``1 / rank``, so
+every metric is computed from target ranks alone: one rank-based core,
+:func:`evaluate_ranks`, serves both rankings held in memory and the rank
+files the search stage writes.  A pool of systems is scored on a real
 query set and on a synthetic one; agreement between the two system
 orderings is measured with Kendall's tau-b on each metric plus Pearson's
 r on the raw metric vectors, and the generation strategy with the best
@@ -15,7 +18,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConstantVectorError, EvaluationError
 from .retrieval import RunResult
@@ -27,9 +30,14 @@ __all__ = [
     "METRICS",
     "load_qrels",
     "write_qrels",
+    "write_rank_file",
+    "read_rank_file",
+    "target_rank",
+    "target_ranks",
     "ndcg_at_k",
     "reciprocal_rank",
     "MetricReport",
+    "evaluate_ranks",
     "evaluate_run",
     "evaluate_pool",
     "SystemRanking",
@@ -74,6 +82,73 @@ def write_qrels(qrels: Mapping[str, str], path: Path | str) -> None:
     )
 
 
+def write_rank_file(ranks: Mapping[str, Mapping[str, int]], path: Path | str) -> None:
+    """Write ``query_id<TAB>system_id<TAB>rank`` lines from system -> query -> rank.
+
+    Lines are sorted by query id, then system id; rank 0 means the target
+    was not retrieved.
+    """
+    rows = sorted((query_id, system_id) for system_id in ranks for query_id in ranks[system_id])
+    atomic_write_text(
+        path,
+        "".join(
+            f"{query_id}\t{system_id}\t{ranks[system_id][query_id]}\n"
+            for query_id, system_id in rows
+        ),
+    )
+
+
+def read_rank_file(path: Path | str) -> dict[str, dict[str, int]]:
+    """Read a file written by :func:`write_rank_file` as system -> query -> rank.
+
+    Raises:
+        EvaluationError: a line without three fields, a rank that is not a
+            non-negative integer, or a repeated (query, system) pair.
+    """
+    path = Path(path)
+    ranks: dict[str, dict[str, int]] = {}
+    with open(path, encoding="utf-8") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3 or not parts[2].isdecimal():
+                raise EvaluationError(
+                    f"{path.name} line {line_no}: expected 'query_id<TAB>system_id<TAB>rank'"
+                )
+            query_id, system_id, rank = parts
+            per_query = ranks.setdefault(system_id, {})
+            if query_id in per_query:
+                raise EvaluationError(
+                    f"{path.name} line {line_no}: query {query_id} repeats for system {system_id}"
+                )
+            per_query[query_id] = int(rank)
+    return ranks
+
+
+def target_rank(ranking: Iterable[str], relevant: str) -> int:
+    """The 1-based position of ``relevant`` in ``ranking``, or 0 when absent."""
+    for position, doc_id in enumerate(ranking, start=1):
+        if doc_id == relevant:
+            return position
+    return 0
+
+
+def target_ranks(run: RunResult, qrels: Mapping[str, str]) -> dict[str, int]:
+    """Each qrels query's target rank in ``run``; 0 for a query it did not answer."""
+    return {
+        query_id: target_rank((doc_id for doc_id, _ in run.rankings.get(query_id, ())), relevant)
+        for query_id, relevant in qrels.items()
+    }
+
+
+def _gain(rank: int, k: int) -> float:
+    # DCG of a single relevant document at ``rank``, cut off at ``k``.
+    return 1.0 / math.log2(rank + 1) if 0 < rank <= k else 0.0
+
+
+def _reciprocal(rank: int, depth: int) -> float:
+    return 1.0 / rank if 0 < rank <= depth else 0.0
+
+
 def ndcg_at_k(ranking: Sequence[str], relevant: str, k: int) -> float:
     """NDCG at cutoff ``k`` with a single relevant document.
 
@@ -83,17 +158,11 @@ def ndcg_at_k(ranking: Sequence[str], relevant: str, k: int) -> float:
     """
     if k <= 0:
         raise EvaluationError(f"cutoff must be positive, got {k}")
-    for position, doc_id in enumerate(ranking[:k], start=1):
-        if doc_id == relevant:
-            return 1.0 / math.log2(position + 1)
-    return 0.0
+    return _gain(target_rank(ranking, relevant), k)
 
 
 def reciprocal_rank(ranking: Sequence[str], relevant: str, depth: int = 1000) -> float:
-    for position, doc_id in enumerate(ranking[:depth], start=1):
-        if doc_id == relevant:
-            return 1.0 / position
-    return 0.0
+    return _reciprocal(target_rank(ranking, relevant), depth)
 
 
 @dataclass(frozen=True)
@@ -131,30 +200,33 @@ class MetricReport:
         )
 
 
+def evaluate_ranks(system_id: str, ranks: Mapping[str, int]) -> MetricReport:
+    """Average the metrics for one system from each query's target rank.
+
+    A rank of 0 (target not retrieved) contributes zero to every mean.
+    Means are ``math.fsum`` over the queries in sorted id order.
+    """
+    if not ranks:
+        raise EvaluationError("cannot evaluate over an empty query set")
+    ordered = [ranks[query_id] for query_id in sorted(ranks)]
+    n = len(ordered)
+    return MetricReport(
+        system_id=system_id,
+        ndcg_100=math.fsum(_gain(rank, 100) for rank in ordered) / n,
+        ndcg_1000=math.fsum(_gain(rank, 1000) for rank in ordered) / n,
+        mrr=math.fsum(_reciprocal(rank, 1000) for rank in ordered) / n,
+        query_count=n,
+    )
+
+
 def evaluate_run(run: RunResult, qrels: Mapping[str, str], query_ids: Sequence[str]) -> MetricReport:
     """Average the metrics for ``run`` over ``query_ids``.
 
     Queries the run never answered contribute zero to every mean rather
     than being skipped, so sparse runs are penalized, not excused.
     """
-    if not query_ids:
-        raise EvaluationError("cannot evaluate over an empty query set")
-    ndcg_100_values = []
-    ndcg_1000_values = []
-    rr_values = []
-    for query_id in query_ids:
-        relevant = qrels[query_id]
-        ranking = [doc_id for doc_id, _ in run.rankings.get(query_id, [])]
-        ndcg_100_values.append(ndcg_at_k(ranking, relevant, 100))
-        ndcg_1000_values.append(ndcg_at_k(ranking, relevant, 1000))
-        rr_values.append(reciprocal_rank(ranking, relevant))
-    n = len(query_ids)
-    return MetricReport(
-        system_id=run.system_id,
-        ndcg_100=math.fsum(ndcg_100_values) / n,
-        ndcg_1000=math.fsum(ndcg_1000_values) / n,
-        mrr=math.fsum(rr_values) / n,
-        query_count=n,
+    return evaluate_ranks(
+        run.system_id, target_ranks(run, {query_id: qrels[query_id] for query_id in query_ids})
     )
 
 
@@ -165,8 +237,7 @@ def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[M
         EvaluationError: when a run mentions a query absent from the
             qrels, or the qrels are empty.
     """
-    query_ids = sorted(qrels)
-    if not query_ids:
+    if not qrels:
         raise EvaluationError("cannot evaluate over an empty query set")
     universe = set(qrels)
     for run in runs:
@@ -177,7 +248,7 @@ def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[M
                 f"run {run.system_id} references {len(unknown)} query ids outside the qrels"
                 f" (for example {sample})"
             )
-    return [evaluate_run(run, qrels, query_ids) for run in runs]
+    return [evaluate_ranks(run.system_id, target_ranks(run, qrels)) for run in runs]
 
 
 @dataclass(frozen=True)

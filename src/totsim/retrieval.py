@@ -20,6 +20,8 @@ member timestamps, so the same corpus always gives the same bytes.
 
 Scoring is term-at-a-time: a query gathers only the postings of its
 matched terms and accumulates one addend per posting into its document.
+The index keeps each query text's matched terms, so the systems of a
+pool that score one query against it tokenize that query once.
 Each document's addends are summed in ascending order, so documents whose
 addends form equal multisets get bit-equal scores, and rankings honour the
 (-score, doc_id) rule exactly instead of by float summation noise.
@@ -172,6 +174,9 @@ class InvertedIndex:
     doc_lengths: np.ndarray
     collection_length: int = field(init=False)
     term_ctf: np.ndarray = field(init=False, repr=False)
+    _matches: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -211,6 +216,28 @@ class InvertedIndex:
         if position < len(self.terms) and self.terms[position] == term:
             return position
         return None
+
+    def match(self, query: str) -> tuple[np.ndarray, np.ndarray]:
+        """The query's matched term numbers (ascending) and their counts in it.
+
+        Tokens absent from the collection are dropped.  The result is kept
+        per query text, so the systems of a pool that score the same query
+        against this index tokenize it once; its arrays are read-only.
+        """
+        import numpy as np
+
+        cached = self._matches.get(query)
+        if cached is None:
+            qtf_of: dict[int, int] = {}
+            for token, count in Counter(self.tokenizer.tokenize(query)).items():
+                t = self.term_id(token)
+                if t is not None:
+                    qtf_of[t] = count
+            term_ids = np.array(sorted(qtf_of), dtype=np.int64)
+            qtf = np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
+            term_ids.flags.writeable = qtf.flags.writeable = False
+            cached = self._matches[query] = (term_ids, qtf)
+        return cached
 
     def df(self, term: str) -> int:
         t = self.term_id(term)
@@ -342,23 +369,18 @@ def _score(
 ) -> list[tuple[str, float]]:
     """Term-at-a-time scoring shared by BM25 (``k1``, ``b``) and QL (``mu``).
 
-    Query tokens absent from the collection are dropped and the rest
-    counted, so a repeated token adds ``qtf`` times its per-posting
-    weight.  Candidates are the documents in the gathered postings; their
-    addends accumulate into one slot per document, visited in ascending
-    addend order so every document's sum is taken in a canonical order.
+    The query's terms come from :meth:`InvertedIndex.match`: tokens absent
+    from the collection are dropped and the rest counted, so a repeated
+    token adds ``qtf`` times its per-posting weight.  Candidates are the
+    documents in the gathered postings; their addends accumulate into one
+    slot per document, visited in ascending addend order so every
+    document's sum is taken in a canonical order.
     """
     import numpy as np
 
-    qtf_of: dict[int, int] = {}
-    for token, count in Counter(index.tokenizer.tokenize(query)).items():
-        t = index.term_id(token)
-        if t is not None:
-            qtf_of[t] = count
-    if not qtf_of:
+    term_ids, qtf = index.match(query)
+    if not term_ids.size:
         return []
-    term_ids = np.array(sorted(qtf_of), dtype=np.int64)
-    qtf = np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
     starts = index.offsets[term_ids]
     counts = index.offsets[term_ids + 1] - starts
     # Gathered posting j belongs to matched term owner[j] and sits at that

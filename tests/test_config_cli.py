@@ -13,7 +13,8 @@ from conftest import TOY_DIR
 from totsim.cli import main, parse_args
 from totsim.config import load_config
 from totsim.errors import ConfigError
-from totsim.evaluation import MetricReport
+from totsim.evaluation import MetricReport, evaluate_pool, load_qrels
+from totsim.generation import read_query_manifest
 from totsim.providers import (
     CannedResponseProvider,
     ChatTranslator,
@@ -22,7 +23,8 @@ from totsim.providers import (
     IdentityTranslator,
     MappingTranslator,
 )
-from totsim.util import write_json, write_jsonl
+from totsim.retrieval import RunResult, default_lexical_pool, load_external_run
+from totsim.util import dump_json, write_json, write_jsonl
 
 TOY_CONFIG = TOY_DIR / "config.yaml"
 
@@ -361,6 +363,129 @@ def test_worker_count_change_reruns_nothing(pipeline_tree: Path) -> None:
     config_arg = str(pipeline_tree / "config.yaml")
     assert main(["pipeline", "--config", config_arg, "--workers", "2"]) == 0
     assert tree_state(out) == before
+
+
+@pytest.fixture
+def tree_copy(pipeline_tree: Path, tmp_path: Path) -> Path:
+    """A disposable copy of the shared pipeline tree."""
+    copy = tmp_path / "toy"
+    shutil.copytree(pipeline_tree, copy)
+    return copy
+
+
+def test_outputs_in_an_older_format_rerun_their_stage(tree_copy: Path) -> None:
+    out = tree_copy / "out"
+    # the index and search stages as a tree written before their format 2
+    # recorded them: version 1, and no rank files
+    for stage in ("index", "search"):
+        path = out / stage / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        assert manifest["schema_version"] == 2
+        manifest["schema_version"] = 1
+        manifest["outputs"] = [
+            name for name in manifest["outputs"] if not name.endswith("ranks.tsv")
+        ]
+        write_json(path, manifest)
+    for ranks in out.glob("search/*/*/ranks.tsv"):
+        ranks.unlink()
+    generated = tree_state(out / "generate")
+    indexed = tree_state(out / "index")
+    config_arg = str(tree_copy / "config.yaml")
+    assert main(["pipeline", "--config", config_arg]) == 0
+    assert tree_state(out / "generate") == generated
+    assert tree_state(out / "index").keys() == indexed.keys()
+    assert all(tree_state(out / "index")[path] != state for path, state in indexed.items())
+    assert len(list(out.glob("search/*/*/ranks.tsv"))) == 8
+    for stage in ("index", "search"):
+        manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["schema_version"] == 2
+    assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+
+
+def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: Path) -> None:
+    out = pipeline_tree / "out"
+    config = load_config(pipeline_tree / "config.yaml")
+
+    def pool(code: str, set_name: str, qrels: dict[str, str]) -> list[RunResult]:
+        expected = sorted(qrels)
+        paths = sorted((out / "search" / code / set_name).glob("*.run"))
+        assert len(paths) == len(default_lexical_pool())
+        runs = [load_external_run(path, expected, depth=config.depth) for path in paths]
+        external = config.language(code).external_runs
+        return runs + [
+            load_external_run(external[system_id], expected, config.depth, system_id)
+            for system_id in sorted(external)
+        ]
+
+    # (language, report name) -> reports from the run files
+    expected_reports = {}
+    for path in out.glob("generate/*/*.jsonl"):
+        records = read_query_manifest(path)
+        qrels = {r.query_id: r.target_doc_id for r in records if not r.discarded}
+        code, set_name = path.parent.name, path.stem
+        expected_reports[code, set_name] = evaluate_pool(pool(code, set_name, qrels), qrels)
+    real = load_qrels(pipeline_tree / "real_qrels_zz.txt")
+    real_runs = pool("zz", "real", real)
+    expected_reports["zz", "real"] = evaluate_pool(real_runs, real)
+    partition_of = dict(
+        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
+    )
+    for partition in ("monolingual", "bilingual"):
+        kept = {qid: doc for qid, doc in real.items() if partition_of[doc] == partition}
+        sliced = [
+            RunResult(run.system_id, {qid: run.rankings[qid] for qid in kept}) for run in real_runs
+        ]
+        expected_reports["zz", f"real-{partition}"] = evaluate_pool(sliced, kept)
+    written = out.glob("evaluate/*/*.jsonl")
+    assert sorted((path.parent.name, path.stem) for path in written) == sorted(expected_reports)
+    for (code, name), reports in expected_reports.items():
+        ordered = sorted(reports, key=lambda report: report.system_id)
+        text = "".join(dump_json(report.to_dict()) + "\n" for report in ordered)
+        assert (out / "evaluate" / code / f"{name}.jsonl").read_bytes() == text.encode("utf-8")
+
+
+def test_evaluate_reads_no_lexical_run_file(tree_copy: Path) -> None:
+    out = tree_copy / "out"
+    before = {path: path.read_bytes() for path in (out / "evaluate").rglob("*") if path.is_file()}
+    runs = list(out.glob("search/**/*.run"))
+    assert len(runs) == 8 * len(default_lexical_pool())
+    for path in runs:
+        path.unlink()
+    assert main(["evaluate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 0
+    after = {path: path.read_bytes() for path in (out / "evaluate").rglob("*") if path.is_file()}
+    assert after == before
+
+
+def test_real_query_missing_from_the_queries_file_ranks_zero(tree_copy: Path) -> None:
+    queries = tree_copy / "real_queries_zz.tsv"
+    lines = queries.read_text(encoding="utf-8").splitlines(keepends=True)
+    missing = lines[0].split("\t")[0]
+    queries.write_text("".join(lines[1:]), encoding="utf-8")
+    config_arg = str(tree_copy / "config.yaml")
+    assert main(["search", "--config", config_arg, "--force"]) == 0
+    ranks_path = tree_copy / "out" / "search" / "zz" / "real" / "ranks.tsv"
+    rows = [line.split("\t") for line in ranks_path.read_text(encoding="utf-8").splitlines()]
+    systems = sorted(system.system_id for system in default_lexical_pool())
+    assert len(rows) == len(lines) * len(systems)
+    assert [row for row in rows if row[0] == missing] == [
+        [missing, system_id, "0"] for system_id in systems
+    ]
+    assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+
+
+def test_evaluate_refuses_ranks_that_miss_a_query(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    ranks_path = tree_copy / "out" / "search" / "zz" / "real" / "ranks.tsv"
+    lines = ranks_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = lines[0].split("\t")[0]
+    ranks_path.write_text(
+        "".join(line for line in lines if not line.startswith(dropped + "\t")), encoding="utf-8"
+    )
+    assert main(["evaluate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "ranks.tsv does not cover this query set" in err
+    assert "run 'totsim search --force'" in err
 
 
 def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:

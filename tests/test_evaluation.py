@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_corpus, make_doc
 from totsim.errors import ConstantVectorError, EvaluationError
 from totsim.evaluation import (
     METRICS,
@@ -18,18 +19,22 @@ from totsim.evaluation import (
     SystemRanking,
     correlate,
     evaluate_pool,
+    evaluate_ranks,
     evaluate_run,
     kendall_tau,
     load_qrels,
     ndcg_at_k,
     pearson_r,
     rank_systems,
+    read_rank_file,
     reciprocal_rank,
     select_best_strategy,
+    target_ranks,
     write_qrels,
+    write_rank_file,
 )
 from totsim.evaluation import _kendall_tau_values
-from totsim.retrieval import RunResult
+from totsim.retrieval import RetrievalSystem, RunResult, Tokenizer, build_index, run_search
 
 
 def reference_tau_b(xs: list[float], ys: list[float]) -> float:
@@ -135,6 +140,84 @@ def test_evaluate_pool_rejects_empty_qrels() -> None:
     run = RunResult(system_id="s", rankings={})
     with pytest.raises(EvaluationError, match="empty"):
         evaluate_pool([run], {})
+
+
+@given(ranks=st.lists(st.integers(min_value=0, max_value=1200), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_ranks_matches_per_query_formulas(ranks: list[int]) -> None:
+    by_query = {f"q{i:02d}": rank for i, rank in enumerate(ranks)}
+    result = evaluate_ranks("s", by_query)
+    n = len(ranks)
+    assert result.query_count == n
+    assert result.ndcg_100 == math.fsum(
+        1.0 / math.log2(r + 1) for r in ranks if 0 < r <= 100
+    ) / n
+    assert result.ndcg_1000 == math.fsum(
+        1.0 / math.log2(r + 1) for r in ranks if 0 < r <= 1000
+    ) / n
+    assert result.mrr == math.fsum(1.0 / r for r in ranks if 0 < r <= 1000) / n
+    # the same ranks placed in rankings give the same report
+    rankings = {
+        query_id: [(f"d{i}", -float(i)) for i in range(1, max(rank, 1) + 3) if i != rank]
+        for query_id, rank in by_query.items()
+    }
+    for query_id, rank in by_query.items():
+        if rank:
+            rankings[query_id].insert(rank - 1, ("target", 0.0))
+    run = RunResult(system_id="s", rankings=rankings)
+    qrels = dict.fromkeys(by_query, "target")
+    assert target_ranks(run, qrels) == by_query
+    assert evaluate_run(run, qrels, sorted(qrels)) == result
+    with pytest.raises(EvaluationError, match="empty"):
+        evaluate_ranks("s", {})
+
+
+def test_target_rank_is_zero_when_the_target_is_not_retrieved() -> None:
+    index = build_index(
+        make_corpus(
+            "en",
+            make_doc("a", body="red fish blue fish"),
+            make_doc("b", body="red car"),
+            make_doc("c", body="green fish"),
+        ),
+        Tokenizer(),
+    )
+    system = RetrievalSystem(system_id="bm25", kind="bm25", k1=1.2, b=0.75)
+    queries = {"unindexed": "zebra", "top": "red fish", "deep": "red fish"}
+    qrels = {"unindexed": "a", "top": "a", "deep": "b", "unasked": "c"}
+    full = run_search(system, queries, index)
+    assert full.rankings["unindexed"] == []
+    assert target_ranks(full, qrels) == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
+    # below the search depth the target counts as not retrieved
+    shallow = run_search(system, queries, index, depth=1)
+    assert target_ranks(shallow, qrels) == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}
+
+
+def test_rank_file_round_trip(tmp_path: Path) -> None:
+    ranks = {"s2": {"q1": 3, "q0": 0}, "s1": {"q1": 1, "q0": 1000}}
+    path = tmp_path / "ranks.tsv"
+    write_rank_file(ranks, path)
+    assert path.read_text(encoding="utf-8") == (
+        "q0\ts1\t1000\nq0\ts2\t0\nq1\ts1\t1\nq1\ts2\t3\n"
+    )
+    assert read_rank_file(path) == ranks
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("q1\ts1\n", "line 1: expected"),
+        ("q1\ts1\t1\nq2\ts1\t-1\n", "line 2: expected"),
+        ("q1\ts1\tone\n", "line 1: expected"),
+        ("q1\ts1\t1\nq1\ts1\t2\n", "line 2: query q1 repeats for system s1"),
+    ],
+    ids=["two-fields", "negative-rank", "non-integer-rank", "repeated-pair"],
+)
+def test_read_rank_file_rejects_malformed_lines(tmp_path: Path, text: str, message: str) -> None:
+    path = tmp_path / "ranks.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(EvaluationError, match=message):
+        read_rank_file(path)
 
 
 def test_rank_systems_orders_and_breaks_ties() -> None:

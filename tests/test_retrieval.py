@@ -419,6 +419,25 @@ def test_run_search_and_write_run_file(tmp_path: Path) -> None:
     assert float(lines[0].split()[4]) == run.rankings["q1"][0][1]
 
 
+def test_a_pool_tokenizes_each_query_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    queries = {"q1": "red fish", "q2": "green", "q3": "zebra", "q4": "Red  FISH"}
+    pool = default_lexical_pool()
+    # each system on its own fresh index is the reference
+    expected = [run_search(system, queries, fish_index()).rankings for system in pool]
+    index = fish_index()
+    calls: list[str] = []
+    tokenize = Tokenizer.tokenize
+
+    def counting(self: Tokenizer, text: str) -> list[str]:
+        calls.append(text)
+        return tokenize(self, text)
+
+    monkeypatch.setattr(Tokenizer, "tokenize", counting)
+    runs = [run_search(system, queries, index) for system in pool]
+    assert sorted(calls) == sorted(queries.values())
+    assert [run.rankings for run in runs] == expected
+
+
 def test_external_run_round_trip(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="qld-mu500", kind="ql-dirichlet", mu=500.0)
