@@ -45,10 +45,7 @@ from .evaluation import (
     correlate,
     evaluate_pool,
     kendall_tau,
-    ndcg_at_k,
     pearson_r,
-    reciprocal_rank,
-    rank_systems,
     select_best_strategy,
 )
 from .generation import (

@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from .collection import (
     CollectionSpec,
     assemble_collection,
+    load_queries,
     validate_collection,
     write_bundle,
 )
@@ -198,22 +199,6 @@ def _read_partition_map(path: Path) -> dict[str, Partition]:
     return mapping
 
 
-def _load_queries_tsv(path: Path) -> dict[str, str]:
-    queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise ConfigError(f"{path.name} line {line_no}: expected 'query_id<TAB>text'")
-            if parts[0] in queries:
-                raise ConfigError(f"{path.name} line {line_no}: duplicate query id {parts[0]}")
-            queries[parts[0]] = parts[1]
-    return queries
-
-
 def _accepted_queries(records) -> tuple[dict[str, str], dict[str, str]]:
     queries: dict[str, str] = {}
     qrels: dict[str, str] = {}
@@ -236,7 +221,7 @@ def _query_sets(
     }
     entry = config.language(code)
     if entry.real_queries is not None:
-        sets["real"] = (_load_queries_tsv(entry.real_queries), load_qrels(entry.real_qrels))
+        sets["real"] = (load_queries(entry.real_queries), load_qrels(entry.real_qrels))
     return sets
 
 
@@ -394,14 +379,10 @@ def _search(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     return outputs, {}
 
 
-def _pool_ranks(
+def _lexical_ranks(
     config: PipelineConfig, code: str, set_name: str, qrels: Mapping[str, str]
 ) -> dict[str, dict[str, int]]:
-    """Each pool system's target rank per query of one set, by system id.
-
-    The lexical systems' ranks are the ones ``search`` recorded; the
-    external runs are parsed and checked here.
-    """
+    """The lexical pool's target rank per query of one set, as ``search`` recorded it."""
     path = _existing(config, _ranks_path(config, code, set_name))
     ranks = read_rank_file(path)
     expected = sorted(qrels)
@@ -410,12 +391,6 @@ def _pool_ranks(
         raise ConfigError(
             f"{path} does not cover this query set and system pool; run 'totsim search --force'"
         )
-    entry = config.language(code)
-    for system_id in sorted(entry.external_runs):
-        run = load_external_run(
-            entry.external_runs[system_id], expected, depth=config.depth, system_id=system_id
-        )
-        ranks[system_id] = target_ranks(run, qrels)
     return ranks
 
 
@@ -438,11 +413,23 @@ def _read_reports(path: Path) -> list[MetricReport]:
 def _evaluate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
     outputs: list[Path] = []
     for entry in config.languages:
-        for set_name, (_, qrels) in sorted(_query_sets(config, entry.code).items()):
+        sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
+        # One parse per external run and language, over every set's queries:
+        # its checks run once, and the queries it lacks give one warning.
+        expected = set().union(*sets.values())
+        external = {
+            system_id: load_external_run(
+                entry.external_runs[system_id], expected, depth=config.depth, system_id=system_id
+            )
+            for system_id in sorted(entry.external_runs)
+        }
+        for set_name, qrels in sorted(sets.items()):
             if not qrels:
                 logger.warning("%s/%s has no queries; skipping evaluation", entry.code, set_name)
                 continue
-            ranks = _pool_ranks(config, entry.code, set_name, qrels)
+            ranks = _lexical_ranks(config, entry.code, set_name, qrels)
+            for system_id, run in external.items():
+                ranks[system_id] = target_ranks(run, qrels)
             path = _report_path(config, entry.code, set_name)
             outputs.append(_write_reports(path, ranks, sorted(qrels)))
             if set_name == "real" and entry.code != "en" and config.slice_real_by_partition:

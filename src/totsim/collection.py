@@ -42,6 +42,7 @@ __all__ = [
     "CollectionBundle",
     "assemble_collection",
     "write_bundle",
+    "load_queries",
     "load_bundle",
     "ValidationReport",
     "validate_collection",
@@ -235,21 +236,32 @@ def write_bundle(bundle: CollectionBundle, directory: Path | str) -> None:
     write_json(directory / MANIFEST_NAME, bundle.manifest)
 
 
-def load_bundle(directory: Path | str) -> CollectionBundle:
-    directory = Path(directory)
-    manifest = read_json(directory / MANIFEST_NAME)
+def load_queries(path: Path | str) -> dict[str, str]:
+    """Read ``query_id<TAB>text`` lines, skipping blank ones.
+
+    Raises:
+        CollectionError: a line without a tab, or a repeated query id.
+    """
+    path = Path(path)
     queries: dict[str, str] = {}
-    with open(directory / "queries.tsv", encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t", 1)
             if len(parts) != 2:
-                raise CollectionError(f"queries.tsv line {line_no}: expected two columns")
+                raise CollectionError(f"{path.name} line {line_no}: expected two columns")
             if parts[0] in queries:
-                raise CollectionError(f"queries.tsv line {line_no}: duplicate query id {parts[0]}")
+                raise CollectionError(f"{path.name} line {line_no}: duplicate query id {parts[0]}")
             queries[parts[0]] = parts[1]
+    return queries
+
+
+def load_bundle(directory: Path | str) -> CollectionBundle:
+    directory = Path(directory)
+    manifest = read_json(directory / MANIFEST_NAME)
+    queries = load_queries(directory / "queries.tsv")
     splits: dict[str, str] = {}
     with open(directory / "splits.tsv", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):

@@ -56,13 +56,6 @@ class Partition(str, Enum):
     def initial(self) -> str:
         return self.value[0]
 
-    @classmethod
-    def from_initial(cls, initial: str) -> "Partition":
-        for member in cls:
-            if member.initial == initial:
-                return member
-        raise CorpusError(f"unknown partition initial {initial!r}")
-
 
 class DomainLabel(str, Enum):
     MOVIES = "Movies"

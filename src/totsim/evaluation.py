@@ -6,10 +6,10 @@ it is absent from the top k) and reciprocal rank to ``1 / rank``, so
 every metric is computed from target ranks alone: one rank-based core,
 :func:`evaluate_ranks`, serves both rankings held in memory and the rank
 files the search stage writes.  A pool of systems is scored on a real
-query set and on a synthetic one; agreement between the two system
-orderings is measured with Kendall's tau-b on each metric plus Pearson's
-r on the raw metric vectors, and the generation strategy with the best
-mean tau per partition wins.
+query set and on a synthetic one; for each metric the two sides' values
+are aligned by system id, Kendall's tau-b compares the system orderings
+those vectors induce and Pearson's r the values themselves, and the
+generation strategy with the best mean tau per partition wins.
 """
 
 from __future__ import annotations
@@ -34,14 +34,10 @@ __all__ = [
     "read_rank_file",
     "target_rank",
     "target_ranks",
-    "ndcg_at_k",
-    "reciprocal_rank",
     "MetricReport",
     "evaluate_ranks",
-    "evaluate_run",
     "evaluate_pool",
     "SystemRanking",
-    "rank_systems",
     "kendall_tau",
     "pearson_r",
     "MetricCorrelation",
@@ -149,22 +145,6 @@ def _reciprocal(rank: int, depth: int) -> float:
     return 1.0 / rank if 0 < rank <= depth else 0.0
 
 
-def ndcg_at_k(ranking: Sequence[str], relevant: str, k: int) -> float:
-    """NDCG at cutoff ``k`` with a single relevant document.
-
-    The ideal DCG is 1 (target at rank 1), so the score reduces to
-    ``1 / log2(rank + 1)`` when the target sits at ``rank`` within the
-    top ``k`` and 0 otherwise.
-    """
-    if k <= 0:
-        raise EvaluationError(f"cutoff must be positive, got {k}")
-    return _gain(target_rank(ranking, relevant), k)
-
-
-def reciprocal_rank(ranking: Sequence[str], relevant: str, depth: int = 1000) -> float:
-    return _reciprocal(target_rank(ranking, relevant), depth)
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """Mean metrics for one system over one query set."""
@@ -219,17 +199,6 @@ def evaluate_ranks(system_id: str, ranks: Mapping[str, int]) -> MetricReport:
     )
 
 
-def evaluate_run(run: RunResult, qrels: Mapping[str, str], query_ids: Sequence[str]) -> MetricReport:
-    """Average the metrics for ``run`` over ``query_ids``.
-
-    Queries the run never answered contribute zero to every mean rather
-    than being skipped, so sparse runs are penalized, not excused.
-    """
-    return evaluate_ranks(
-        run.system_id, target_ranks(run, {query_id: qrels[query_id] for query_id in query_ids})
-    )
-
-
 def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[MetricReport]:
     """Evaluate every run over the qrels universe.
 
@@ -253,26 +222,15 @@ def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[M
 
 @dataclass(frozen=True)
 class SystemRanking:
-    """Systems ordered by one metric, best first, with their scores."""
+    """One metric's score for each system of a pool.
+
+    :func:`kendall_tau` aligns two rankings by system id, so the order of
+    ``system_ids`` carries no meaning of its own.
+    """
 
     metric: str
     system_ids: tuple[str, ...]
     scores: tuple[float, ...]
-
-    def score_of(self, system_id: str) -> float:
-        return self.scores[self.system_ids.index(system_id)]
-
-
-def rank_systems(reports: Sequence[MetricReport], metric: str) -> SystemRanking:
-    """Order systems by descending metric value; ties by ascending id."""
-    if metric not in METRICS:
-        raise EvaluationError(f"unknown metric {metric!r}")
-    ordered = sorted(reports, key=lambda r: (-r.value(metric), r.system_id))
-    return SystemRanking(
-        metric=metric,
-        system_ids=tuple(r.system_id for r in ordered),
-        scores=tuple(r.value(metric) for r in ordered),
-    )
 
 
 def _compare(a: float, b: float) -> int:
@@ -314,10 +272,12 @@ def kendall_tau(first: SystemRanking, second: SystemRanking) -> float:
     if set(first.system_ids) != set(second.system_ids):
         missing = sorted(set(first.system_ids) ^ set(second.system_ids))
         raise EvaluationError(f"rankings cover different systems: {', '.join(missing)}")
-    order = sorted(first.system_ids)
-    xs = [first.score_of(s) for s in order]
-    ys = [second.score_of(s) for s in order]
-    return _kendall_tau_values(xs, ys)
+    first_scores = dict(zip(first.system_ids, first.scores))
+    second_scores = dict(zip(second.system_ids, second.scores))
+    order = sorted(first_scores)
+    return _kendall_tau_values(
+        [first_scores[s] for s in order], [second_scores[s] for s in order]
+    )
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -368,24 +328,15 @@ class CorrelationResult:
             mean_pearson=math.fsum(per_metric[m].pearson for m in METRICS) / len(METRICS),
         )
 
-    def to_dict(self) -> dict:
-        raw: dict = {
-            metric: {"tau": mc.tau, "pearson": mc.pearson}
-            for metric, mc in self.per_metric.items()
-        }
-        raw["mean_tau"] = self.mean_tau
-        raw["mean_pearson"] = self.mean_pearson
-        return raw
-
 
 def correlate(
     real_reports: Sequence[MetricReport], synthetic_reports: Sequence[MetricReport]
 ) -> CorrelationResult:
-    """Correlate the system orderings induced by real and synthetic queries.
+    """Correlate the pool's metric vectors on real and synthetic queries.
 
-    For each metric the pool is ranked on both sides; tau-b compares the
-    orderings and Pearson's r compares the raw metric vectors aligned by
-    system id.
+    For each metric, both sides' values are aligned by system id; tau-b
+    compares the orderings of the two vectors (ties handled by its
+    denominator) and Pearson's r compares the values themselves.
 
     Raises:
         EvaluationError: when the two report lists cover different
@@ -405,12 +356,11 @@ def correlate(
     real_by_id = {r.system_id: r for r in real_reports}
     synthetic_by_id = {r.system_id: r for r in synthetic_reports}
     for metric in METRICS:
-        tau = kendall_tau(
-            rank_systems(real_reports, metric), rank_systems(synthetic_reports, metric)
-        )
         xs = [real_by_id[s].value(metric) for s in order]
         ys = [synthetic_by_id[s].value(metric) for s in order]
-        per_metric[metric] = MetricCorrelation(tau=tau, pearson=pearson_r(xs, ys))
+        per_metric[metric] = MetricCorrelation(
+            tau=_kendall_tau_values(xs, ys), pearson=pearson_r(xs, ys)
+        )
     return CorrelationResult.from_per_metric(per_metric)
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "SyntheticQuery",
     "DiscardRecord",
     "make_query_id",
-    "parse_query_id",
     "normalize_for_matching",
     "anonymity_check",
     "summarize_entity",
@@ -234,14 +233,6 @@ class DiscardRecord:
 
 def make_query_id(language: str, partition: Partition, doc_id: str) -> str:
     return f"{language}-{partition.initial}-{doc_id}"
-
-
-def parse_query_id(query_id: str) -> tuple[str, Partition, str]:
-    parts = query_id.split("-", 2)
-    if len(parts) != 3:
-        raise GenerationError(f"malformed query id {query_id!r}")
-    language, initial, doc_id = parts
-    return language, Partition.from_initial(initial), doc_id
 
 
 def normalize_for_matching(text: str) -> str:

@@ -31,6 +31,11 @@ or character n-grams over CJK runs (with word splitting applied to any
 embedded non-CJK stretches), matching how mixed-script articles are
 usually indexed without language-specific segmenters.
 
+A :class:`RetrievalSystem` is one of the two scorers with its
+hyperparameters, so every system this module runs is lexical.  Systems
+outside the module (dense retrievers, say) join a pool only as run files,
+which :func:`load_external_run` parses and checks.
+
 numpy is imported inside the index and scoring functions only: importing
 this module, and with it the command line, does not load it.
 """
@@ -449,14 +454,13 @@ def score_ql_dirichlet(
 
 @dataclass(frozen=True)
 class RetrievalSystem:
-    """One member of the system pool: a scorer configuration or an external run."""
+    """One lexical system of the pool: BM25 (``k1``, ``b``) or QL-Dirichlet (``mu``)."""
 
     system_id: str
     kind: str
     k1: float | None = None
     b: float | None = None
     mu: float | None = None
-    path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "bm25":
@@ -465,30 +469,8 @@ class RetrievalSystem:
         elif self.kind == "ql-dirichlet":
             if self.mu is None:
                 raise TotsimError(f"system {self.system_id}: ql-dirichlet needs mu")
-        elif self.kind == "external":
-            if self.path is None:
-                raise TotsimError(f"system {self.system_id}: external needs a run path")
         else:
             raise TotsimError(f"system {self.system_id}: unknown kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        raw: dict = {"system_id": self.system_id, "kind": self.kind}
-        for key in ("k1", "b", "mu", "path"):
-            value = getattr(self, key)
-            if value is not None:
-                raw[key] = value
-        return raw
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "RetrievalSystem":
-        return cls(
-            system_id=raw["system_id"],
-            kind=raw["kind"],
-            k1=raw.get("k1"),
-            b=raw.get("b"),
-            mu=raw.get("mu"),
-            path=raw.get("path"),
-        )
 
 
 def default_lexical_pool() -> list[RetrievalSystem]:
@@ -512,9 +494,6 @@ class RunResult:
     system_id: str
     rankings: dict[str, list[tuple[str, float]]]
 
-    def query_ids(self) -> list[str]:
-        return sorted(self.rankings)
-
 
 def run_search(
     system: RetrievalSystem,
@@ -527,12 +506,9 @@ def run_search(
     for query_id in sorted(queries):
         text = queries[query_id]
         if system.kind == "bm25":
-            ranking = score_bm25(text, index, k1=system.k1, b=system.b, depth=depth)
-        elif system.kind == "ql-dirichlet":
-            ranking = score_ql_dirichlet(text, index, mu=system.mu, depth=depth)
+            rankings[query_id] = score_bm25(text, index, k1=system.k1, b=system.b, depth=depth)
         else:
-            raise TotsimError(f"system {system.system_id}: cannot execute kind {system.kind!r}")
-        rankings[query_id] = ranking
+            rankings[query_id] = score_ql_dirichlet(text, index, mu=system.mu, depth=depth)
     return RunResult(system_id=system.system_id, rankings=rankings)
 
 

@@ -444,16 +444,34 @@ def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: P
         assert (out / "evaluate" / code / f"{name}.jsonl").read_bytes() == text.encode("utf-8")
 
 
-def test_evaluate_reads_no_lexical_run_file(tree_copy: Path) -> None:
+def test_evaluate_reads_no_lexical_run_file(
+    tree_copy: Path, monkeypatch: pytest.MonkeyPatch, caplog: pytest.LogCaptureFixture
+) -> None:
     out = tree_copy / "out"
     before = {path: path.read_bytes() for path in (out / "evaluate").rglob("*") if path.is_file()}
     runs = list(out.glob("search/**/*.run"))
     assert len(runs) == 8 * len(default_lexical_pool())
     for path in runs:
         path.unlink()
-    assert main(["evaluate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 0
+    parsed: list[str] = []
+
+    def counting_load(path, *args, **kwargs):
+        parsed.append(Path(path).name)
+        return load_external_run(path, *args, **kwargs)
+
+    monkeypatch.setattr("totsim.cli.load_external_run", counting_load)
+    config = load_config(tree_copy / "config.yaml")
+    external = sorted(
+        Path(path).name for entry in config.languages for path in entry.external_runs.values()
+    )
+    with caplog.at_level("WARNING", logger="totsim.retrieval"):
+        assert main(["evaluate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 0
     after = {path: path.read_bytes() for path in (out / "evaluate").rglob("*") if path.is_file()}
     assert after == before
+    # each external run is parsed, and warns about the queries it lacks, once
+    assert sorted(parsed) == external == ["dense-a.run", "dense-b.run"]
+    missing = [r.getMessage() for r in caplog.records if "missing from run" in r.getMessage()]
+    assert sorted(message.split(":")[0] for message in missing) == external
 
 
 def test_real_query_missing_from_the_queries_file_ranks_zero(tree_copy: Path) -> None:

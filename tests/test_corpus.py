@@ -136,13 +136,6 @@ def test_corpus_get_names_language_on_miss() -> None:
         corpus.get("missing")
 
 
-def test_partition_initial_round_trip() -> None:
-    for partition in Partition:
-        assert Partition.from_initial(partition.initial) is partition
-    with pytest.raises(CorpusError):
-        Partition.from_initial("x")
-
-
 def test_partition_corpus_by_link_resolution() -> None:
     english = make_corpus("en", make_doc("e1"))
     target = make_corpus(

@@ -20,14 +20,10 @@ from totsim.evaluation import (
     correlate,
     evaluate_pool,
     evaluate_ranks,
-    evaluate_run,
     kendall_tau,
     load_qrels,
-    ndcg_at_k,
     pearson_r,
-    rank_systems,
     read_rank_file,
-    reciprocal_rank,
     select_best_strategy,
     target_ranks,
     write_qrels,
@@ -87,26 +83,29 @@ def test_qrels_round_trip(tmp_path: Path) -> None:
     assert load_qrels(path) == qrels
 
 
+def single(rank: int) -> MetricReport:
+    """The report of one query whose target sits at ``rank`` (0: not retrieved)."""
+    return evaluate_ranks("s", {"q": rank})
+
+
 def test_ndcg_single_relevant_oracle() -> None:
-    ranking = [f"d{i}" for i in range(1, 20)]
-    assert ndcg_at_k(ranking, "d1", 10) == 1.0
-    assert ndcg_at_k(ranking, "d2", 10) == pytest.approx(0.6309297535714575, abs=1e-15)
-    assert ndcg_at_k(ranking, "d3", 10) == pytest.approx(0.5, abs=1e-15)
-    assert ndcg_at_k(ranking, "d4", 10) == pytest.approx(0.43067655807339306, abs=1e-15)
-    assert ndcg_at_k(ranking, "d9", 10) == pytest.approx(0.3010299956639812, abs=1e-15)
-    assert ndcg_at_k(ranking, "d11", 10) == 0.0
-    assert ndcg_at_k(ranking, "missing", 10) == 0.0
-    assert ndcg_at_k([], "d1", 10) == 0.0
-    with pytest.raises(EvaluationError):
-        ndcg_at_k(ranking, "d1", 0)
+    assert single(1).ndcg_100 == 1.0
+    assert single(2).ndcg_100 == pytest.approx(0.6309297535714575, abs=1e-15)
+    assert single(3).ndcg_100 == pytest.approx(0.5, abs=1e-15)
+    assert single(4).ndcg_100 == pytest.approx(0.43067655807339306, abs=1e-15)
+    assert single(9).ndcg_100 == pytest.approx(0.3010299956639812, abs=1e-15)
+    # a rank beyond the cutoff scores zero at that cutoff only
+    assert single(101).ndcg_100 == 0.0
+    assert single(101).ndcg_1000 == pytest.approx(1 / math.log2(102), abs=1e-15)
+    assert single(1001).ndcg_1000 == 0.0
+    assert single(0).ndcg_100 == single(0).ndcg_1000 == 0.0
 
 
 def test_reciprocal_rank_oracle() -> None:
-    ranking = ["a", "b", "c", "d"]
-    assert reciprocal_rank(ranking, "a") == 1.0
-    assert reciprocal_rank(ranking, "d") == 0.25
-    assert reciprocal_rank(ranking, "zz") == 0.0
-    assert reciprocal_rank(ranking, "d", depth=3) == 0.0
+    assert single(1).mrr == 1.0
+    assert single(4).mrr == 0.25
+    assert single(0).mrr == 0.0
+    assert single(1001).mrr == 0.0
 
 
 def test_metric_report_accessors() -> None:
@@ -118,16 +117,16 @@ def test_metric_report_accessors() -> None:
     assert MetricReport.from_dict(r.to_dict()) == r
 
 
-def test_evaluate_run_zero_fills_missing_queries() -> None:
+def test_target_ranks_zero_fill_missing_queries() -> None:
     run = RunResult(system_id="s", rankings={"q1": [("d1", 1.0), ("d2", 0.5)]})
     qrels = {"q1": "d2", "q2": "d9"}
-    result = evaluate_run(run, qrels, ["q1", "q2"])
+    ranks = target_ranks(run, qrels)
+    assert ranks == {"q1": 2, "q2": 0}
+    result = evaluate_ranks("s", ranks)
     # q1 finds the target at rank 2, q2 contributes zeros
     assert result.ndcg_100 == pytest.approx(0.6309297535714575 / 2, abs=1e-15)
     assert result.mrr == pytest.approx(0.25)
     assert result.query_count == 2
-    with pytest.raises(EvaluationError, match="empty"):
-        evaluate_run(run, qrels, [])
 
 
 def test_evaluate_pool_rejects_unknown_queries() -> None:
@@ -167,7 +166,7 @@ def test_evaluate_ranks_matches_per_query_formulas(ranks: list[int]) -> None:
     run = RunResult(system_id="s", rankings=rankings)
     qrels = dict.fromkeys(by_query, "target")
     assert target_ranks(run, qrels) == by_query
-    assert evaluate_run(run, qrels, sorted(qrels)) == result
+    assert evaluate_pool([run], qrels) == [result]
     with pytest.raises(EvaluationError, match="empty"):
         evaluate_ranks("s", {})
 
@@ -220,16 +219,6 @@ def test_read_rank_file_rejects_malformed_lines(tmp_path: Path, text: str, messa
         read_rank_file(path)
 
 
-def test_rank_systems_orders_and_breaks_ties() -> None:
-    reports = [report("b", 0.5, 0, 0), report("a", 0.5, 0, 0), report("c", 0.9, 0, 0)]
-    ranking = rank_systems(reports, "ndcg_100")
-    assert ranking.system_ids == ("c", "a", "b")
-    assert ranking.scores == (0.9, 0.5, 0.5)
-    assert ranking.score_of("a") == 0.5
-    with pytest.raises(EvaluationError):
-        rank_systems(reports, "recall")
-
-
 def test_tau_perfect_agreement_and_reversal() -> None:
     assert _kendall_tau_values([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
     assert _kendall_tau_values([1, 2, 3, 4], [40, 30, 20, 10]) == -1.0
@@ -271,6 +260,42 @@ def test_kendall_tau_aligns_by_system_id() -> None:
     mismatched = SystemRanking(metric="mrr", system_ids=("a", "x"), scores=(1.0, 0.5))
     with pytest.raises(EvaluationError, match="different systems"):
         kendall_tau(first, mismatched)
+
+
+def sorted_ranking(reports: list[MetricReport], metric: str) -> SystemRanking:
+    """The pool ordered best first on ``metric``, ties by ascending system id."""
+    ordered = sorted(reports, key=lambda r: (-r.value(metric), r.system_id))
+    return SystemRanking(
+        metric=metric,
+        system_ids=tuple(r.system_id for r in ordered),
+        scores=tuple(r.value(metric) for r in ordered),
+    )
+
+
+@given(
+    pool=st.lists(
+        st.tuples(*[st.sampled_from((0.0, 0.25, 0.5))] * (2 * len(METRICS))),
+        min_size=2,
+        max_size=9,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_correlate_tau_matches_kendall_tau_of_rankings(
+    pool: list[tuple[float, ...]],
+) -> None:
+    real = [report(f"s{i}", *values[:3]) for i, values in enumerate(pool)]
+    synthetic = [report(f"s{i}", *values[3:]) for i, values in reversed(list(enumerate(pool)))]
+    try:
+        expected = {
+            metric: kendall_tau(sorted_ranking(real, metric), sorted_ranking(synthetic, metric))
+            for metric in METRICS
+        }
+    except ConstantVectorError:
+        with pytest.raises(ConstantVectorError):
+            correlate(real, synthetic)
+        return
+    result = correlate(real, synthetic)
+    assert {metric: result.per_metric[metric].tau for metric in METRICS} == expected
 
 
 def test_tau_matches_scipy_on_tied_vectors() -> None:

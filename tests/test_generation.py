@@ -23,7 +23,6 @@ from totsim.generation import (
     generate_query,
     make_query_id,
     normalize_for_matching,
-    parse_query_id,
     read_query_manifest,
     summarize_entity,
     translate_text,
@@ -145,12 +144,9 @@ def test_variation_properties() -> None:
     )
 
 
-def test_query_id_round_trip() -> None:
+def test_make_query_id_format() -> None:
     query_id = make_query_id("zz", Partition.MONOLINGUAL, "doc-with-dashes")
     assert query_id == "zz-m-doc-with-dashes"
-    assert parse_query_id(query_id) == ("zz", Partition.MONOLINGUAL, "doc-with-dashes")
-    with pytest.raises(GenerationError):
-        parse_query_id("nodashes")
 
 
 def test_normalize_for_matching() -> None:

@@ -382,14 +382,10 @@ def test_retrieval_system_validation() -> None:
         RetrievalSystem(system_id="s", kind="bm25", k1=1.0)
     with pytest.raises(TotsimError, match="mu"):
         RetrievalSystem(system_id="s", kind="ql-dirichlet")
-    with pytest.raises(TotsimError, match="path"):
-        RetrievalSystem(system_id="s", kind="external")
-    with pytest.raises(TotsimError, match="unknown kind"):
-        RetrievalSystem(system_id="s", kind="dense")
-    round_tripped = RetrievalSystem.from_dict(
-        RetrievalSystem(system_id="s", kind="bm25", k1=1.2, b=0.4).to_dict()
-    )
-    assert round_tripped.k1 == 1.2
+    # external systems enter a pool only as run files
+    for kind in ("external", "dense"):
+        with pytest.raises(TotsimError, match="unknown kind"):
+            RetrievalSystem(system_id="s", kind=kind)
 
 
 def test_default_pool_has_seven_fixed_systems() -> None:
@@ -409,7 +405,7 @@ def test_run_search_and_write_run_file(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="bm25-test", kind="bm25", k1=1.2, b=0.75)
     run = run_search(system, {"q2": "green", "q1": "red fish"}, index)
-    assert run.query_ids() == ["q1", "q2"]
+    assert sorted(run.rankings) == ["q1", "q2"]
     path = tmp_path / "out.run"
     write_run_file(run, path)
     lines = path.read_text(encoding="utf-8").splitlines()

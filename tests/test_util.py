@@ -1,11 +1,16 @@
-"""IO helpers: canonical JSON, content hashing, atomic writes."""
+"""IO helpers: canonical JSON, content hashing, atomic writes; package exports."""
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
+import pytest
+
+import totsim
 from totsim.util import (
     atomic_write_text,
     dump_json,
@@ -84,3 +89,11 @@ def test_write_json_reproducible_bytes(tmp_path: Path) -> None:
 def test_read_json_parses_what_dump_wrote() -> None:
     blob = dump_json({"nested": {"values": [1.5, None, True]}})
     assert json.loads(blob) == {"nested": {"values": [1.5, None, True]}}
+
+
+@pytest.mark.parametrize(
+    "module_name", sorted(info.name for info in pkgutil.iter_modules(totsim.__path__))
+)
+def test_every_exported_name_exists(module_name: str) -> None:
+    module = importlib.import_module(f"totsim.{module_name}")
+    assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
