@@ -1,18 +1,20 @@
 """Command line pipeline: ingest through assembled collection.
 
 The ten stages are declared once, in order, in ``STAGES``: each entry
-names the directory the stage writes under the configured output root,
+names the directory the stage owns under the configured output root,
 the body that fills it and the version of the format it writes.  One
 runner, :func:`run_stage`, serves every subcommand.  It skips a stage
 whose manifest matches the current config hash and format version and
 whose outputs all exist, which makes ``totsim pipeline`` resumable
-(``--force`` reruns regardless); otherwise it runs the body and writes
-the stage manifest recording the config hash, the format version and the
-files produced.  Every file one stage hands to another has one path
-function, shared by its writer and its readers, and a reader that finds
-it missing names the stage that produces it.  All diagnostics go to
-stderr; outputs contain no timestamps, so identical inputs and seed give
-byte-identical trees.
+(``--force`` reruns regardless).  Otherwise it empties the stage's
+directory, runs the body and writes the stage manifest: the config hash,
+the format version, every file the body wrote and the extra fields it
+returns.  A body that fails leaves no manifest, so the stage runs again
+next time.  Every file one stage hands to another has one path function,
+shared by its writer and its readers, and a reader that finds it missing
+names the stage that produces it.  All diagnostics go to stderr; outputs
+contain no timestamps, so identical inputs and seed give byte-identical
+trees.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -92,14 +95,15 @@ logger = logging.getLogger(__name__)
 class Stage(NamedTuple):
     """Where a stage writes, the body that writes it, and its output format.
 
-    The body returns the files it wrote and any extra manifest fields.
-    ``version`` goes up whenever the stage's outputs change form, so a
-    tree written in an older form reruns the stage instead of being
+    The body writes into the directory, which the runner empties before and
+    lists in the manifest after, and returns only its extra manifest
+    fields.  ``version`` goes up whenever the stage's outputs change form,
+    so a tree written in an older form reruns the stage instead of being
     skipped or handed on.
     """
 
     directory: str
-    body: Callable[[PipelineConfig, Path], tuple[list[Path], dict]]
+    body: Callable[[PipelineConfig, Path], dict]
     version: int = 1
 
 
@@ -225,19 +229,18 @@ def _query_sets(
     return sets
 
 
-def _ingest(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
+def _ingest(config: PipelineConfig, stage_dir: Path) -> dict:
     counts: dict[str, int] = {}
     for entry in config.languages:
         corpus = ingest_corpus(entry.corpus, entry.code)
         counts[entry.code] = len(corpus)
     if config.english_corpus is not None and "en" not in counts:
         counts["en"] = len(ingest_corpus(config.english_corpus, "en"))
-    return [], {"document_counts": counts}
+    return {"document_counts": counts}
 
 
-def _partition(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
+def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
     english = _load_english(config)
-    outputs: list[Path] = []
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         if entry.code == "en":
@@ -246,22 +249,19 @@ def _partition(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dic
             raise ConfigError("missing config key english_corpus (needed for partitioning)")
         corpus = _load_corpus(config, entry.code)
         mapping = partition_corpus(corpus, english)
-        path = _partition_map_path(config, entry.code)
         atomic_write_text(
-            path,
+            _partition_map_path(config, entry.code),
             "".join(f"{doc_id}\t{mapping[doc_id].value}\n" for doc_id in sorted(mapping)),
         )
-        outputs.append(path)
         counts[entry.code] = dict(Counter(partition.value for partition in mapping.values()))
-    return outputs, {"partition_counts": counts}
+    return {"partition_counts": counts}
 
 
-def _sample(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
+def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
     if config.domain_mapping is not None:
         mapping = load_domain_mapping(config.domain_mapping)
     else:
         mapping = default_domain_mapping()
-    outputs: list[Path] = []
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
@@ -296,20 +296,18 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
             candidates = sample_candidates(stratified, sampling_config, partition)
             path = _sample_path(config, entry.code, partition)
             write_candidate_manifest(path, candidates, sampling_config)
-            outputs.append(path)
             counts[f"{entry.code}-{partition.value}"] = {
                 "pool": len(pool),
                 "sampled": len(candidates),
             }
-    return outputs, {"sample_counts": counts, "rng": RNG_ALGORITHM}
+    return {"sample_counts": counts, "rng": RNG_ALGORITHM}
 
 
-def _generate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
+def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
     templates = TemplateSet.load(config.templates_dir)
     generator = config.make_generator()
     translator = config.make_translator()
     english = _load_english(config)
-    outputs: list[Path] = []
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
@@ -333,19 +331,16 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict
                 generate_temperature=config.generate_temperature,
                 workers=config.workers,
             )
-            path = _generate_path(config, entry.code, set_name)
-            write_query_manifest(path, records)
-            outputs.append(path)
+            write_query_manifest(_generate_path(config, entry.code, set_name), records)
             discarded = sum(1 for r in records if r.discarded)
             counts[f"{entry.code}/{set_name}"] = {
                 "accepted": len(records) - discarded,
                 "discarded": discarded,
             }
-    return outputs, {"generation_counts": counts}
+    return {"generation_counts": counts}
 
 
-def _index(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _index(config: PipelineConfig, stage_dir: Path) -> dict:
     stats: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
@@ -354,29 +349,22 @@ def _index(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
         else:
             tokenizer = tokenizer_for_language(entry.code)
         index = build_index(corpus, tokenizer)
-        path = _index_path(config, entry.code)
-        save_index(index, path)
-        outputs.append(path)
+        save_index(index, _index_path(config, entry.code))
         stats[entry.code] = {"documents": index.doc_count, "terms": len(index.terms)}
-    return outputs, {"index_stats": stats}
+    return {"index_stats": stats}
 
 
-def _search(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _search(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
             ranks: dict[str, dict[str, int]] = {}
             for system in default_lexical_pool():
                 run = run_search(system, queries, index, depth=config.depth)
-                path = _run_path(config, entry.code, set_name, system.system_id)
-                write_run_file(run, path)
-                outputs.append(path)
+                write_run_file(run, _run_path(config, entry.code, set_name, system.system_id))
                 ranks[system.system_id] = target_ranks(run, qrels)
-            path = _ranks_path(config, entry.code, set_name)
-            write_rank_file(ranks, path)
-            outputs.append(path)
-    return outputs, {}
+            write_rank_file(ranks, _ranks_path(config, entry.code, set_name))
+    return {}
 
 
 def _lexical_ranks(
@@ -396,22 +384,20 @@ def _lexical_ranks(
 
 def _write_reports(
     path: Path, ranks: Mapping[str, Mapping[str, int]], query_ids: Sequence[str]
-) -> Path:
+) -> None:
     """Score every system in ``ranks`` over ``query_ids`` into one report file."""
     reports = (
         evaluate_ranks(system_id, {query_id: by_query[query_id] for query_id in query_ids})
         for system_id, by_query in sorted(ranks.items())
     )
     write_jsonl(path, (report.to_dict() for report in reports))
-    return path
 
 
 def _read_reports(path: Path) -> list[MetricReport]:
     return [MetricReport.from_dict(row) for row in read_jsonl(path)]
 
 
-def _evaluate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
         # One parse per external run and language, over every set's queries:
@@ -430,11 +416,10 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict
             ranks = _lexical_ranks(config, entry.code, set_name, qrels)
             for system_id, run in external.items():
                 ranks[system_id] = target_ranks(run, qrels)
-            path = _report_path(config, entry.code, set_name)
-            outputs.append(_write_reports(path, ranks, sorted(qrels)))
+            _write_reports(_report_path(config, entry.code, set_name), ranks, sorted(qrels))
             if set_name == "real" and entry.code != "en" and config.slice_real_by_partition:
-                outputs.extend(_write_real_slices(config, entry.code, qrels, ranks))
-    return outputs, {}
+                _write_real_slices(config, entry.code, qrels, ranks)
+    return {}
 
 
 def _write_real_slices(
@@ -442,10 +427,9 @@ def _write_real_slices(
     code: str,
     qrels: Mapping[str, str],
     ranks: Mapping[str, Mapping[str, int]],
-) -> list[Path]:
+) -> None:
     """Report the real set once per partition, over the queries whose target is in it."""
     partition_of = _read_partition_map(_existing(config, _partition_map_path(config, code)))
-    outputs: list[Path] = []
     for partition in _partitions_for(code):
         kept = [
             query_id for query_id, doc_id in qrels.items()
@@ -459,9 +443,7 @@ def _write_real_slices(
                 partition.value,
             )
             continue
-        path = _report_path(config, code, _real_slice_name(partition))
-        outputs.append(_write_reports(path, ranks, kept))
-    return outputs
+        _write_reports(_report_path(config, code, _real_slice_name(partition)), ranks, kept)
 
 
 def _real_partition(
@@ -523,8 +505,7 @@ def _correlation_table(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _correlate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         if entry.real_qrels is None:
             logger.warning(
@@ -550,12 +531,9 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dic
                 )
                 result = None
             rows.append(_correlation_row(partition, variation, result))
-        path = _correlations_path(config, entry.code)
-        write_jsonl(path, rows)
-        table_path = stage_dir / f"{entry.code}.txt"
-        atomic_write_text(table_path, _correlation_table(rows))
-        outputs.extend([path, table_path])
-    return outputs, {}
+        write_jsonl(_correlations_path(config, entry.code), rows)
+        atomic_write_text(stage_dir / f"{entry.code}.txt", _correlation_table(rows))
+    return {}
 
 
 def _selected_variations(config: PipelineConfig, code: str) -> dict[Partition, str]:
@@ -577,8 +555,7 @@ def _selected_variations(config: PipelineConfig, code: str) -> dict[Partition, s
     return selected
 
 
-def _select(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _select(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         selected: dict[Partition, str] = {}
         if entry.code != "en" and entry.real_qrels is None:
@@ -591,14 +568,11 @@ def _select(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
             partition.value: selected.get(partition, PromptVariation.V1.value)
             for partition in _partitions_for(entry.code)
         }
-        path = _strategy_path(config, entry.code)
-        write_json(path, strategy)
-        outputs.append(path)
-    return outputs, {}
+        write_json(_strategy_path(config, entry.code), strategy)
+    return {}
 
 
-def _assemble(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict]:
-    outputs: list[Path] = []
+def _assemble(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
         strategy_raw = read_json(_existing(config, _strategy_path(config, entry.code)))
@@ -639,9 +613,7 @@ def _assemble(config: PipelineConfig, stage_dir: Path) -> tuple[list[Path], dict
                 f"{len(report.violations)} violations ({preview})"
             )
         logger.info("%s: collection validated clean", entry.code)
-        for name in ("queries.tsv", "qrels.txt", "splits.tsv", "manifest.json"):
-            outputs.append(bundle_dir / name)
-    return outputs, {}
+    return {}
 
 
 # The pipeline, in the order ``totsim pipeline`` runs it.
@@ -671,6 +643,15 @@ def _manifest_matches(stage_dir: Path, key: Mapping[str, object]) -> bool:
     return all((stage_dir / rel).exists() for rel in manifest.get("outputs", []))
 
 
+def _clear(stage_dir: Path, config: PipelineConfig) -> None:
+    """Remove ``stage_dir`` and all in it, unless a configured input lies inside."""
+    for path in config.inputs():
+        if path.resolve().is_relative_to(stage_dir.resolve()):
+            raise ConfigError(f"input {path} lies inside {stage_dir}, which the stage replaces")
+    if stage_dir.exists():
+        shutil.rmtree(stage_dir)
+
+
 def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> None:
     """Run one stage, unless its manifest shows its outputs are current."""
     stage_dir = config.output_dir / STAGES[stage].directory
@@ -682,14 +663,14 @@ def run_stage(stage: str, config: PipelineConfig, force: bool = False) -> None:
     if not force and _manifest_matches(stage_dir, key):
         logger.info("%s: outputs match current config; skipping (use --force to rerun)", stage)
         return
-    outputs, extra = STAGES[stage].body(config, stage_dir)
-    manifest = {
-        **key,
-        "seed": config.seed,
-        "outputs": sorted(str(path.relative_to(stage_dir)) for path in outputs),
-    }
-    manifest.update(extra)
-    write_json(stage_dir / "manifest.json", manifest)
+    _clear(stage_dir, config)
+    extra = STAGES[stage].body(config, stage_dir)
+    outputs = sorted(
+        str(path.relative_to(stage_dir)) for path in stage_dir.rglob("*") if path.is_file()
+    )
+    write_json(
+        stage_dir / "manifest.json", {**key, "seed": config.seed, "outputs": outputs, **extra}
+    )
 
 
 def cmd_pipeline(config: PipelineConfig, force: bool = False) -> None:

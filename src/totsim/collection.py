@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import Corpus, DomainLabel, Partition
 from .errors import CollectionError

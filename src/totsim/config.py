@@ -102,6 +102,20 @@ class PipelineConfig:
         del view["workers"]
         return stable_hash(view)
 
+    def inputs(self) -> list[Path]:
+        """Every file or directory the config names for the pipeline to read."""
+        paths = [
+            self.english_corpus,
+            self.domain_mapping,
+            self.canned_path,
+            self.translation_mapping_path,
+            self.templates_dir,
+        ]
+        for entry in self.languages:
+            paths += [entry.corpus, entry.real_queries, entry.real_qrels]
+            paths += entry.external_runs.values()
+        return [path for path in paths if path is not None]
+
     def _portable(self, path: Path | None) -> str | None:
         # Paths are recorded relative to the config file so the hash (and
         # with it stage skipping) survives moving the whole tree.

@@ -25,7 +25,7 @@ from typing import Mapping, Protocol, Sequence, runtime_checkable
 import requests
 
 from .errors import ConfigError, ProviderError
-from .util import read_json, write_json
+from .util import read_json
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,9 @@ class HttpChatProvider:
 
     Sends ``{"model", "messages", "temperature"}`` and expects the reply
     text at ``choices[0].message.content``.  Transient failures (network
-    errors and 5xx) retry with exponential backoff; client errors fail
-    immediately.
+    errors, 5xx and 429 rate limits) retry after the numeric
+    ``Retry-After`` the response gives, or else with exponential backoff;
+    other client errors fail immediately.
     """
 
     def __init__(
@@ -108,6 +109,7 @@ class HttpChatProvider:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
+            retry_after = ""
             try:
                 response = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
@@ -115,18 +117,17 @@ class HttpChatProvider:
             except requests.RequestException as exc:
                 last_error = exc
             else:
-                if response.status_code >= 500:
-                    last_error = ProviderError(
-                        f"{self.name}: server error {response.status_code}"
-                    )
-                elif response.status_code >= 400:
-                    raise ProviderError(
-                        f"{self.name}: request rejected ({response.status_code})"
-                    )
-                else:
+                status = response.status_code
+                if status < 400:
                     return self._extract(response)
+                if status < 500 and status != 429:
+                    raise ProviderError(f"{self.name}: request rejected ({status})")
+                kind = "rate limited" if status == 429 else "server error"
+                last_error = ProviderError(f"{self.name}: {kind} {status}")
+                retry_after = response.headers.get("Retry-After", "").strip()
             if attempt + 1 < self.max_retries:
-                delay = self.backoff * (2**attempt)
+                backoff = self.backoff * (2**attempt)
+                delay = float(retry_after) if retry_after.isdecimal() else backoff
                 logger.warning(
                     "%s: attempt %d failed (%s); retrying in %.1fs",
                     self.name,
@@ -171,17 +172,6 @@ class CannedResponseProvider:
             raise ProviderError(
                 f"{self.name}: no canned response for request {key[:12]}..."
             ) from None
-
-    @staticmethod
-    def record(path: Path | str, requests_and_responses: Mapping[tuple[str, float], str]) -> None:
-        """Write a canned-response file from (prompt, temperature) pairs."""
-        write_json(
-            path,
-            {
-                request_hash(prompt, temperature): response
-                for (prompt, temperature), response in requests_and_responses.items()
-            },
-        )
 
 
 class DeterministicMockProvider:

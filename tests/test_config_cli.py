@@ -10,10 +10,10 @@ from pathlib import Path
 import pytest
 
 from conftest import TOY_DIR
-from totsim.cli import main, parse_args
+from totsim.cli import main, parse_args, run_stage
 from totsim.config import load_config
 from totsim.errors import ConfigError
-from totsim.evaluation import MetricReport, evaluate_pool, load_qrels
+from totsim.evaluation import MetricReport, evaluate_pool, load_qrels, write_rank_file
 from totsim.generation import read_query_manifest
 from totsim.providers import (
     CannedResponseProvider,
@@ -390,9 +390,13 @@ def test_outputs_in_an_older_format_rerun_their_stage(tree_copy: Path) -> None:
         ranks.unlink()
     generated = tree_state(out / "generate")
     indexed = tree_state(out / "index")
+    # a file that format 1 wrote and format 2 does not
+    stray = out / "index" / "en.json"
+    stray.write_text("{}", encoding="utf-8")
     config_arg = str(tree_copy / "config.yaml")
     assert main(["pipeline", "--config", config_arg]) == 0
     assert tree_state(out / "generate") == generated
+    assert not stray.exists()
     assert tree_state(out / "index").keys() == indexed.keys()
     assert all(tree_state(out / "index")[path] != state for path, state in indexed.items())
     assert len(list(out.glob("search/*/*/ranks.tsv"))) == 8
@@ -400,6 +404,90 @@ def test_outputs_in_an_older_format_rerun_their_stage(tree_copy: Path) -> None:
         manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["schema_version"] == 2
     assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+
+
+def stage_files(stage_dir: Path) -> list[str]:
+    return sorted(
+        str(path.relative_to(stage_dir))
+        for path in stage_dir.rglob("*")
+        if path.is_file() and path != stage_dir / "manifest.json"
+    )
+
+
+def recorded_outputs(stage_dir: Path) -> list[str]:
+    return json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+
+
+def test_rerun_leaves_no_report_of_a_query_set_it_no_longer_writes(
+    tree_copy: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    out = tree_copy / "out"
+    partition_of = dict(
+        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
+    )
+    qrels = load_qrels(tree_copy / "real_qrels_zz.txt")
+    kept = {qid for qid, doc_id in qrels.items() if partition_of[doc_id] == "bilingual"}
+    assert 0 < len(kept) < len(qrels)
+    # only the real queries whose target is bilingual remain, in the inputs
+    # and in the ranks search would now write for them
+    for path in (
+        tree_copy / "real_qrels_zz.txt",
+        tree_copy / "real_queries_zz.tsv",
+        out / "search" / "zz" / "real" / "ranks.tsv",
+    ):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if line.split()[0] in kept), "utf-8")
+    assert (out / "evaluate" / "zz" / "real-monolingual.jsonl").exists()
+    config_arg = str(tree_copy / "config.yaml")
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+        assert main(["correlate", "--config", config_arg, "--force"]) == 0
+    assert not (out / "evaluate" / "zz" / "real-monolingual.jsonl").exists()
+    assert recorded_outputs(out / "evaluate") == stage_files(out / "evaluate")
+    assert "zz: using the full real set for the monolingual partition" in caplog.text
+
+
+def test_a_failed_forced_rerun_leaves_its_stage_to_run_again(
+    tree_copy: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    config = load_config(tree_copy / "config.yaml")
+    search_dir = tree_copy / "out" / "search"
+    written: list[Path] = []
+    fail_at = 3
+
+    def failing_write(ranks, path):
+        written.append(path)
+        if len(written) == fail_at:
+            raise OSError("disk full")
+        write_rank_file(ranks, path)
+
+    monkeypatch.setattr("totsim.cli.write_rank_file", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        run_stage("search", config, force=True)
+    assert not (search_dir / "manifest.json").exists()
+    written.clear()
+    fail_at = 0
+    run_stage("search", config)
+    assert len(written) == 8
+    assert recorded_outputs(search_dir) == stage_files(search_dir)
+    assert len(list(search_dir.glob("*/*/ranks.tsv"))) == 8
+
+
+def test_a_stage_refuses_to_replace_a_directory_holding_an_input(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    inside = toy_copy / "out" / "evaluate" / "dense-a.run"
+    inside.parent.mkdir(parents=True)
+    (toy_copy / "dense-a.run").rename(inside)
+    config_path = toy_copy / "config.yaml"
+    text = config_path.read_text(encoding="utf-8")
+    config_path.write_text(
+        text.replace("dense-a: dense-a.run", "dense-a: out/evaluate/dense-a.run"),
+        encoding="utf-8",
+    )
+    assert main(["evaluate", "--config", str(config_path)]) == 1
+    assert f"input {inside} lies inside" in capsys.readouterr().err
+    assert inside.exists()
 
 
 def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: Path) -> None:

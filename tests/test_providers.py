@@ -23,6 +23,7 @@ from totsim.providers import (
     ScriptedProvider,
     request_hash,
 )
+from totsim.util import write_json
 
 
 def test_request_hash_is_stable_and_sensitive() -> None:
@@ -73,7 +74,7 @@ def test_scripted_provider_repeats_last_response() -> None:
 
 def test_canned_provider_replays_recorded_responses(tmp_path: Path) -> None:
     path = tmp_path / "canned.json"
-    CannedResponseProvider.record(path, {("hello", 0.5): "reply", ("other", 0.3): "second"})
+    write_json(path, {request_hash("hello", 0.5): "reply", request_hash("other", 0.3): "second"})
     provider = CannedResponseProvider(path)
     assert provider.complete("hello", 0.5) == "reply"
     assert provider.complete("other", 0.3) == "second"
@@ -120,9 +121,12 @@ def test_chat_translator_prompts_at_zero_temperature() -> None:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body: dict | None = None):
+    def __init__(
+        self, status_code: int, body: dict | None = None, headers: dict | None = None
+    ):
         self.status_code = status_code
         self._body = body
+        self.headers = headers or {}
 
     def json(self) -> dict:
         if self._body is None:
@@ -241,6 +245,34 @@ def test_http_provider_recovers_after_transient_failure(
         "m", endpoint="https://api.test", max_retries=3, backoff=0.0
     )
     assert provider.complete("p", 0.0) == "finally"
+
+
+@pytest.mark.parametrize(
+    ("headers", "delay"),
+    [
+        ({"Retry-After": "2"}, 2.0),
+        ({}, 0.5),
+        ({"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, 0.5),
+    ],
+)
+def test_http_provider_waits_out_a_rate_limit(
+    no_env: None, monkeypatch: pytest.MonkeyPatch, headers: dict, delay: float
+) -> None:
+    responses = [FakeResponse(429, headers=headers), FakeResponse(200, chat_body("after"))]
+    posts = []
+    sleeps: list[float] = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        posts.append(1)
+        return responses.pop(0)
+
+    monkeypatch.setattr(providers_module.requests, "post", fake_post)
+    monkeypatch.setattr(providers_module.time, "sleep", sleeps.append)
+    provider = HttpChatProvider("m", endpoint="https://api.test", backoff=0.5)
+    # a numeric Retry-After sets the wait; without one, the first backoff step does
+    assert provider.complete("p", 0.0) == "after"
+    assert len(posts) == 2
+    assert sleeps == [delay]
 
 
 @pytest.mark.parametrize(

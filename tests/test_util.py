@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import importlib
 import json
@@ -97,3 +98,26 @@ def test_read_json_parses_what_dump_wrote() -> None:
 def test_every_exported_name_exists(module_name: str) -> None:
     module = importlib.import_module(f"totsim.{module_name}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize(
+    "module_name", sorted(info.name for info in pkgutil.iter_modules(totsim.__path__))
+)
+def test_every_imported_name_is_read(module_name: str) -> None:
+    # The package ``__init__`` re-exports what it imports, so it is not a
+    # module here; a name listed in a module's ``__all__`` is exported too.
+    module = importlib.import_module(f"totsim.{module_name}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
