@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "SPLITS",
     "MANIFEST_NAME",
+    "check_split_ratio",
     "CollectionSpec",
     "CollectionBundle",
     "assemble_collection",
@@ -53,6 +54,16 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
 
 
+def check_split_ratio(ratio: Sequence[float]) -> None:
+    """Raise unless ``ratio`` gives non-negative train, dev and test shares summing to 1."""
+    if len(ratio) != len(SPLITS):
+        raise CollectionError("split_ratio needs train, dev, and test entries")
+    if any(r < 0 for r in ratio):
+        raise CollectionError("split_ratio entries must be non-negative")
+    if abs(sum(ratio) - 1.0) > 1e-9:
+        raise CollectionError(f"split_ratio must sum to 1, got {sum(ratio)}")
+
+
 @dataclass(frozen=True)
 class CollectionSpec:
     """What the assembled collection should look like."""
@@ -66,12 +77,7 @@ class CollectionSpec:
     )
 
     def __post_init__(self) -> None:
-        if len(self.split_ratio) != len(SPLITS):
-            raise CollectionError("split_ratio needs train, dev, and test entries")
-        if any(r < 0 for r in self.split_ratio):
-            raise CollectionError("split_ratio entries must be non-negative")
-        if abs(sum(self.split_ratio) - 1.0) > 1e-9:
-            raise CollectionError(f"split_ratio must sum to 1, got {sum(self.split_ratio)}")
+        check_split_ratio(self.split_ratio)
         if not self.strategy_map:
             raise CollectionError("strategy_map must name a variation per partition")
 

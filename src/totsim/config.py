@@ -1,9 +1,11 @@
 """Pipeline configuration: YAML schema, validation, and content hashing.
 
-A single YAML file drives every subcommand.  Credentials never appear
-here; the HTTP backend reads them from the environment.  The config's
-content hash is stamped into every stage manifest so reruns can detect
-when outputs belong to a different configuration.
+One YAML file drives every subcommand; credentials never appear in it.  Each
+accepted key is one entry of :data:`KEYS`, or of :data:`LANGUAGE_KEYS` under
+``languages.<code>``: the field it sets and the :class:`Kind` that reads,
+hashes and lists it.  Loading, ``content_hash`` (stamped into every stage
+manifest) and ``inputs`` walk these tables.  Defaults live on the dataclasses;
+null keeps one.  An unknown key or unreadable value is a :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -11,32 +13,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 import yaml
 
+from . import providers
+from .collection import check_split_ratio
 from .corpus import DEFAULT_MIN_CHARS, DEFAULT_TOP_FRACTION, DomainLabel
-from .errors import ConfigError
+from .errors import CollectionError, ConfigError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
-from .providers import (
-    CannedResponseProvider,
-    ChatProvider,
-    ChatTranslator,
-    DeterministicMockProvider,
-    HttpChatProvider,
-    IdentityTranslator,
-    MappingTranslator,
-    Translator,
-)
-from .retrieval import DEFAULT_DEPTH
+from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE
 from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO
 from .util import read_json, stable_hash
 
-__all__ = [
-    "LanguageConfig",
-    "PipelineConfig",
-    "load_config",
-]
+__all__ = ["KEYS", "LANGUAGE_KEYS", "Kind", "LanguageConfig", "PipelineConfig", "load_config"]
 
 
 @dataclass(frozen=True)
@@ -57,8 +47,8 @@ class PipelineConfig:
 
     seed: int
     output_dir: Path
-    english_corpus: Path | None
     languages: tuple[LanguageConfig, ...]
+    english_corpus: Path | None = None
     popularity_top_fraction: float = DEFAULT_TOP_FRACTION
     min_chars: int = DEFAULT_MIN_CHARS
     domain_mapping: Path | None = None
@@ -95,124 +85,213 @@ class PipelineConfig:
         return self.full_target_count or 2 * self.target_count
 
     def content_hash(self) -> str:
-        # Where the outputs land, and how many workers write them, does not
-        # change what they contain, so neither enters the hash.
-        view = self.to_dict()
-        del view["output_dir"]
-        del view["workers"]
-        return stable_hash(view)
+        return stable_hash(_view(self, KEYS, self.base_dir))
 
     def inputs(self) -> list[Path]:
         """Every file or directory the config names for the pipeline to read."""
-        paths = [
-            self.english_corpus,
-            self.domain_mapping,
-            self.canned_path,
-            self.translation_mapping_path,
-            self.templates_dir,
-        ]
-        for entry in self.languages:
-            paths += [entry.corpus, entry.real_queries, entry.real_qrels]
-            paths += entry.external_runs.values()
-        return [path for path in paths if path is not None]
+        return [path for path in _inputs(self, KEYS) if path is not None]
 
-    def _portable(self, path: Path | None) -> str | None:
-        # Paths are recorded relative to the config file so the hash (and
-        # with it stage skipping) survives moving the whole tree.
-        if path is None:
-            return None
-        return os.path.relpath(path, self.base_dir)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "output_dir": self._portable(self.output_dir),
-            "english_corpus": self._portable(self.english_corpus),
-            "languages": [
-                {
-                    "code": entry.code,
-                    "corpus": self._portable(entry.corpus),
-                    "tokenizer": entry.tokenizer,
-                    "real_queries": self._portable(entry.real_queries),
-                    "real_qrels": self._portable(entry.real_qrels),
-                    "external_runs": {
-                        name: self._portable(path)
-                        for name, path in sorted(entry.external_runs.items())
-                    },
-                }
-                for entry in self.languages
-            ],
-            "popularity_top_fraction": self.popularity_top_fraction,
-            "min_chars": self.min_chars,
-            "domain_mapping": self._portable(self.domain_mapping),
-            "bucket_count": self.bucket_count,
-            "target_count": self.target_count,
-            "full_target_count": self.full_target_count,
-            "domain_ratio": {d.value: r for d, r in sorted(self.domain_ratio.items())},
-            "generation_provider": self.generation_provider,
-            "generation_model": self.generation_model,
-            "canned_path": self._portable(self.canned_path),
-            "char_budget": self.char_budget,
-            "summarize_temperature": self.summarize_temperature,
-            "generate_temperature": self.generate_temperature,
-            "workers": self.workers,
-            "translation_provider": self.translation_provider,
-            "translation_mapping_path": self._portable(self.translation_mapping_path),
-            "depth": self.depth,
-            "split_ratio": list(self.split_ratio),
-            "templates_dir": self._portable(self.templates_dir),
-            "slice_real_by_partition": self.slice_real_by_partition,
-        }
-
-    def make_generator(self) -> ChatProvider:
+    def make_generator(self) -> providers.ChatProvider:
         if self.generation_provider == "mock":
-            return DeterministicMockProvider()
+            return providers.DeterministicMockProvider()
         if self.generation_provider == "canned":
             if self.canned_path is None:
                 raise ConfigError("generation.provider 'canned' needs generation.canned_path")
-            return CannedResponseProvider(self.canned_path)
+            return providers.CannedResponseProvider(self.canned_path)
         if self.generation_provider == "http":
             if not self.generation_model:
                 raise ConfigError("generation.provider 'http' needs generation.model")
-            return HttpChatProvider(self.generation_model)
+            return providers.HttpChatProvider(self.generation_model)
         raise ConfigError(f"unknown generation provider {self.generation_provider!r}")
 
-    def make_translator(self) -> Translator:
+    def make_translator(self) -> providers.Translator:
         if self.translation_provider == "identity":
-            return IdentityTranslator()
+            return providers.IdentityTranslator()
         if self.translation_provider == "mapping":
             if self.translation_mapping_path is None:
                 raise ConfigError("translation.provider 'mapping' needs translation.mapping_path")
             raw = read_json(self.translation_mapping_path)
             if not isinstance(raw, dict):
                 raise ConfigError(f"{self.translation_mapping_path}: expected a JSON object")
-            return MappingTranslator(raw)
+            return providers.MappingTranslator(raw)
         if self.translation_provider == "http":
             if not self.generation_model:
                 raise ConfigError("translation.provider 'http' needs generation.model")
-            return ChatTranslator(HttpChatProvider(self.generation_model))
+            return providers.ChatTranslator(providers.HttpChatProvider(self.generation_model))
         raise ConfigError(f"unknown translation provider {self.translation_provider!r}")
 
 
-def _require(raw: Mapping, key: str, where: str) -> Any:
-    if key not in raw:
-        raise ConfigError(f"missing config key {where}{key}")
-    return raw[key]
+class Kind(NamedTuple):
+    """How a value is read (dotted key, YAML value, config dir), hashed and listed as input."""
+
+    read: Callable[[str, Any, Path], Any]
+    show: Callable[[Any, Path], Any] | None = lambda value, base: value  # None: not hashed
+    inputs: Callable[[Any], Iterable[Path | None]] = lambda value: ()
 
 
-def _as_path(base: Path, value: Any) -> Path:
-    path = Path(str(value))
-    if not path.is_absolute():
-        path = base / path
-    return path
+def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
+    def read(key: str, value: Any, base: Path) -> Any:
+        # YAML reads yes/no as booleans: only a flag takes one, and a flag nothing else.
+        if isinstance(value, bool) == (kind is bool) and not isinstance(value, (dict, list)):
+            try:
+                return kind(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{key} must be {name}, got {value!r}")
+
+    return read
+
+
+def _choice(*options: str) -> Callable[[str, Any, Path], str]:
+    def read(key: str, value: Any, base: Path) -> str:
+        if value not in options:
+            raise ConfigError(f"{key} must be {' or '.join(map(repr, options))}")
+        return value
+
+    return read
+
+
+def _path(key: str, value: Any, base: Path) -> Path:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{key} must be a path, got {value!r}")
+    return base / value  # an absolute value replaces ``base``
+
+
+def _relative(path: Path | None, base: Path) -> str | None:
+    # Relative to the config file, so moving the whole tree keeps the hash.
+    return None if path is None else os.path.relpath(path, base)
+
+
+def _runs(key: str, value: Any, base: Path) -> dict[str, Path]:
+    if not isinstance(value, dict) or not all(isinstance(name, str) for name in value):
+        raise ConfigError(f"{key} must map system id strings to run files")
+    return {name: _path(f"{key}.{name}", run, base) for name, run in sorted(value.items())}
+
+
+def _domain_ratio(key: str, value: Any, base: Path) -> dict[DomainLabel, float]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must map domain labels to shares")
+    try:
+        return {DomainLabel(d): _NUMBER.read(f"{key}.{d}", r, base) for d, r in value.items()}
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _split_ratio(key: str, value: Any, base: Path) -> tuple[float, ...]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{key} must be a list of three numbers")
+    ratio = tuple(_NUMBER.read(f"{key}[{i}]", r, base) for i, r in enumerate(value))
+    try:
+        check_split_ratio(ratio)
+    except CollectionError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return ratio
+
+
+def _languages(key: str, value: Any, base: Path) -> tuple[LanguageConfig, ...]:
+    if not isinstance(value, dict) or not value or not all(isinstance(c, str) for c in value):
+        raise ConfigError(f"{key} must be a non-empty mapping of code strings to settings")
+    languages = []
+    for code in sorted(value):
+        where = f"{key}.{code}"
+        settings = _settings(value[code], LANGUAGE_KEYS, where, base, required=("corpus",))
+        if ("real_queries" in settings) != ("real_qrels" in settings):
+            raise ConfigError(f"{where}: real_queries and real_qrels must be given together")
+        languages.append(LanguageConfig(code=code, **settings))
+    return tuple(languages)
+
+
+Table = Mapping[str, tuple[str, Kind]]  # dotted key -> (field it sets, kind of value)
+
+_INT = Kind(_scalar(int, "an integer"))
+_NUMBER = Kind(_scalar(float, "a number"))
+_TEXT = Kind(_scalar(str, "a string"))
+_INPUT = Kind(_path, _relative, lambda path: [path])
+_RUNS = Kind(
+    _runs, lambda runs, base: {name: _relative(p, base) for name, p in runs.items()}, dict.values
+)
+_LANGUAGES = Kind(
+    _languages,
+    lambda langs, base: [{"code": e.code, **_view(e, LANGUAGE_KEYS, base)} for e in langs],
+    lambda langs: [path for e in langs for path in _inputs(e, LANGUAGE_KEYS)],
+)
+
+# Each ``languages.<code>`` key -> (LanguageConfig field, kind).
+LANGUAGE_KEYS: Table = {
+    "corpus": ("corpus", _INPUT),
+    "tokenizer": ("tokenizer", Kind(_choice(MODE_WHITESPACE, MODE_CJK_NGRAM))),
+    "real_queries": ("real_queries", _INPUT),
+    "real_qrels": ("real_qrels", _INPUT),
+    "external_runs": ("external_runs", _RUNS),
+}
+
+# Every other accepted dotted key -> (PipelineConfig field, kind).
+KEYS: Table = {
+    "seed": ("seed", _INT),
+    # Neither where the outputs land nor how many workers write them is hashed.
+    "output_dir": ("output_dir", Kind(_path, show=None)),
+    "workers": ("workers", Kind(_INT.read, show=None)),
+    "english_corpus": ("english_corpus", _INPUT),
+    "languages": ("languages", _LANGUAGES),
+    "domain_mapping": ("domain_mapping", _INPUT),
+    "templates_dir": ("templates_dir", _INPUT),
+    "slice_real_by_partition": ("slice_real_by_partition", Kind(_scalar(bool, "true or false"))),
+    "corpus_filters.popularity_top_fraction": ("popularity_top_fraction", _NUMBER),
+    "corpus_filters.min_chars": ("min_chars", _INT),
+    "sampling.bucket_count": ("bucket_count", _INT),
+    "sampling.target_count": ("target_count", _INT),
+    "sampling.full_target_count": ("full_target_count", _INT),
+    "sampling.domain_ratio": ("domain_ratio", Kind(_domain_ratio)),
+    "generation.provider": ("generation_provider", Kind(_choice("mock", "canned", "http"))),
+    "generation.model": ("generation_model", _TEXT),
+    "generation.canned_path": ("canned_path", _INPUT),
+    "generation.char_budget": ("char_budget", _INT),
+    "generation.summarize_temperature": ("summarize_temperature", _NUMBER),
+    "generation.generate_temperature": ("generate_temperature", _NUMBER),
+    "translation.provider": ("translation_provider", Kind(_choice("identity", "mapping", "http"))),
+    "translation.mapping_path": ("translation_mapping_path", _INPUT),
+    "retrieval.depth": ("depth", _INT),
+    "collection.split_ratio": ("split_ratio", Kind(_split_ratio)),
+}
+
+
+def _view(obj: Any, table: Table, base: Path) -> dict[str, Any]:
+    return {name: kind.show(getattr(obj, name), base) for name, kind in table.values() if kind.show}
+
+
+def _inputs(obj: Any, table: Table) -> list[Path | None]:
+    return [path for name, kind in table.values() for path in kind.inputs(getattr(obj, name))]
+
+
+def _settings(raw: Any, table: Table, where: str, base: Path, required: Iterable[str]) -> dict:
+    """The fields ``raw`` sets through ``table``, read; ``where`` is the dotted prefix."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    prefix = f"{where}." if where else ""
+    sections = {key.split(".")[0] for key in table if "." in key}
+    values: dict[str, Any] = {}
+    for name, value in raw.items():
+        items = [(name, value)]
+        if name in sections:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{prefix}{name} must be a mapping")
+            items = [(f"{name}.{sub}", sub_value) for sub, sub_value in value.items()]
+        for key, item in items:
+            if key not in table:
+                raise ConfigError(f"unknown config key {prefix}{key}")
+            if item is not None:
+                field_name, kind = table[key]
+                values[field_name] = kind.read(prefix + key, item, base)
+    for key in required:
+        if table[key][0] not in values:
+            raise ConfigError(f"missing config key {prefix}{key}")
+    return values
 
 
 def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) -> PipelineConfig:
-    """Parse and validate a YAML config file.
+    """Parse and validate a YAML config file; relative paths resolve against its directory.
 
-    Relative paths inside the file resolve against the file's directory.
-    ``overrides`` replaces top-level scalar values (used for command line
-    flags like ``--seed``).
+    ``overrides`` replaces top-level values (command line flags like ``--seed``).
     """
     path = Path(path)
     try:
@@ -224,120 +303,8 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
         raise ConfigError(f"{path}: expected a mapping at the top level")
     if overrides:
         raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
-    base = path.parent
-
-    seed = _require(raw, "seed", "")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
-    output_dir = _as_path(base, _require(raw, "output_dir", ""))
-
-    english_corpus = raw.get("english_corpus")
-    english_path = _as_path(base, english_corpus) if english_corpus else None
-
-    languages_raw = _require(raw, "languages", "")
-    if not isinstance(languages_raw, dict) or not languages_raw:
-        raise ConfigError("languages must be a non-empty mapping of code to settings")
-    languages = []
-    for code in sorted(languages_raw):
-        entry = languages_raw[code]
-        if not isinstance(entry, dict):
-            raise ConfigError(f"languages.{code} must be a mapping")
-        corpus = _as_path(base, _require(entry, "corpus", f"languages.{code}."))
-        real_queries = entry.get("real_queries")
-        real_qrels = entry.get("real_qrels")
-        if (real_queries is None) != (real_qrels is None):
-            raise ConfigError(
-                f"languages.{code}: real_queries and real_qrels must be given together"
-            )
-        tokenizer = entry.get("tokenizer")
-        if tokenizer is not None and tokenizer not in ("whitespace", "cjk-ngram"):
-            raise ConfigError(
-                f"languages.{code}: tokenizer must be 'whitespace' or 'cjk-ngram'"
-            )
-        external_raw = entry.get("external_runs", {})
-        if not isinstance(external_raw, dict):
-            raise ConfigError(
-                f"languages.{code}: external_runs must map system ids to run files"
-            )
-        languages.append(
-            LanguageConfig(
-                code=code,
-                corpus=corpus,
-                tokenizer=tokenizer,
-                real_queries=_as_path(base, real_queries) if real_queries else None,
-                real_qrels=_as_path(base, real_qrels) if real_qrels else None,
-                external_runs={
-                    str(name): _as_path(base, run_path)
-                    for name, run_path in sorted(external_raw.items())
-                },
-            )
-        )
-    if any(entry.code != "en" for entry in languages) and english_path is None:
+    settings = _settings(raw, KEYS, "", path.parent, required=("seed", "output_dir", "languages"))
+    config = PipelineConfig(**settings, base_dir=path.parent)
+    if config.english_corpus is None and any(e.code != "en" for e in config.languages):
         raise ConfigError("missing config key english_corpus (needed for non-English languages)")
-
-    filters = raw.get("corpus_filters", {})
-    sampling = raw.get("sampling", {})
-    generation = raw.get("generation", {})
-    translation = raw.get("translation", {})
-    retrieval = raw.get("retrieval", {})
-    collection = raw.get("collection", {})
-    for section_name, section in (
-        ("corpus_filters", filters),
-        ("sampling", sampling),
-        ("generation", generation),
-        ("translation", translation),
-        ("retrieval", retrieval),
-        ("collection", collection),
-    ):
-        if not isinstance(section, dict):
-            raise ConfigError(f"{section_name} must be a mapping")
-
-    ratio_raw = sampling.get("domain_ratio")
-    if ratio_raw is None:
-        domain_ratio = dict(DEFAULT_DOMAIN_RATIO)
-    else:
-        try:
-            domain_ratio = {DomainLabel(name): float(r) for name, r in ratio_raw.items()}
-        except ValueError as exc:
-            raise ConfigError(f"sampling.domain_ratio: {exc}") from exc
-
-    split_raw = collection.get("split_ratio", [0.8, 0.1, 0.1])
-    if not isinstance(split_raw, (list, tuple)) or len(split_raw) != 3:
-        raise ConfigError("collection.split_ratio must be a list of three numbers")
-
-    mapping_path = raw.get("domain_mapping")
-    templates_dir = raw.get("templates_dir")
-    canned = generation.get("canned_path")
-    translation_mapping = translation.get("mapping_path")
-
-    return PipelineConfig(
-        seed=seed,
-        output_dir=output_dir,
-        english_corpus=english_path,
-        languages=tuple(languages),
-        popularity_top_fraction=float(filters.get("popularity_top_fraction", DEFAULT_TOP_FRACTION)),
-        min_chars=int(filters.get("min_chars", DEFAULT_MIN_CHARS)),
-        domain_mapping=_as_path(base, mapping_path) if mapping_path else None,
-        bucket_count=int(sampling.get("bucket_count", DEFAULT_BUCKET_COUNT)),
-        target_count=int(sampling.get("target_count", 2500)),
-        full_target_count=(
-            int(sampling["full_target_count"]) if sampling.get("full_target_count") else None
-        ),
-        domain_ratio=domain_ratio,
-        generation_provider=str(generation.get("provider", "mock")),
-        generation_model=str(generation.get("model", "")),
-        canned_path=_as_path(base, canned) if canned else None,
-        char_budget=int(generation.get("char_budget", DEFAULT_CHAR_BUDGET)),
-        summarize_temperature=float(generation.get("summarize_temperature", SUMMARIZE_TEMPERATURE)),
-        generate_temperature=float(generation.get("generate_temperature", GENERATE_TEMPERATURE)),
-        workers=int(raw.get("workers", 1)),
-        translation_provider=str(translation.get("provider", "identity")),
-        translation_mapping_path=(
-            _as_path(base, translation_mapping) if translation_mapping else None
-        ),
-        depth=int(retrieval.get("depth", DEFAULT_DEPTH)),
-        split_ratio=tuple(float(r) for r in split_raw),
-        templates_dir=_as_path(base, templates_dir) if templates_dir else None,
-        slice_real_by_partition=bool(raw.get("slice_real_by_partition", True)),
-        base_dir=base,
-    )
+    return config

@@ -42,10 +42,14 @@ __all__ = [
     "request_hash",
     "ENDPOINT_ENV",
     "API_KEY_ENV",
+    "MAX_RETRY_AFTER_S",
 ]
 
 ENDPOINT_ENV = "TOTSIM_ENDPOINT"
 API_KEY_ENV = "TOTSIM_API_KEY"
+# The longest wait a ``Retry-After`` header may ask for; a longer one fails
+# the call instead of stalling a worker for it.
+MAX_RETRY_AFTER_S = 60
 
 
 @runtime_checkable
@@ -77,7 +81,8 @@ class HttpChatProvider:
     text at ``choices[0].message.content``.  Transient failures (network
     errors, 5xx and 429 rate limits) retry after the numeric
     ``Retry-After`` the response gives, or else with exponential backoff;
-    other client errors fail immediately.
+    a ``Retry-After`` above :data:`MAX_RETRY_AFTER_S` and other client
+    errors fail immediately.
     """
 
     def __init__(
@@ -125,6 +130,10 @@ class HttpChatProvider:
                 kind = "rate limited" if status == 429 else "server error"
                 last_error = ProviderError(f"{self.name}: {kind} {status}")
                 retry_after = response.headers.get("Retry-After", "").strip()
+                if retry_after.isdecimal() and int(retry_after) > MAX_RETRY_AFTER_S:
+                    raise ProviderError(
+                        f"{last_error}: asked to wait {retry_after}s, over {MAX_RETRY_AFTER_S}s"
+                    )
             if attempt + 1 < self.max_retries:
                 backoff = self.backoff * (2**attempt)
                 delay = float(retry_after) if retry_after.isdecimal() else backoff

@@ -5,13 +5,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
+import yaml
 
 from conftest import TOY_DIR
 from totsim.cli import main, parse_args, run_stage
-from totsim.config import load_config
+from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
 from totsim.errors import ConfigError
 from totsim.evaluation import MetricReport, evaluate_pool, load_qrels, write_rank_file
 from totsim.generation import read_query_manifest
@@ -27,6 +29,7 @@ from totsim.retrieval import RunResult, default_lexical_pool, load_external_run
 from totsim.util import dump_json, write_json, write_jsonl
 
 TOY_CONFIG = TOY_DIR / "config.yaml"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path: Path, text: str) -> Path:
@@ -153,11 +156,132 @@ def test_content_hash_survives_moving_the_tree(tmp_path: Path) -> None:
             MINIMAL + "collection: {split_ratio: [0.5, 0.5]}\n",
             "split_ratio must be a list of three numbers",
         ),
+        (MINIMAL + "target_count: 40\n", "unknown config key target_count"),
+        (
+            "seed: 1\noutput_dir: out\nenglish_corpus: e\n"
+            "languages: {zz: {corpus: c, tokeniser: whitespace}}\n",
+            "unknown config key languages.zz.tokeniser",
+        ),
+        (
+            MINIMAL + "sampling: {target_count: many}\n",
+            "sampling.target_count must be an integer, got 'many'",
+        ),
+        (MINIMAL + "sampling: {target_cont: 40}\n", "unknown config key sampling.target_cont"),
+        (
+            MINIMAL + "generation: {summarise_temperature: 0.2}\n",
+            "unknown config key generation.summarise_temperature",
+        ),
+        (
+            MINIMAL + "collection: {split_ratio: [0.5, 0.5, 0.5]}\n",
+            "collection.split_ratio: split_ratio must sum to 1, got 1.5",
+        ),
+        (MINIMAL + "slice_real_by_partition: 'no'\n", "must be true or false"),
+        (
+            "seed: 1\noutput_dir: out\nenglish_corpus: e\nlanguages: {no: {corpus: c}}\n",
+            "mapping of code strings",
+        ),
+        (MINIMAL + "generation: {provider: moc}\n", "generation.provider must be 'mock' or"),
+        (
+            "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: {yes: a.run}}}\n",
+            "external_runs must map system id strings",
+        ),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path: Path, snippet: str, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, snippet))
+
+
+def test_every_field_is_set_by_exactly_one_key() -> None:
+    assert Counter(name for name, _ in KEYS.values()) == {
+        f.name: 1 for f in dataclasses.fields(PipelineConfig) if f.name != "base_dir"
+    }
+    assert Counter(name for name, _ in LANGUAGE_KEYS.values()) == {
+        f.name: 1 for f in dataclasses.fields(LanguageConfig) if f.name != "code"
+    }
+
+
+def test_null_keeps_the_default(tmp_path: Path) -> None:
+    config = load_config(
+        write_config(tmp_path, MINIMAL + "workers: null\nsampling: {target_count: null}\n")
+    )
+    assert (config.workers, config.target_count) == (1, 2500)
+
+
+# A changed hash reruns every stage on every existing output tree, paid
+# `generate` calls included, so the digests are pinned.
+TOY_HASH = "8e8e9baed3aea9f092e68958555e608b46774d85cd74ab6f3a17d195ef1aa12f"
+EVERY_KEY_HASH = "92b330ae5e04d08eddd15eab238407b2dd6df16976e7e79ee82fac5e1ed1c075"
+EVERY_KEY = """
+seed: 11
+output_dir: build/out
+workers: 3
+english_corpus: data/en.jsonl
+domain_mapping: data/mapping.tsv
+templates_dir: prompts
+slice_real_by_partition: false
+languages:
+  zz:
+    corpus: data/zz.jsonl
+    tokenizer: whitespace
+    real_queries: data/queries.tsv
+    real_qrels: data/qrels.txt
+    external_runs:
+      dense-a: runs/a.run
+      bm25-x: runs/b.run
+  en:
+    corpus: data/en.jsonl
+    tokenizer: cjk-ngram
+corpus_filters:
+  popularity_top_fraction: 0.35
+  min_chars: 150
+sampling:
+  bucket_count: 5
+  target_count: 30
+  full_target_count: 45
+  domain_ratio: {General: 0.6, Movies: 0.25, People: 0.15}
+generation:
+  provider: canned
+  model: some-model
+  canned_path: recorded.json
+  char_budget: 12000
+  summarize_temperature: 0.7
+  generate_temperature: 0.9
+translation:
+  provider: mapping
+  mapping_path: mapping.json
+retrieval:
+  depth: 200
+collection:
+  split_ratio: [0.6, 0.2, 0.2]
+"""
+
+
+def test_content_hash_is_pinned(tmp_path: Path) -> None:
+    assert load_config(TOY_CONFIG).content_hash() == TOY_HASH
+    config = load_config(write_config(tmp_path, EVERY_KEY))
+    assert config.content_hash() == EVERY_KEY_HASH
+    # the every-key config really does move every field off its default
+    for f in dataclasses.fields(PipelineConfig):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(config, f.name) != f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(config, f.name) != f.default_factory(), f.name
+
+
+def test_readme_config_block_lists_every_key(tmp_path: Path) -> None:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert load_config(write_config(tmp_path, block)).target_count == 40
+    raw = yaml.safe_load(block)
+    listed = set()
+    for name, value in raw.items():
+        if isinstance(value, dict) and name != "languages":
+            listed |= {f"{name}.{sub}" for sub in value}
+        else:
+            listed.add(name)
+    assert listed == set(KEYS)
+    assert {key for entry in raw["languages"].values() for key in entry} == set(LANGUAGE_KEYS)
 
 
 def test_load_config_rejects_invalid_yaml(tmp_path: Path) -> None:
@@ -322,6 +446,16 @@ def test_missing_config_file_reports_error(
 ) -> None:
     assert main(["ingest", "--config", str(tmp_path / "nope.yaml")]) == 1
     assert "error: ingest:" in capsys.readouterr().err
+
+
+def test_malformed_config_value_reports_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config = write_config(tmp_path, MINIMAL + "sampling: {target_count: many}\n")
+    assert main(["ingest", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert "error: ingest: sampling.target_count must be an integer" in err
+    assert "Traceback" not in err
 
 
 def test_seed_override_changes_sample_output(tmp_path: Path) -> None:

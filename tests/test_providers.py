@@ -251,6 +251,7 @@ def test_http_provider_recovers_after_transient_failure(
     ("headers", "delay"),
     [
         ({"Retry-After": "2"}, 2.0),
+        ({"Retry-After": "60"}, 60.0),
         ({}, 0.5),
         ({"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, 0.5),
     ],
@@ -288,3 +289,22 @@ def test_http_provider_rejects_malformed_bodies(
     provider = HttpChatProvider("m", endpoint="https://api.test", backoff=0.0)
     with pytest.raises(ProviderError):
         provider.complete("p", 0.0)
+
+
+def test_http_provider_refuses_a_retry_after_over_the_cap(
+    no_env: None, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    posts = []
+    sleeps: list[float] = []
+
+    def fake_post(url, json=None, headers=None, timeout=None):
+        posts.append(1)
+        return FakeResponse(429, headers={"Retry-After": "86400"})
+
+    monkeypatch.setattr(providers_module.requests, "post", fake_post)
+    monkeypatch.setattr(providers_module.time, "sleep", sleeps.append)
+    provider = HttpChatProvider("m", endpoint="https://api.test", backoff=0.5)
+    with pytest.raises(ProviderError, match="asked to wait 86400s"):
+        provider.complete("p", 0.0)
+    assert len(posts) == 1
+    assert sleeps == []
