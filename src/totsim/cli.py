@@ -355,14 +355,14 @@ def _index(config: PipelineConfig, stage_dir: Path) -> dict:
 
 
 def _search(config: PipelineConfig, stage_dir: Path) -> dict:
+    pool = default_lexical_pool()
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
-            ranks: dict[str, dict[str, int]] = {}
-            for system in default_lexical_pool():
-                run = run_search(system, queries, index, depth=config.depth)
-                write_run_file(run, _run_path(config, entry.code, set_name, system.system_id))
-                ranks[system.system_id] = target_ranks(run, qrels)
+            runs = run_search(pool, queries, index, depth=config.depth)
+            for run in runs:
+                write_run_file(run, _run_path(config, entry.code, set_name, run.system_id))
+            ranks = {run.system_id: run.target_ranks(qrels) for run in runs}
             write_rank_file(ranks, _ranks_path(config, entry.code, set_name))
     return {}
 
@@ -544,6 +544,14 @@ def _selected_variations(config: PipelineConfig, code: str) -> dict[Partition, s
         if row["mean_tau"] is not None
     }
     selected = select_best_strategy(results) if results else {}
+    for partition, winner in selected.items():
+        best = results[partition, winner].mean_tau
+        tied = sorted(v for (p, v), r in results.items() if p is partition and r.mean_tau == best)
+        if len(tied) > 1:
+            logger.warning(
+                "%s/%s: variations %s tie on mean tau %r; the lowest id, %s, is selected",
+                code, partition.value, ", ".join(tied), best, winner,
+            )
     for partition in _partitions_for(code):
         if partition not in selected:
             logger.warning(

@@ -132,10 +132,16 @@ class Kind(NamedTuple):
 def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
     def read(key: str, value: Any, base: Path) -> Any:
         # YAML reads yes/no as booleans: only a flag takes one, and a flag nothing else.
-        if isinstance(value, bool) == (kind is bool) and not isinstance(value, (dict, list)):
+        # A number is read from a number only, and an integer from a whole one.
+        number = isinstance(value, int) or (
+            isinstance(value, float) and (kind is float or value.is_integer())
+        )
+        if isinstance(value, bool) == (kind is bool) and (
+            number if kind in (int, float) else not isinstance(value, (dict, list))
+        ):
             try:
                 return kind(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 pass
         raise ConfigError(f"{key} must be {name}, got {value!r}")
 

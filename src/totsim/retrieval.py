@@ -18,12 +18,11 @@ archive (format version 2) whose ``meta`` member holds the document ids,
 terms, language and tokenizer as canonical JSON; it is written with fixed
 member timestamps, so the same corpus always gives the same bytes.
 
-Scoring is term-at-a-time: a query gathers only the postings of its
-matched terms and accumulates one addend per posting into its document.
-The index keeps each query text's matched terms, so the systems of a
-pool that score one query against it tokenize that query once.
-Each document's addends are summed in ascending order, so documents whose
-addends form equal multisets get bit-equal scores, and rankings honour the
+Scoring is term-at-a-time, one pass per query for a whole system pool: the
+postings of the query's matched terms are gathered once, then each system
+accumulates one addend per posting into its document.  Each document's
+addends are summed in ascending order, so documents whose addends form
+equal multisets get bit-equal scores, and rankings honour the
 (-score, doc_id) rule exactly instead of by float summation noise.
 
 Tokenization is either lowercase word splitting for alphabetic scripts
@@ -36,8 +35,8 @@ hyperparameters, so every system this module runs is lexical.  Systems
 outside the module (dense retrievers, say) join a pool only as run files,
 which :func:`load_external_run` parses and checks.
 
-numpy is imported inside the index and scoring functions only: importing
-this module, and with it the command line, does not load it.
+numpy and orjson are imported inside the functions that use them: importing
+this module, and with it the command line, loads neither.
 """
 
 from __future__ import annotations
@@ -50,10 +49,10 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import RunFileError, TotsimError
-from .util import atomic_output, atomic_write_text, dump_json
+from .util import atomic_output, dump_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,6 +71,7 @@ __all__ = [
     "RetrievalSystem",
     "default_lexical_pool",
     "RunResult",
+    "SearchRun",
     "run_search",
     "write_run_file",
     "load_external_run",
@@ -179,9 +179,6 @@ class InvertedIndex:
     doc_lengths: np.ndarray
     collection_length: int = field(init=False)
     term_ctf: np.ndarray = field(init=False, repr=False)
-    _matches: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -217,32 +214,19 @@ class InvertedIndex:
 
     def term_id(self, term: str) -> int | None:
         """The term's number, or ``None`` when no document contains it."""
-        position = bisect.bisect_left(self.terms, term)
-        if position < len(self.terms) and self.terms[position] == term:
-            return position
-        return None
+        return _position(self.terms, term)
 
     def match(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """The query's matched term numbers (ascending) and their counts in it.
 
-        Tokens absent from the collection are dropped.  The result is kept
-        per query text, so the systems of a pool that score the same query
-        against this index tokenize it once; its arrays are read-only.
+        Tokens absent from the collection are dropped.
         """
         import numpy as np
 
-        cached = self._matches.get(query)
-        if cached is None:
-            qtf_of: dict[int, int] = {}
-            for token, count in Counter(self.tokenizer.tokenize(query)).items():
-                t = self.term_id(token)
-                if t is not None:
-                    qtf_of[t] = count
-            term_ids = np.array(sorted(qtf_of), dtype=np.int64)
-            qtf = np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
-            term_ids.flags.writeable = qtf.flags.writeable = False
-            cached = self._matches[query] = (term_ids, qtf)
-        return cached
+        counts = Counter(self.tokenizer.tokenize(query))
+        qtf_of = {t: counts[token] for token in counts if (t := self.term_id(token)) is not None}
+        term_ids = np.array(sorted(qtf_of), dtype=np.int64)
+        return term_ids, np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
 
     def df(self, term: str) -> int:
         t = self.term_id(term)
@@ -251,6 +235,11 @@ class InvertedIndex:
     def ctf(self, term: str) -> int:
         t = self.term_id(term)
         return 0 if t is None else int(self.term_ctf[t])
+
+
+def _position(names: list[str], name: str) -> int | None:
+    position = bisect.bisect_left(names, name)
+    return position if position < len(names) and names[position] == name else None
 
 
 def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
@@ -363,95 +352,6 @@ def load_index(path: Path | str) -> InvertedIndex:
     )
 
 
-def _score(
-    query: str,
-    index: InvertedIndex,
-    depth: int,
-    *,
-    k1: float | None = None,
-    b: float | None = None,
-    mu: float | None = None,
-) -> list[tuple[str, float]]:
-    """Term-at-a-time scoring shared by BM25 (``k1``, ``b``) and QL (``mu``).
-
-    The query's terms come from :meth:`InvertedIndex.match`: tokens absent
-    from the collection are dropped and the rest counted, so a repeated
-    token adds ``qtf`` times its per-posting weight.  Candidates are the
-    documents in the gathered postings; their addends accumulate into one
-    slot per document, visited in ascending addend order so every
-    document's sum is taken in a canonical order.
-    """
-    import numpy as np
-
-    term_ids, qtf = index.match(query)
-    if not term_ids.size:
-        return []
-    starts = index.offsets[term_ids]
-    counts = index.offsets[term_ids + 1] - starts
-    # Gathered posting j belongs to matched term owner[j] and sits at that
-    # term's start plus j's rank among the term's gathered postings.
-    owner = np.repeat(np.arange(len(term_ids)), counts)
-    positions = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    docs = index.postings_docs[positions]
-    tf = index.postings_tfs[positions].astype(np.float64)
-    if mu is None:
-        df = counts.astype(np.float64)
-        idf = np.log((index.doc_count - df + 0.5) / (df + 0.5) + 1.0)
-        norm = k1 * (1.0 - b + b * index.doc_lengths[docs] / index.avg_doc_length)
-        addends = qtf[owner] * (idf[owner] * tf * (k1 + 1.0) / (tf + norm))
-    else:
-        prior = mu * index.term_ctf[term_ids] / index.collection_length
-        log_prior = np.log(prior)
-        addends = qtf[owner] * (np.log(tf + prior[owner]) - log_prior[owner])
-    # bincount adds its weights in input order; equal addends are
-    # interchangeable, so an unstable sort by value suffices.
-    order = np.argsort(addends)
-    sums = np.bincount(docs[order], weights=addends[order], minlength=index.doc_count)
-    candidates = np.flatnonzero(np.bincount(docs, minlength=index.doc_count))
-    scores = sums[candidates]
-    if mu is not None:
-        base = float((qtf * log_prior).sum())
-        scores = base + scores - qtf.sum() * np.log(index.doc_lengths[candidates] + mu)
-    top = np.lexsort((candidates, -scores))[:depth]
-    doc_ids = index.doc_ids
-    return [
-        (doc_ids[number], score)
-        for number, score in zip(candidates[top].tolist(), scores[top].tolist())
-    ]
-
-
-def score_bm25(
-    query: str,
-    index: InvertedIndex,
-    k1: float = 0.9,
-    b: float = 0.4,
-    depth: int = DEFAULT_DEPTH,
-) -> list[tuple[str, float]]:
-    """Rank documents containing at least one query token by BM25.
-
-    Repeated query tokens contribute once per occurrence, and ties sort
-    by ascending doc id.
-    """
-    return _score(query, index, depth, k1=k1, b=b)
-
-
-def score_ql_dirichlet(
-    query: str,
-    index: InvertedIndex,
-    mu: float = 1000.0,
-    depth: int = DEFAULT_DEPTH,
-) -> list[tuple[str, float]]:
-    """Rank by Dirichlet-smoothed query log likelihood.
-
-    Tokens absent from the whole collection are dropped; candidate
-    documents are those containing at least one remaining token.  The
-    score is ``sum_t qtf * log(prior_t)`` plus, per posting,
-    ``qtf * (log(tf + prior_t) - log(prior_t))``, minus
-    ``|matched| * log(dl + mu)``.
-    """
-    return _score(query, index, depth, mu=mu)
-
-
 @dataclass(frozen=True)
 class RetrievalSystem:
     """One lexical system of the pool: BM25 (``k1``, ``b``) or QL-Dirichlet (``mu``)."""
@@ -487,38 +387,164 @@ def default_lexical_pool() -> list[RetrievalSystem]:
     return systems
 
 
+def _rank_pool(
+    query: str, index: InvertedIndex, systems: Sequence[RetrievalSystem], depth: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each system's top ``depth`` (doc numbers, scores) for ``query``, from one gather.
+
+    The query's terms come from :meth:`InvertedIndex.match`, so a repeated
+    token adds ``qtf`` times its per-posting weight.  Candidates are the
+    documents in the gathered postings; each system's addends accumulate
+    into one slot per candidate in ascending addend order.
+    """
+    import numpy as np
+
+    term_ids, qtf = index.match(query)
+    starts = index.offsets[term_ids]
+    counts = index.offsets[term_ids + 1] - starts
+    # Gathered posting j belongs to matched term owner[j] and sits at that
+    # term's start plus j's rank among the term's gathered postings.
+    owner = np.repeat(np.arange(len(term_ids)), counts)
+    positions = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    docs = index.postings_docs[positions]
+    tf = index.postings_tfs[positions].astype(np.float64)
+    candidates, slot = np.unique(docs, return_inverse=True)
+    weight = qtf[owner]
+    idf_tf = np.log((index.doc_count - counts + 0.5) / (counts + 0.5) + 1.0)[owner] * tf
+    lengths = index.doc_lengths[docs]
+    rankings = []
+    for system in systems:
+        # Operand order is part of the output: ``b * (dl / avgdl)`` for
+        # ``b * dl / avgdl`` would change scores' last bits and run-file bytes.
+        if system.kind == "bm25":
+            norm = system.k1 * (1.0 - system.b + system.b * lengths / index.avg_doc_length)
+            addends = weight * (idf_tf * (system.k1 + 1.0) / (tf + norm))
+        else:
+            prior = system.mu * index.term_ctf[term_ids] / index.collection_length
+            log_prior = np.log(prior)
+            addends = weight * (np.log(tf + prior[owner]) - log_prior[owner])
+        # bincount adds its weights in input order; equal addends are
+        # interchangeable, so an unstable sort by value suffices.
+        order = np.argsort(addends)
+        scores = np.bincount(slot[order], weights=addends[order], minlength=candidates.size)
+        if system.kind != "bm25":
+            base = float((qtf * log_prior).sum())
+            scores = base + scores - qtf.sum() * np.log(index.doc_lengths[candidates] + system.mu)
+        top = np.lexsort((candidates, -scores))[:depth]
+        rankings.append((candidates[top], scores[top]))
+    return rankings
+
+
+def _pairs(query: str, index: InvertedIndex, system: RetrievalSystem, depth: int):
+    [(numbers, scores)] = _rank_pool(query, index, [system], depth)
+    return list(zip(map(index.doc_ids.__getitem__, numbers.tolist()), scores.tolist()))
+
+
+def score_bm25(
+    query: str,
+    index: InvertedIndex,
+    k1: float = 0.9,
+    b: float = 0.4,
+    depth: int = DEFAULT_DEPTH,
+) -> list[tuple[str, float]]:
+    """Rank documents containing at least one query token by BM25.
+
+    Repeated query tokens contribute once per occurrence, and ties sort
+    by ascending doc id.
+    """
+    return _pairs(query, index, RetrievalSystem("bm25", "bm25", k1=k1, b=b), depth)
+
+
+def score_ql_dirichlet(
+    query: str,
+    index: InvertedIndex,
+    mu: float = 1000.0,
+    depth: int = DEFAULT_DEPTH,
+) -> list[tuple[str, float]]:
+    """Rank by Dirichlet-smoothed query log likelihood.
+
+    Tokens absent from the whole collection are dropped; candidate
+    documents are those containing at least one remaining token.  The
+    score is ``sum_t qtf * log(prior_t)`` plus, per posting,
+    ``qtf * (log(tf + prior_t) - log(prior_t))``, minus
+    ``|matched| * log(dl + mu)``.
+    """
+    return _pairs(query, index, RetrievalSystem("qld", "ql-dirichlet", mu=mu), depth)
+
+
 @dataclass
 class RunResult:
-    """Per-query rankings produced by one system."""
+    """Per-query rankings produced by one system, as (doc_id, score) pairs, best first."""
 
     system_id: str
     rankings: dict[str, list[tuple[str, float]]]
 
+    def columns(self, query_id: str) -> tuple[list[str], list[float]]:
+        ranking = self.rankings[query_id]
+        return [doc_id for doc_id, _ in ranking], [score for _, score in ranking]
+
+
+@dataclass
+class SearchRun:
+    """One lexical system's rankings: query id -> (doc numbers, scores) arrays, best first."""
+
+    system_id: str
+    doc_ids: list[str]
+    rankings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+
+    def columns(self, query_id: str) -> tuple[list[str], np.ndarray]:
+        numbers, scores = self.rankings[query_id]
+        return list(map(self.doc_ids.__getitem__, numbers.tolist())), scores
+
+    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
+        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
+        ranks = {}
+        for query_id, doc_id in qrels.items():
+            numbers = self.rankings[query_id][0].tolist() if query_id in self.rankings else []
+            number = _position(self.doc_ids, doc_id)
+            ranks[query_id] = numbers.index(number) + 1 if number in numbers else 0
+        return ranks
+
 
 def run_search(
-    system: RetrievalSystem,
+    systems: Sequence[RetrievalSystem],
     queries: Mapping[str, str],
     index: InvertedIndex,
     depth: int = DEFAULT_DEPTH,
-) -> RunResult:
-    """Score every query with ``system`` against ``index``."""
-    rankings: dict[str, list[tuple[str, float]]] = {}
+) -> list[SearchRun]:
+    """Score every query against ``index`` with every system, one gather per query."""
+    runs = [SearchRun(system.system_id, index.doc_ids) for system in systems]
     for query_id in sorted(queries):
-        text = queries[query_id]
-        if system.kind == "bm25":
-            rankings[query_id] = score_bm25(text, index, k1=system.k1, b=system.b, depth=depth)
-        else:
-            rankings[query_id] = score_ql_dirichlet(text, index, mu=system.mu, depth=depth)
-    return RunResult(system_id=system.system_id, rankings=rankings)
+        for run, ranking in zip(runs, _rank_pool(queries[query_id], index, systems, depth)):
+            run.rankings[query_id] = ranking
+    return runs
 
 
-def write_run_file(run: RunResult, path: Path | str) -> None:
-    """Write the six-column run format: query_id Q0 doc_id rank score system_id."""
-    lines = []
-    for query_id in sorted(run.rankings):
-        for rank, (doc_id, score) in enumerate(run.rankings[query_id], start=1):
-            lines.append(f"{query_id} Q0 {doc_id} {rank} {score!r} {run.system_id}\n")
-    atomic_write_text(path, "".join(lines))
+def write_run_file(run: RunResult | SearchRun, path: Path | str) -> None:
+    """Write the six-column run format: query_id Q0 doc_id rank score system_id.
+
+    Scores get their ``repr`` text.  One ``orjson`` call formats a ranking's
+    scores; its shortest round-trip text equals ``repr``'s for magnitudes in
+    [1e-4, 1e16), and ``repr`` writes the rest (orjson writes ``1e+16`` as ``1e16``).
+    """
+    import numpy as np
+    import orjson
+
+    ranks: list[str] = []  # " 1 ", " 2 ", ...: the rank field with its separators
+    with atomic_output(path) as handle:
+        for query_id in sorted(run.rankings):
+            doc_ids, scores = run.columns(query_id)
+            if not doc_ids:
+                continue
+            ranks.extend(f" {rank} " for rank in range(len(ranks) + 1, len(doc_ids) + 1))
+            values = np.asarray(scores, dtype=np.float64).tolist()
+            texts = orjson.dumps(values).decode()[1:-1].split(",")
+            magnitudes = np.abs(values)
+            for i in np.flatnonzero((magnitudes < 1e-4) | ~(magnitudes < 1e16)).tolist():
+                texts[i] = repr(values[i])
+            head, tail = f"{query_id} Q0 ", f" {run.system_id}\n"
+            lines = map("".join, zip(doc_ids, ranks, texts))
+            handle.write((head + (tail + head).join(lines) + tail).encode("utf-8"))
 
 
 def load_external_run(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import shutil
 from collections import Counter
@@ -165,6 +166,19 @@ def test_content_hash_survives_moving_the_tree(tmp_path: Path) -> None:
         (
             MINIMAL + "sampling: {target_count: many}\n",
             "sampling.target_count must be an integer, got 'many'",
+        ),
+        (
+            MINIMAL + "sampling: {target_count: 40.7}\n",
+            "sampling.target_count must be an integer, got 40.7",
+        ),
+        (
+            MINIMAL + "sampling: {bucket_count: '12'}\n",
+            "sampling.bucket_count must be an integer, got '12'",
+        ),
+        (MINIMAL + "retrieval: {depth: .inf}\n", "retrieval.depth must be an integer, got inf"),
+        (
+            MINIMAL + "generation: {summarize_temperature: '0.7'}\n",
+            "generation.summarize_temperature must be a number, got '0.7'",
         ),
         (MINIMAL + "sampling: {target_cont: 40}\n", "unknown config key sampling.target_cont"),
         (
@@ -384,6 +398,37 @@ def test_pipeline_writes_every_stage(pipeline_tree: Path) -> None:
         assert (out / "sample" / f"{name}.jsonl").exists()
     assert (out / "search" / "zz" / "real" / "bm25-k1.2-b0.75.run").exists()
     assert (out / "search" / "en" / "full-V1" / "qld-mu1000.run").exists()
+
+
+# Per query set: sha256 over "<file> <sha256 of file>" lines of its run files
+# and ranks.tsv, taken from the search implementation that first wrote them.
+# A change to scoring arithmetic, tie order or score text moves a digest.
+SEARCH_DIGESTS = {
+    "en/full-V1": "c196ef4c0e80a66c75006f7699f8512e8b1d7477e249e38c96486755aa8a51f8",
+    "zz/bilingual-V1": "dec746fc9050e3aef97584f61094a5b30cf9f86477001d2d229df2354fd28157",
+    "zz/bilingual-V2": "b99454295043f2eb4dca6289e06e49ddad73dfcbfca7e30f1f32d7bcb4ac3234",
+    "zz/bilingual-V3": "163ce0e178b9873ad664dc3af491d429c544005f4a5e1a2773d7244f1686182d",
+    "zz/bilingual-V4": "881b584929a18bbb8f15b0c629bb594635a44965b8824a24f28b58e46cfcbf34",
+    "zz/monolingual-V1": "6fa2d91d415e071cfc74f4970a4c5a93449d80e3da89a4c12a1a2de520e773f2",
+    "zz/monolingual-V2": "87f268aa4694bf22ef86b3954ae02556592ae6630b6ebf09eec797f18226aca6",
+    "zz/real": "2b232230cc5a7c837a2fe4a8a6b47ed4b4c831f835e5fc0621079814dfc8349a",
+}
+
+
+def test_search_bytes_are_pinned(pipeline_tree: Path) -> None:
+    search = pipeline_tree / "out" / "search"
+    digests = {}
+    for set_dir in sorted(path for path in search.glob("*/*") if path.is_dir()):
+        files = sorted(set_dir.glob("*.run")) + [set_dir / "ranks.tsv"]
+        assert len(files) == len(default_lexical_pool()) + 1, set_dir
+        listing = "".join(
+            f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+            for path in sorted(files)
+        )
+        digests[set_dir.relative_to(search).as_posix()] = hashlib.sha256(
+            listing.encode("utf-8")
+        ).hexdigest()
+    assert digests == SEARCH_DIGESTS
 
 
 def test_pipeline_evaluates_and_correlates(pipeline_tree: Path) -> None:
@@ -797,6 +842,33 @@ def test_constant_metric_vector_leaves_its_row_undefined(
     choice = json.loads((toy / "out" / "select" / "zz.json").read_text(encoding="utf-8"))
     assert choice == {"monolingual": "V1", "bilingual": "V2"}
     assert "no defined correlation in the monolingual partition" in caplog.text
+
+
+def test_select_warns_when_it_breaks_a_tie(
+    tree_copy: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    config_arg = str(tree_copy / "config.yaml")
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        assert main(["select", "--config", config_arg, "--force"]) == 0
+    # toy's V1 and V2 mean taus are equal to the last bit in both partitions
+    ties = [r.getMessage() for r in caplog.records if "tie on mean tau" in r.getMessage()]
+    assert ties == [
+        f"zz/{partition}: variations V1, V2 tie on mean tau 0.9660917830792958; "
+        "the lowest id, V1, is selected"
+        for partition in ("monolingual", "bilingual")
+    ]
+    # a clear winner breaks no tie and warns nothing
+    correlations = tree_copy / "out" / "correlate" / "zz.jsonl"
+    rows = [json.loads(line) for line in correlations.read_text(encoding="utf-8").splitlines()]
+    for row in rows:
+        if (row["partition"], row["variation"]) == ("bilingual", "V2"):
+            row.update((key, 0.5) for key in list(row) if key.endswith("_tau"))
+    write_jsonl(correlations, rows)
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        assert main(["select", "--config", config_arg, "--force"]) == 0
+    ties = [r.getMessage() for r in caplog.records if "tie on mean tau" in r.getMessage()]
+    assert [message.split(":")[0] for message in ties] == ["zz/monolingual"]
 
 
 def test_correlate_still_fails_on_mismatched_pools(

@@ -184,12 +184,15 @@ def test_target_rank_is_zero_when_the_target_is_not_retrieved() -> None:
     system = RetrievalSystem(system_id="bm25", kind="bm25", k1=1.2, b=0.75)
     queries = {"unindexed": "zebra", "top": "red fish", "deep": "red fish"}
     qrels = {"unindexed": "a", "top": "a", "deep": "b", "unasked": "c"}
-    full = run_search(system, queries, index)
-    assert full.rankings["unindexed"] == []
-    assert target_ranks(full, qrels) == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
+    [full] = run_search([system], queries, index)
+    assert full.columns("unindexed")[0] == []
+    assert full.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
+    # the doc-number arrays give the rank the (doc_id, score) pairs give
+    pairs = RunResult("bm25", {q: list(zip(*full.columns(q))) for q in full.rankings})
+    assert target_ranks(pairs, qrels) == full.target_ranks(qrels)
     # below the search depth the target counts as not retrieved
-    shallow = run_search(system, queries, index, depth=1)
-    assert target_ranks(shallow, qrels) == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}
+    [shallow] = run_search([system], queries, index, depth=1)
+    assert shallow.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}
 
 
 def test_rank_file_round_trip(tmp_path: Path) -> None:

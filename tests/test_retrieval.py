@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus, make_doc
@@ -401,25 +401,35 @@ def test_default_pool_has_seven_fixed_systems() -> None:
     ]
 
 
+def pairs(run, query_id: str) -> list[tuple[str, float]]:
+    doc_ids, scores = run.columns(query_id)
+    return list(zip(doc_ids, np.asarray(scores).tolist()))
+
+
 def test_run_search_and_write_run_file(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="bm25-test", kind="bm25", k1=1.2, b=0.75)
-    run = run_search(system, {"q2": "green", "q1": "red fish"}, index)
+    [run] = run_search([system], {"q2": "green", "q1": "red fish"}, index)
     assert sorted(run.rankings) == ["q1", "q2"]
+    assert pairs(run, "q1") == score_bm25("red fish", index, k1=1.2, b=0.75)
     path = tmp_path / "out.run"
     write_run_file(run, path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].split() == ["q1", "Q0", "a", "1", repr(run.rankings["q1"][0][1]), "bm25-test"]
+    top = pairs(run, "q1")[0][1]
+    assert lines[0].split() == ["q1", "Q0", "a", "1", repr(top), "bm25-test"]
     assert len(lines) == 4
     # repr round trips the float exactly
-    assert float(lines[0].split()[4]) == run.rankings["q1"][0][1]
+    assert float(lines[0].split()[4]) == top
 
 
 def test_a_pool_tokenizes_each_query_once(monkeypatch: pytest.MonkeyPatch) -> None:
     queries = {"q1": "red fish", "q2": "green", "q3": "zebra", "q4": "Red  FISH"}
     pool = default_lexical_pool()
-    # each system on its own fresh index is the reference
-    expected = [run_search(system, queries, fish_index()).rankings for system in pool]
+    # each system searching on its own is the reference
+    expected = []
+    for system in pool:
+        [run] = run_search([system], queries, fish_index())
+        expected.append({q: pairs(run, q) for q in queries})
     index = fish_index()
     calls: list[str] = []
     tokenize = Tokenizer.tokenize
@@ -429,20 +439,21 @@ def test_a_pool_tokenizes_each_query_once(monkeypatch: pytest.MonkeyPatch) -> No
         return tokenize(self, text)
 
     monkeypatch.setattr(Tokenizer, "tokenize", counting)
-    runs = [run_search(system, queries, index) for system in pool]
+    runs = run_search(pool, queries, index)
     assert sorted(calls) == sorted(queries.values())
-    assert [run.rankings for run in runs] == expected
+    assert [run.system_id for run in runs] == [system.system_id for system in pool]
+    assert [{q: pairs(run, q) for q in queries} for run in runs] == expected
 
 
 def test_external_run_round_trip(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="qld-mu500", kind="ql-dirichlet", mu=500.0)
-    run = run_search(system, {"q1": "red fish", "q2": "green"}, index)
+    [run] = run_search([system], {"q1": "red fish", "q2": "green"}, index)
     path = tmp_path / "out.run"
     write_run_file(run, path)
     loaded = load_external_run(path, ["q1", "q2"])
     assert loaded.system_id == "qld-mu500"
-    assert loaded.rankings == run.rankings
+    assert loaded.rankings == {q: pairs(run, q) for q in ("q1", "q2")}
 
 
 def test_external_run_shares_repeated_doc_id_strings(tmp_path: Path) -> None:
@@ -519,27 +530,45 @@ def test_default_depth() -> None:
     assert DEFAULT_DEPTH == 1000
 
 
+# Where orjson's shortest round-trip text and repr's could part: zeros,
+# both ends of [1e-4, 1e16) and the extremes of the double range.
+EDGE_SCORES = [
+    0.0,
+    -0.0,
+    1e-4,
+    math.nextafter(1e-4, 0.0),
+    1e16,
+    math.nextafter(1e16, 0.0),
+    5e-324,
+    sys.float_info.max,
+]
+
+
 @given(
     scores=st.lists(
-        st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=8
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8
     )
 )
-@settings(max_examples=60, deadline=None)
+@example(scores=EDGE_SCORES)
+@example(scores=[-score for score in EDGE_SCORES])
+@settings(max_examples=200, deadline=None)
 def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[float]) -> None:
     ordered = sorted(scores, reverse=True)
     rankings = {"q1": [(f"d{i}", s) for i, s in enumerate(ordered)]}
     run = RunResult(system_id="sys", rankings=rankings)
     path = tmp_path_factory.mktemp("runs") / "out.run"
     write_run_file(run, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [line.split()[4] for line in lines] == [repr(score) for score in ordered]
     loaded = load_external_run(path, ["q1"])
     assert loaded.rankings == rankings
 
 
 def test_importing_the_cli_does_not_load_numpy() -> None:
-    # numpy is loaded by the index and search code paths only, so stages
-    # that never index or search keep their memory footprint.
+    # numpy and orjson are loaded by the index, search and run-writing code
+    # paths only, so stages that never index or search keep their footprint.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys; import totsim.cli; print('numpy' in sys.modules)"
+    code = "import sys; import totsim.cli; print({'numpy', 'orjson'} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -547,4 +576,4 @@ def test_importing_the_cli_does_not_load_numpy() -> None:
         check=True,
         env={"PYTHONPATH": str(src)},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "set()"
