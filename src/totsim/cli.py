@@ -309,6 +309,9 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
     translator = config.make_translator()
     english = _load_english(config)
     counts: dict[str, dict[str, int]] = {}
+    # one memo for the whole run: V1/V2 (and V3/V4, and English full-V1)
+    # ask for the same summaries
+    summaries: dict[str, str] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
         candidates = {
@@ -330,6 +333,7 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
                 summarize_temperature=config.summarize_temperature,
                 generate_temperature=config.generate_temperature,
                 workers=config.workers,
+                summaries=summaries,
             )
             write_query_manifest(_generate_path(config, entry.code, set_name), records)
             discarded = sum(1 for r in records if r.discarded)
@@ -337,6 +341,13 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
                 "accepted": len(records) - discarded,
                 "discarded": discarded,
             }
+    entities = sum(sum(c.values()) for c in counts.values())
+    logger.info(
+        "generate: sent %d summarize requests for %d entities, reused %d summaries",
+        len(summaries),
+        entities,
+        entities - len(summaries),
+    )
     return {"generation_counts": counts}
 
 

@@ -1,12 +1,18 @@
 """Synthetic query generation: summarize, prompt, generate, anonymize.
 
-Each sampled entity goes through two completions.  The article body
+Each sampled entity goes through two steps.  The article body
 (truncated to a character budget) is first summarized at temperature
 0.5; the summary is then inserted into a persona prompt that asks for a
 tip-of-the-tongue style request at temperature 0.3.  A generated query
 is only accepted if it never mentions the target's title or aliases
 after aggressive normalization; up to three attempts are made before the
 entity is discarded.
+
+The summarize request depends only on the source article, so a caller
+may pass a ``summaries`` memo that serves every variation asking for the
+same article: V1 and V2 then share the target article's summary, V3 and
+V4 the linked English one.  Generate requests are never memoized, so
+each anonymity retry draws a fresh sample.
 
 Four prompt variations cover the language axes for bilingual entities:
 
@@ -32,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document, Partition
 from .errors import GenerationError, TemplateError
-from .providers import ChatProvider, Translator
+from .providers import ChatProvider, Translator, request_hash
 from .sampling import EntityCandidate
 from .util import read_jsonl, write_jsonl
 
@@ -261,17 +267,26 @@ def summarize_entity(
     templates: TemplateSet,
     char_budget: int = DEFAULT_CHAR_BUDGET,
     temperature: float = SUMMARIZE_TEMPERATURE,
+    *,
+    summaries: dict[str, str] | None = None,
 ) -> str:
     """Summarize an article body truncated to ``char_budget`` characters.
 
     The summarize template for the article's own language is used.  A
     summary that is not exactly two paragraphs is kept but logged, since
     the prompt asks for two.
+
+    ``summaries`` memoizes summaries by :func:`request_hash` of the
+    prompt and temperature: a request already in it is answered from it
+    without calling ``client``, and a new one is added to it.
     """
     if char_budget <= 0:
         raise GenerationError(f"char_budget must be positive, got {char_budget}")
     template = templates.get(PromptRole.SUMMARIZE, doc.language)
     prompt = template.render(doc.body[:char_budget])
+    key = request_hash(prompt, temperature)
+    if summaries is not None and key in summaries:
+        return summaries[key]
     summary = client.complete(prompt, temperature)
     if not summary.strip():
         raise GenerationError(f"empty summary for document {doc.doc_id}")
@@ -281,6 +296,9 @@ def summarize_entity(
             doc.doc_id,
             summary.count("\n\n"),
         )
+    if summaries is not None:
+        # a concurrent miss on the same key keeps the first summary stored
+        summary = summaries.setdefault(key, summary)
     return summary
 
 
@@ -333,6 +351,8 @@ def generate_query(
     char_budget: int = DEFAULT_CHAR_BUDGET,
     summarize_temperature: float = SUMMARIZE_TEMPERATURE,
     generate_temperature: float = GENERATE_TEMPERATURE,
+    *,
+    summaries: dict[str, str] | None = None,
 ) -> SyntheticQuery | DiscardRecord:
     """Produce one query (or a discard record) for a sampled entity.
 
@@ -340,6 +360,11 @@ def generate_query(
     target-language page, V3 and V4 the linked English page.  Anonymity
     is checked against the target page's names, plus the English page's
     names whenever that page fed the prompt.
+
+    Without ``summaries`` this makes one summarize call and one generate
+    call per attempt.  With it, the summary comes from the memo when an
+    earlier call summarized the same article (see :func:`summarize_entity`);
+    the generate calls are made either way.
 
     Raises:
         GenerationError: incompatible variation and partition, missing
@@ -363,7 +388,12 @@ def generate_query(
     else:
         source = doc
     summary = summarize_entity(
-        source, generator, templates, char_budget=char_budget, temperature=summarize_temperature
+        source,
+        generator,
+        templates,
+        char_budget=char_budget,
+        temperature=summarize_temperature,
+        summaries=summaries,
     )
     prompt = build_generation_prompt(variation, summary, language, templates)
     used_translator = translator if variation.post_translate else None
@@ -419,12 +449,20 @@ def generate_batch(
     summarize_temperature: float = SUMMARIZE_TEMPERATURE,
     generate_temperature: float = GENERATE_TEMPERATURE,
     workers: int = 1,
+    *,
+    summaries: dict[str, str] | None = None,
 ) -> list[SyntheticQuery | DiscardRecord]:
     """Generate for every candidate, preserving candidate order.
 
     With ``workers > 1`` requests run in a thread pool; results still
     come back in input order, so a deterministic backend yields the same
     batch bytes at any worker count.
+
+    Pass one ``summaries`` memo to every batch of a run to summarize each
+    article once for all the variations that use it.  Batches sharing it
+    must run one after another.  A batch holds each entity once, so its
+    threads do not look up the same key; should two ever miss on one key
+    at once, the cost is one duplicate call, never a wrong summary.
     """
 
     def one(candidate: EntityCandidate) -> SyntheticQuery | DiscardRecord:
@@ -439,6 +477,7 @@ def generate_batch(
             char_budget=char_budget,
             summarize_temperature=summarize_temperature,
             generate_temperature=generate_temperature,
+            summaries=summaries,
         )
 
     if workers <= 1:

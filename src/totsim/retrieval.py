@@ -44,6 +44,7 @@ from __future__ import annotations
 import bisect
 import json
 import logging
+import math
 import re
 import zipfile
 from collections import Counter
@@ -568,8 +569,9 @@ def load_external_run(
             itself must still be uniform across the file.
 
     Raises:
-        RunFileError: malformed lines, duplicate documents within a
-            query, non-increasing ranks, or scores increasing with rank.
+        RunFileError: malformed lines, NaN scores, duplicate documents
+            within a query, non-increasing ranks, or scores increasing
+            with rank.
             Diagnostics name the offending line number.
     """
     path = Path(path)
@@ -597,6 +599,10 @@ def load_external_run(
                 raise RunFileError(
                     f"{path.name} line {line_no}: rank must be an integer and score a number"
                 ) from None
+            if math.isnan(score):
+                # NaN compares false with everything, so the order check
+                # below would pass it and whatever follows it
+                raise RunFileError(f"{path.name} line {line_no}: score is NaN")
             if file_tag is None:
                 file_tag = tag
             elif tag != file_tag:

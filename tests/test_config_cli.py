@@ -431,6 +431,113 @@ def test_search_bytes_are_pinned(pipeline_tree: Path) -> None:
     assert digests == SEARCH_DIGESTS
 
 
+# sha256 of each generate/<lang>/<set>.jsonl, taken when every variation
+# still sent its own summarize request.
+GENERATE_DIGESTS = {
+    "en/full-V1": "ec64f2e88cf6a10461be77f05791f2bea6d325a56b8c9609ea5afa05833c0aa2",
+    "zz/bilingual-V1": "be82a2f2497a28bafe129a782dfadc8ae397cddb7467f0b75cab3d3122174229",
+    "zz/bilingual-V2": "41d6b7b526672b82f0fde29a90fd2259ba249fc054d0118ddbb3260695c8d179",
+    "zz/bilingual-V3": "2c5ac80eb86ed80774a7badde64518433f669b8658c3e5b4ba7db09c459be6bc",
+    "zz/bilingual-V4": "981ced56b1085fc31530b496885f3e4d6321ec8a566cca6b8ea47865d6c515a4",
+    "zz/monolingual-V1": "23814bfb5390406e79de2d1f33c31019e33ba5b17c711bab5b7f8df63d6264d0",
+    "zz/monolingual-V2": "7e2196beaecfe718d4a9a977c475667fe285ddf0cba89590d4444111a8da6dcb",
+}
+
+
+def test_generate_bytes_are_pinned(pipeline_tree: Path) -> None:
+    generate = pipeline_tree / "out" / "generate"
+    digests = {
+        path.relative_to(generate).with_suffix("").as_posix(): hashlib.sha256(
+            path.read_bytes()
+        ).hexdigest()
+        for path in sorted(generate.glob("*/*.jsonl"))
+    }
+    assert digests == GENERATE_DIGESTS
+
+
+class CountingProvider(DeterministicMockProvider):
+    """The mock backend, counting every request by temperature.
+
+    With ``fresh_samples`` each response gets the call number appended, so
+    no two calls agree, as with a live model sampling at a temperature
+    above zero.
+    """
+
+    def __init__(self, fresh_samples: bool = False) -> None:
+        super().__init__()
+        self.fresh_samples = fresh_samples
+        self.requests: list[tuple[str, float]] = []
+
+    def complete(self, prompt: str, temperature: float) -> str:
+        self.requests.append((prompt, temperature))
+        text = super().complete(prompt, temperature)
+        return f"{text} s{len(self.requests)}" if self.fresh_samples else text
+
+
+def generate_with(
+    toy: Path, provider: CountingProvider, monkeypatch: pytest.MonkeyPatch
+) -> PipelineConfig:
+    """Run ``ingest`` to ``generate`` on ``toy`` with ``provider`` as the model."""
+    monkeypatch.setattr(PipelineConfig, "make_generator", lambda self: provider)
+    config = load_config(toy / "config.yaml")
+    for stage in ("ingest", "partition", "sample", "generate"):
+        run_stage(stage, config)
+    return config
+
+
+def test_generate_sends_each_summarize_request_once(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    provider = CountingProvider()
+    config = generate_with(toy_copy, provider, monkeypatch)
+    summarize = [r for r in provider.requests if r[1] == config.summarize_temperature]
+    generate = [r for r in provider.requests if r[1] == config.generate_temperature]
+    assert len(summarize) == len(set(summarize)) == 189
+    assert len(generate) == 320
+    assert len(provider.requests) == 509
+
+
+def test_generate_logs_the_summaries_it_reused(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch, caplog: pytest.LogCaptureFixture
+) -> None:
+    with caplog.at_level("INFO", logger="totsim.cli"):
+        generate_with(toy_copy, CountingProvider(), monkeypatch)
+    lines = [r.message for r in caplog.records if "summarize requests" in r.message]
+    assert lines == ["generate: sent 189 summarize requests for 320 entities, reused 131 summaries"]
+
+
+def test_variations_of_one_article_share_its_summary(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    config = generate_with(toy_copy, CountingProvider(fresh_samples=True), monkeypatch)
+
+    def summaries(set_name: str) -> dict[str, str]:
+        path = config.output_dir / "generate" / "zz" / f"{set_name}.jsonl"
+        return {r.target_doc_id: r.summary for r in read_query_manifest(path)}
+
+    for partition in ("monolingual", "bilingual"):
+        assert summaries(f"{partition}-V1") == summaries(f"{partition}-V2")
+    v3 = summaries("bilingual-V3")
+    assert v3 == summaries("bilingual-V4")
+    # V3 summarizes the linked English page, not the target page
+    v1 = summaries("bilingual-V1")
+    assert all(v3[doc_id] != v1[doc_id] for doc_id in v1)
+
+
+def test_english_only_generate_makes_two_calls_per_entity(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # English has only V1, so no two requests repeat and nothing is saved
+    raw = yaml.safe_load((toy_copy / "config.yaml").read_text(encoding="utf-8"))
+    del raw["languages"]["zz"]
+    (toy_copy / "config.yaml").write_text(yaml.safe_dump(raw), encoding="utf-8")
+    provider = CountingProvider()
+    config = generate_with(toy_copy, provider, monkeypatch)
+    records = read_query_manifest(config.output_dir / "generate" / "en" / "full-V1.jsonl")
+    assert len(records) == 80
+    assert len(provider.requests) == 2 * len(records)
+
+
 def test_pipeline_evaluates_and_correlates(pipeline_tree: Path) -> None:
     out = pipeline_tree / "out"
     for name in ("real", "real-monolingual", "real-bilingual", "monolingual-V1", "bilingual-V4"):

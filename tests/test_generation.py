@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -354,6 +357,92 @@ def test_generate_query_rejects_empty_generation() -> None:
         generate_query(
             mono_candidate(), PromptVariation.V1, target, english, provider, small_templates()
         )
+
+
+def test_a_shared_summary_still_draws_fresh_generate_samples() -> None:
+    class LeakFirst:
+        """Leaks the target name the first time it sees each generate prompt."""
+
+        name = "leak-first"
+
+        def __init__(self) -> None:
+            self.prompts: list[str] = []
+
+        def complete(self, prompt: str, temperature: float) -> str:
+            self.prompts.append(prompt)
+            if prompt.startswith("S"):
+                return f"summary of {prompt}"
+            return "it is called Zeta" if self.prompts.count(prompt) == 1 else "a clean request"
+
+    target, english = corpora()
+    provider = LeakFirst()
+    summaries: dict[str, str] = {}
+    results = [
+        generate_query(
+            bilingual_candidate(),
+            variation,
+            target,
+            english,
+            provider,
+            small_templates(),
+            translator=IdentityTranslator(),
+            summaries=summaries,
+        )
+        for variation in PromptVariation
+    ]
+    assert [r.attempts for r in results] == [2, 2, 2, 2]
+    assert [r.summary for r in results] == [
+        "summary of SZ plain body words here",
+        "summary of SZ plain body words here",
+        "summary of SE english body words",
+        "summary of SE english body words",
+    ]
+    # two summarize calls for four variations, and two generate calls each
+    summarize = [p for p in provider.prompts if p.startswith("S")]
+    assert summarize == ["SZ plain body words here", "SE english body words"]
+    assert len(provider.prompts) == 2 + 4 * 2
+    assert len(summaries) == 2
+
+
+def test_concurrent_misses_on_one_summary_agree() -> None:
+    # eight entities linked to one English page race for its summary
+    class Sampling:
+        """Answers every call with a new sample; slow summaries widen the race."""
+
+        name = "sampling"
+
+        def __init__(self) -> None:
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def complete(self, prompt: str, temperature: float) -> str:
+            with self.lock:
+                self.calls += 1
+                call = self.calls
+            if prompt.startswith("S"):
+                time.sleep(0.01)
+            return f"sample {call}"
+
+    target = make_corpus(
+        "zz",
+        *(make_doc(f"z{i}", title=f"T{i}", body="b", language="zz", en_link="e1") for i in range(8)),
+    )
+    english = make_corpus("en", make_doc("e1", title="E", body="english body"))
+    candidates = [
+        EntityCandidate(f"z{i}", Partition.BILINGUAL, DomainLabel.GENERAL, 0) for i in range(8)
+    ]
+    summaries: dict[str, str] = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        records = generate_batch(
+            candidates, PromptVariation.V3, target, english, Sampling(), small_templates(),
+            workers=8, summaries=summaries,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(summaries.values()) == [records[0].summary]
+    assert {r.summary for r in records} == {records[0].summary}
 
 
 def test_generate_batch_worker_count_does_not_change_output() -> None:

@@ -494,6 +494,17 @@ def test_external_run_validates_format(tmp_path: Path) -> None:
         load_external_run(path, ["q1"])
 
 
+def test_external_run_rejects_nan_scores(tmp_path: Path) -> None:
+    # a NaN compares false with every score, so it hid the rise from 0.5 to 0.9
+    path = tmp_path / "nan.run"
+    write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d2 2 nan sys", "q1 Q0 d3 3 0.9 sys"])
+    with pytest.raises(RunFileError, match="line 2: score is NaN"):
+        load_external_run(path, ["q1"])
+    write_lines(path, ["q1 Q0 d1 1 NaN sys", "q1 Q0 d2 2 0.5 sys"])
+    with pytest.raises(RunFileError, match="line 1: score is NaN"):
+        load_external_run(path, ["q1"])
+
+
 def test_external_run_fills_missing_queries(
     tmp_path: Path, caplog: pytest.LogCaptureFixture
 ) -> None:
