@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
+import os
 import shutil
 import sys
 from collections import Counter
@@ -313,7 +314,10 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
     # ask for the same summaries
     summaries: dict[str, str] = {}
     for entry in config.languages:
-        corpus = _load_corpus(config, entry.code)
+        if (entry.code, entry.corpus) == ("en", config.english_corpus):
+            corpus = english  # the same file, parsed once
+        else:
+            corpus = _load_corpus(config, entry.code)
         candidates = {
             partition: read_candidate_manifest(
                 _existing(config, _sample_path(config, entry.code, partition))
@@ -653,13 +657,15 @@ STAGES: dict[str, Stage] = {
 
 
 def _manifest_matches(stage_dir: Path, key: Mapping[str, object]) -> bool:
+    # One read and one ``stat`` per listed output: it runs for every stage of a resume.
+    directory = os.fspath(stage_dir)
     try:
-        manifest = read_json(stage_dir / "manifest.json")
+        manifest = read_json(os.path.join(directory, "manifest.json"))
     except (OSError, ValueError):
         return False
     if any(manifest.get(field) != value for field, value in key.items()):
         return False
-    return all((stage_dir / rel).exists() for rel in manifest.get("outputs", []))
+    return all(os.path.exists(os.path.join(directory, rel)) for rel in manifest.get("outputs", []))
 
 
 def _clear(stage_dir: Path, config: PipelineConfig) -> None:

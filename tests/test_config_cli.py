@@ -13,8 +13,10 @@ import pytest
 import yaml
 
 from conftest import TOY_DIR
-from totsim.cli import main, parse_args, run_stage
+import totsim.config as config_module
+from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
+from totsim.corpus import ingest_corpus
 from totsim.errors import ConfigError
 from totsim.evaluation import MetricReport, evaluate_pool, load_qrels, write_rank_file
 from totsim.generation import read_query_manifest
@@ -115,92 +117,93 @@ def test_content_hash_survives_moving_the_tree(tmp_path: Path) -> None:
     assert copies[0].content_hash() == load_config(TOY_CONFIG).content_hash()
 
 
-@pytest.mark.parametrize(
-    ("snippet", "message"),
-    [
-        ("- just\n- a list\n", "expected a mapping at the top level"),
-        ("output_dir: out\nlanguages: {en: {corpus: c}}\n", "missing config key seed"),
-        ("seed: true\noutput_dir: out\nlanguages: {en: {corpus: c}}\n", "seed must be an integer"),
-        ("seed: 1\nlanguages: {en: {corpus: c}}\n", "missing config key output_dir"),
-        ("seed: 1\noutput_dir: out\n", "missing config key languages"),
-        ("seed: 1\noutput_dir: out\nlanguages: {}\n", "non-empty mapping"),
-        ("seed: 1\noutput_dir: out\nlanguages: {en: 5}\n", "languages.en must be a mapping"),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {en: {}}\n",
-            "missing config key languages.en.corpus",
-        ),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, real_queries: q}}\n",
-            "must be given together",
-        ),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, tokenizer: stemmer}}\n",
-            "tokenizer must be 'whitespace' or 'cjk-ngram'",
-        ),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: [a]}}\n",
-            "external_runs must map",
-        ),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {zz: {corpus: c}}\n",
-            "missing config key english_corpus",
-        ),
-        (
-            MINIMAL + "generation: 5\n",
-            "generation must be a mapping",
-        ),
-        (
-            MINIMAL + "sampling: {domain_ratio: {Gadgets: 1.0}}\n",
-            "sampling.domain_ratio",
-        ),
-        (
-            MINIMAL + "collection: {split_ratio: [0.5, 0.5]}\n",
-            "split_ratio must be a list of three numbers",
-        ),
-        (MINIMAL + "target_count: 40\n", "unknown config key target_count"),
-        (
-            "seed: 1\noutput_dir: out\nenglish_corpus: e\n"
-            "languages: {zz: {corpus: c, tokeniser: whitespace}}\n",
-            "unknown config key languages.zz.tokeniser",
-        ),
-        (
-            MINIMAL + "sampling: {target_count: many}\n",
-            "sampling.target_count must be an integer, got 'many'",
-        ),
-        (
-            MINIMAL + "sampling: {target_count: 40.7}\n",
-            "sampling.target_count must be an integer, got 40.7",
-        ),
-        (
-            MINIMAL + "sampling: {bucket_count: '12'}\n",
-            "sampling.bucket_count must be an integer, got '12'",
-        ),
-        (MINIMAL + "retrieval: {depth: .inf}\n", "retrieval.depth must be an integer, got inf"),
-        (
-            MINIMAL + "generation: {summarize_temperature: '0.7'}\n",
-            "generation.summarize_temperature must be a number, got '0.7'",
-        ),
-        (MINIMAL + "sampling: {target_cont: 40}\n", "unknown config key sampling.target_cont"),
-        (
-            MINIMAL + "generation: {summarise_temperature: 0.2}\n",
-            "unknown config key generation.summarise_temperature",
-        ),
-        (
-            MINIMAL + "collection: {split_ratio: [0.5, 0.5, 0.5]}\n",
-            "collection.split_ratio: split_ratio must sum to 1, got 1.5",
-        ),
-        (MINIMAL + "slice_real_by_partition: 'no'\n", "must be true or false"),
-        (
-            "seed: 1\noutput_dir: out\nenglish_corpus: e\nlanguages: {no: {corpus: c}}\n",
-            "mapping of code strings",
-        ),
-        (MINIMAL + "generation: {provider: moc}\n", "generation.provider must be 'mock' or"),
-        (
-            "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: {yes: a.run}}}\n",
-            "external_runs must map system id strings",
-        ),
-    ],
-)
+# (config text, the ConfigError it must raise)
+BAD_INPUT = [
+    ("- just\n- a list\n", "expected a mapping at the top level"),
+    ("output_dir: out\nlanguages: {en: {corpus: c}}\n", "missing config key seed"),
+    ("seed: true\noutput_dir: out\nlanguages: {en: {corpus: c}}\n", "seed must be an integer"),
+    ("seed: 1\nlanguages: {en: {corpus: c}}\n", "missing config key output_dir"),
+    ("seed: 1\noutput_dir: out\n", "missing config key languages"),
+    ("seed: 1\noutput_dir: out\nlanguages: {}\n", "non-empty mapping"),
+    ("seed: 1\noutput_dir: out\nlanguages: {en: 5}\n", "languages.en must be a mapping"),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {en: {}}\n",
+        "missing config key languages.en.corpus",
+    ),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, real_queries: q}}\n",
+        "must be given together",
+    ),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, tokenizer: stemmer}}\n",
+        "tokenizer must be 'whitespace' or 'cjk-ngram'",
+    ),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: [a]}}\n",
+        "external_runs must map",
+    ),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {zz: {corpus: c}}\n",
+        "missing config key english_corpus",
+    ),
+    (
+        MINIMAL + "generation: 5\n",
+        "generation must be a mapping",
+    ),
+    (
+        MINIMAL + "sampling: {domain_ratio: {Gadgets: 1.0}}\n",
+        "sampling.domain_ratio",
+    ),
+    (
+        MINIMAL + "collection: {split_ratio: [0.5, 0.5]}\n",
+        "split_ratio must be a list of three numbers",
+    ),
+    (MINIMAL + "target_count: 40\n", "unknown config key target_count"),
+    (
+        "seed: 1\noutput_dir: out\nenglish_corpus: e\n"
+        "languages: {zz: {corpus: c, tokeniser: whitespace}}\n",
+        "unknown config key languages.zz.tokeniser",
+    ),
+    (
+        MINIMAL + "sampling: {target_count: many}\n",
+        "sampling.target_count must be an integer, got 'many'",
+    ),
+    (
+        MINIMAL + "sampling: {target_count: 40.7}\n",
+        "sampling.target_count must be an integer, got 40.7",
+    ),
+    (
+        MINIMAL + "sampling: {bucket_count: '12'}\n",
+        "sampling.bucket_count must be an integer, got '12'",
+    ),
+    (MINIMAL + "retrieval: {depth: .inf}\n", "retrieval.depth must be an integer, got inf"),
+    (
+        MINIMAL + "generation: {summarize_temperature: '0.7'}\n",
+        "generation.summarize_temperature must be a number, got '0.7'",
+    ),
+    (MINIMAL + "sampling: {target_cont: 40}\n", "unknown config key sampling.target_cont"),
+    (
+        MINIMAL + "generation: {summarise_temperature: 0.2}\n",
+        "unknown config key generation.summarise_temperature",
+    ),
+    (
+        MINIMAL + "collection: {split_ratio: [0.5, 0.5, 0.5]}\n",
+        "collection.split_ratio: split_ratio must sum to 1, got 1.5",
+    ),
+    (MINIMAL + "slice_real_by_partition: 'no'\n", "must be true or false"),
+    (
+        "seed: 1\noutput_dir: out\nenglish_corpus: e\nlanguages: {no: {corpus: c}}\n",
+        "mapping of code strings",
+    ),
+    (MINIMAL + "generation: {provider: moc}\n", "generation.provider must be 'mock' or"),
+    (
+        "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: {yes: a.run}}}\n",
+        "external_runs must map system id strings",
+    ),
+]
+
+
+@pytest.mark.parametrize(("snippet", "message"), BAD_INPUT)
 def test_load_config_rejects_bad_input(tmp_path: Path, snippet: str, message: str) -> None:
     with pytest.raises(ConfigError, match=message):
         load_config(write_config(tmp_path, snippet))
@@ -283,9 +286,13 @@ def test_content_hash_is_pinned(tmp_path: Path) -> None:
             assert getattr(config, f.name) != f.default_factory(), f.name
 
 
-def test_readme_config_block_lists_every_key(tmp_path: Path) -> None:
+def readme_config_block() -> str:
     text = README.read_text(encoding="utf-8")
-    block = text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    return text.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_block_lists_every_key(tmp_path: Path) -> None:
+    block = readme_config_block()
     assert load_config(write_config(tmp_path, block)).target_count == 40
     raw = yaml.safe_load(block)
     listed = set()
@@ -301,6 +308,56 @@ def test_readme_config_block_lists_every_key(tmp_path: Path) -> None:
 def test_load_config_rejects_invalid_yaml(tmp_path: Path) -> None:
     with pytest.raises(ConfigError, match="invalid YAML"):
         load_config(write_config(tmp_path, "seed: [unclosed\n"))
+
+
+def test_config_is_parsed_with_libyaml_when_present() -> None:
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert config_module._LOADER is expected
+
+
+def loaded_with(
+    loader: type, path: Path, monkeypatch: pytest.MonkeyPatch
+) -> tuple[PipelineConfig, str] | str:
+    """The config at ``path`` and its hash, or the ConfigError text, under ``loader``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(config_module, "_LOADER", loader)
+        try:
+            config = load_config(path)
+        except ConfigError as exc:
+            return str(exc)
+        return config, config.content_hash()
+
+
+# Every input above, and YAML that neither loader can parse: libyaml words
+# its parse errors differently, and the message must not change with it.
+PARITY_INPUTS = [
+    pytest.param(TOY_CONFIG.read_text(encoding="utf-8"), True, id="toy"),
+    pytest.param(readme_config_block(), True, id="readme"),
+    pytest.param(EVERY_KEY, True, id="every-key"),
+    *(pytest.param(snippet, False, id=f"bad-{i}") for i, (snippet, _) in enumerate(BAD_INPUT)),
+    pytest.param("seed: 1\noutput_dir: out: deeper\n", False, id="malformed"),
+    pytest.param("seed: [unclosed\n", False, id="unclosed"),
+]
+LOADERS = [
+    pytest.param(yaml.SafeLoader, id="python"),
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="libyaml",
+        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML has no libyaml"),
+    ),
+]
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+@pytest.mark.parametrize(("text", "valid"), PARITY_INPUTS)
+def test_both_yaml_loaders_give_the_same_config(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, loader: type, text: str, valid: bool
+) -> None:
+    # loading opens no file the config names, so the toy text loads from here too
+    path = write_config(tmp_path, text)
+    reference = loaded_with(yaml.SafeLoader, path, monkeypatch)
+    assert isinstance(reference, tuple) is valid
+    assert loaded_with(loader, path, monkeypatch) == reference
 
 
 def test_make_generator_variants(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
@@ -524,6 +581,27 @@ def test_variations_of_one_article_share_its_summary(
     assert all(v3[doc_id] != v1[doc_id] for doc_id in v1)
 
 
+def test_generate_parses_each_corpus_file_once(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    config = load_config(toy_copy / "config.yaml")
+    for stage in ("ingest", "partition", "sample"):
+        run_stage(stage, config)
+    parsed: list[tuple[Path, str]] = []
+
+    def counting_ingest(path, language):
+        parsed.append((path, language))
+        return ingest_corpus(path, language)
+
+    monkeypatch.setattr("totsim.cli.ingest_corpus", counting_ingest)
+    run_stage("generate", config)
+    # the English corpus is both ``english_corpus`` and the ``en`` language
+    assert sorted(parsed) == [
+        (toy_copy / "corpus_en.jsonl", "en"),
+        (toy_copy / "corpus_zz.jsonl", "zz"),
+    ]
+
+
 def test_english_only_generate_makes_two_calls_per_entity(
     toy_copy: Path, monkeypatch: pytest.MonkeyPatch
 ) -> None:
@@ -651,6 +729,26 @@ def test_worker_count_change_reruns_nothing(pipeline_tree: Path) -> None:
     assert tree_state(out) == before
 
 
+def test_a_resume_hashes_the_config_once(
+    pipeline_tree: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    views: list[object] = []
+    view = config_module._view
+
+    def counting_view(obj, table, base):
+        if table is KEYS:
+            views.append(obj)
+        return view(obj, table, base)
+
+    monkeypatch.setattr(config_module, "_view", counting_view)
+    out = pipeline_tree / "out"
+    before = tree_state(out)
+    config = load_config(pipeline_tree / "config.yaml")
+    cmd_pipeline(config)
+    assert tree_state(out) == before
+    assert views == [config]
+
+
 @pytest.fixture
 def tree_copy(pipeline_tree: Path, tmp_path: Path) -> Path:
     """A disposable copy of the shared pipeline tree."""
@@ -690,6 +788,26 @@ def test_outputs_in_an_older_format_rerun_their_stage(tree_copy: Path) -> None:
         manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["schema_version"] == 2
     assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+
+
+def test_a_missing_nested_output_reruns_only_its_stage(
+    tree_copy: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    out = tree_copy / "out"
+    ranks = out / "search" / "zz" / "real" / "ranks.tsv"
+    original = ranks.read_bytes()
+    others = {
+        stage.directory: tree_state(out / stage.directory)
+        for name, stage in STAGES.items()
+        if name != "search"
+    }
+    ranks.unlink()
+    with caplog.at_level("INFO", logger="totsim.cli"):
+        assert main(["pipeline", "--config", str(tree_copy / "config.yaml")]) == 0
+    assert ranks.read_bytes() == original
+    assert {directory: tree_state(out / directory) for directory in others} == others
+    skipped = [r.message.split(":")[0] for r in caplog.records if "skipping" in r.message]
+    assert skipped == [stage for stage in STAGES if stage != "search"]
 
 
 def stage_files(stage_dir: Path) -> list[str]:
