@@ -512,6 +512,28 @@ def test_generate_bytes_are_pinned(pipeline_tree: Path) -> None:
     assert digests == GENERATE_DIGESTS
 
 
+# sha256 of each file correlate and select write, manifests included, taken
+# while evaluate still wrote one report file per query set and real slice.
+DECISION_DIGESTS = {
+    "correlate/manifest.json": "e74ffa43e8335710563690f9081f5c321d7f72db893361eccc96fbae58fbbd4b",
+    "correlate/zz.jsonl": "6ce22bd3cafc366646faec20b523f5060e4248aa631d95d23aa779251c5cdb5d",
+    "correlate/zz.txt": "1fe2bf3a1bcb58e6a9629860fce6a432143a8aa5437aceb854bf8ac30ed38879",
+    "select/en.json": "73c7c8f34da16b1628f3b7c0ee257bf3964402b421a5704dbaf2a5a5f5bc34ae",
+    "select/manifest.json": "e14a6d1732dbb8d1884d65ed2d187326a354a0d0463d80da8e0df64fdc61726d",
+    "select/zz.json": "14afc022dc911d1c2aa614cc0623f0b3167b6a08eaf7f779b88a338c230f3a42",
+}
+
+
+def test_correlate_and_select_bytes_are_pinned(pipeline_tree: Path) -> None:
+    out = pipeline_tree / "out"
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for stage in ("correlate", "select")
+        for path in sorted((out / stage).iterdir())
+    }
+    assert digests == DECISION_DIGESTS
+
+
 class CountingProvider(DeterministicMockProvider):
     """The mock backend, counting every request by temperature.
 
