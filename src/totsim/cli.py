@@ -136,8 +136,8 @@ def _ranks_path(config: PipelineConfig, code: str, set_name: str) -> Path:
     return _artifact(config, "search", code, set_name, "ranks.tsv")
 
 
-def _report_path(config: PipelineConfig, code: str, set_name: str) -> Path:
-    return _artifact(config, "evaluate", code, f"{set_name}.jsonl")
+def _pool_ranks_path(config: PipelineConfig, code: str, set_name: str) -> Path:
+    return _artifact(config, "evaluate", code, f"{set_name}.ranks.tsv")
 
 
 def _correlations_path(config: PipelineConfig, code: str) -> Path:
@@ -184,10 +184,6 @@ def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str
             variations = PromptVariation.for_partition(partition)
         for variation in variations:
             yield partition, variation, f"{partition.value}-{variation.value}"
-
-
-def _real_slice_name(partition: Partition) -> str:
-    return f"real-{partition.value}"
 
 
 def _read_partition_map(path: Path) -> dict[str, Partition]:
@@ -389,27 +385,13 @@ def _lexical_ranks(
     path = _existing(config, _ranks_path(config, code, set_name))
     ranks = read_rank_file(path)
     expected = sorted(qrels)
-    lexical = sorted(system.system_id for system in default_lexical_pool())
+    # the file of a set without queries is empty, so it names no system
+    lexical = sorted(system.system_id for system in default_lexical_pool()) if qrels else []
     if sorted(ranks) != lexical or any(sorted(by_query) != expected for by_query in ranks.values()):
         raise ConfigError(
             f"{path} does not cover this query set and system pool; run 'totsim search --force'"
         )
     return ranks
-
-
-def _write_reports(
-    path: Path, ranks: Mapping[str, Mapping[str, int]], query_ids: Sequence[str]
-) -> None:
-    """Score every system in ``ranks`` over ``query_ids`` into one report file."""
-    reports = (
-        evaluate_ranks(system_id, {query_id: by_query[query_id] for query_id in query_ids})
-        for system_id, by_query in sorted(ranks.items())
-    )
-    write_jsonl(path, (report.to_dict() for report in reports))
-
-
-def _read_reports(path: Path) -> list[MetricReport]:
-    return [MetricReport.from_dict(row) for row in read_jsonl(path)]
 
 
 def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
@@ -425,40 +407,16 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
             for system_id in sorted(entry.external_runs)
         }
         for set_name, qrels in sorted(sets.items()):
-            if not qrels:
-                logger.warning("%s/%s has no queries; skipping evaluation", entry.code, set_name)
-                continue
             ranks = _lexical_ranks(config, entry.code, set_name, qrels)
             for system_id, run in external.items():
                 ranks[system_id] = target_ranks(run, qrels)
-            _write_reports(_report_path(config, entry.code, set_name), ranks, sorted(qrels))
-            if set_name == "real" and entry.code != "en" and config.slice_real_by_partition:
-                _write_real_slices(config, entry.code, qrels, ranks)
+            write_rank_file(ranks, _pool_ranks_path(config, entry.code, set_name))
     return {}
 
 
-def _write_real_slices(
-    config: PipelineConfig,
-    code: str,
-    qrels: Mapping[str, str],
-    ranks: Mapping[str, Mapping[str, int]],
-) -> None:
-    """Report the real set once per partition, over the queries whose target is in it."""
-    partition_of = _read_partition_map(_existing(config, _partition_map_path(config, code)))
-    for partition in _partitions_for(code):
-        kept = [
-            query_id for query_id, doc_id in qrels.items()
-            if _real_partition(query_id, doc_id, partition_of) is partition
-        ]
-        if not kept:
-            logger.warning(
-                "%s: no real queries fall in the %s partition; correlation there "
-                "will fall back to the full real set",
-                code,
-                partition.value,
-            )
-            continue
-        _write_reports(_report_path(config, code, _real_slice_name(partition)), ranks, kept)
+def _pool_reports(ranks: Mapping[str, Mapping[str, int]]) -> list[MetricReport]:
+    """Each system's metric means over the queries of a rank table."""
+    return [evaluate_ranks(system_id, by_query) for system_id, by_query in sorted(ranks.items())]
 
 
 def _real_partition(
@@ -472,13 +430,37 @@ def _real_partition(
     return partition
 
 
-def _real_reports(config: PipelineConfig, code: str, partition: Partition) -> list[MetricReport]:
-    sliced_path = _report_path(config, code, _real_slice_name(partition))
-    if partition is not Partition.FULL and sliced_path.exists():
-        return _read_reports(sliced_path)
-    if partition is not Partition.FULL:
-        logger.warning("%s: using the full real set for the %s partition", code, partition.value)
-    return _read_reports(_existing(config, _report_path(config, code, "real")))
+def _real_slices(
+    config: PipelineConfig, code: str, qrels: Mapping[str, str]
+) -> dict[Partition, dict[str, dict[str, int]]]:
+    """The real set's pool ranks that each partition is correlated against.
+
+    With ``slice_real_by_partition``, a partition gets the real queries whose
+    target lies in it, or all of them where none does.
+    """
+    path = _existing(config, _pool_ranks_path(config, code, "real"))
+    ranks = read_rank_file(path)
+    if any(by_query.keys() != qrels.keys() for by_query in ranks.values()):
+        raise ConfigError(f"{path} does not cover the real qrels; run 'totsim evaluate --force'")
+    if code == "en" or not config.slice_real_by_partition:
+        return dict.fromkeys(_partitions_for(code), ranks)
+    partition_of = _read_partition_map(_existing(config, _partition_map_path(config, code)))
+    slices = {}
+    for partition in _partitions_for(code):
+        kept = [
+            query_id for query_id, doc_id in qrels.items()
+            if _real_partition(query_id, doc_id, partition_of) is partition
+        ]
+        if not kept:
+            logger.warning(
+                "%s: using the full real set for the %s partition", code, partition.value
+            )
+            kept = list(qrels)
+        slices[partition] = {
+            system_id: {query_id: by_query[query_id] for query_id in kept}
+            for system_id, by_query in ranks.items()
+        }
+    return slices
 
 
 def _correlation_row(
@@ -527,24 +509,27 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
                 "%s has no real query set; skipping correlation", entry.code
             )
             continue
-        real_reports = {
-            partition: _real_reports(config, entry.code, partition)
-            for partition in _partitions_for(entry.code)
-        }
+        slices = _real_slices(config, entry.code, load_qrels(entry.real_qrels))
+        real = {partition: _pool_reports(ranks) for partition, ranks in slices.items()}
         rows: list[dict] = []
         for partition, variation, set_name in _synthetic_sets(entry.code):
-            synthetic_path = _existing(config, _report_path(config, entry.code, set_name))
-            try:
-                result = correlate(real_reports[partition], _read_reports(synthetic_path))
-            except ConstantVectorError as exc:
+            synthetic = _pool_reports(
+                read_rank_file(_existing(config, _pool_ranks_path(config, entry.code, set_name)))
+            )
+            where = f"{entry.code}/{partition.value}/{variation.value}"
+            result = None
+            if not real[partition] or not synthetic:
+                side = "synthetic" if real[partition] else "real"
                 logger.warning(
-                    "%s/%s/%s: %s; its correlations are left undefined",
-                    entry.code,
-                    partition.value,
-                    variation.value,
-                    exc,
+                    "%s: the %s set has no queries; its correlations are left undefined",
+                    where,
+                    side,
                 )
-                result = None
+            else:
+                try:
+                    result = correlate(real[partition], synthetic)
+                except ConstantVectorError as exc:
+                    logger.warning("%s: %s; its correlations are left undefined", where, exc)
             rows.append(_correlation_row(partition, variation, result))
         write_jsonl(_correlations_path(config, entry.code), rows)
         atomic_write_text(stage_dir / f"{entry.code}.txt", _correlation_table(rows))
@@ -649,7 +634,9 @@ STAGES: dict[str, Stage] = {
     "index": Stage("index", _index, version=2),
     # 2: adds ``ranks.tsv`` beside each query set's run files.
     "search": Stage("search", _search, version=2),
-    "evaluate": Stage("evaluate", _evaluate),
+    # 2: one ``<set>.ranks.tsv`` per query set, the external runs included,
+    # in place of per-set metric reports.
+    "evaluate": Stage("evaluate", _evaluate, version=2),
     "correlate": Stage("correlate", _correlate),
     "select": Stage("select", _select),
     "assemble": Stage("collection", _assemble),

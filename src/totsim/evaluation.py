@@ -5,11 +5,12 @@ Every query has exactly one relevant document, which collapses NDCG to
 it is absent from the top k) and reciprocal rank to ``1 / rank``, so
 every metric is computed from target ranks alone: one rank-based core,
 :func:`evaluate_ranks`, serves both rankings held in memory and the rank
-files the search stage writes.  A pool of systems is scored on a real
-query set and on a synthetic one; for each metric the two sides' values
-are aligned by system id, Kendall's tau-b compares the system orderings
-those vectors induce and Pearson's r the values themselves, and the
-generation strategy with the best mean tau per partition wins.
+files the search and evaluate stages write.  A pool of systems is scored
+on a real query set and on a synthetic one; for each metric the two
+sides' values are aligned by system id, Kendall's tau-b compares the
+system orderings those vectors induce and Pearson's r the values
+themselves, and the generation strategy with the best mean tau per
+partition wins.
 """
 
 from __future__ import annotations
@@ -159,25 +160,6 @@ class MetricReport:
         if metric not in METRICS:
             raise EvaluationError(f"unknown metric {metric!r}")
         return getattr(self, metric)
-
-    def to_dict(self) -> dict:
-        return {
-            "system_id": self.system_id,
-            "ndcg_100": self.ndcg_100,
-            "ndcg_1000": self.ndcg_1000,
-            "mrr": self.mrr,
-            "query_count": self.query_count,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping) -> "MetricReport":
-        return cls(
-            system_id=raw["system_id"],
-            ndcg_100=raw["ndcg_100"],
-            ndcg_1000=raw["ndcg_1000"],
-            mrr=raw["mrr"],
-            query_count=raw["query_count"],
-        )
 
 
 def evaluate_ranks(system_id: str, ranks: Mapping[str, int]) -> MetricReport:

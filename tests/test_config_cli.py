@@ -17,8 +17,17 @@ import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
 from totsim.corpus import ingest_corpus
-from totsim.errors import ConfigError
-from totsim.evaluation import MetricReport, evaluate_pool, load_qrels, write_rank_file
+from totsim.errors import ConfigError, ConstantVectorError
+from totsim.evaluation import (
+    METRICS,
+    correlate,
+    evaluate_pool,
+    evaluate_ranks,
+    load_qrels,
+    read_rank_file,
+    target_ranks,
+    write_rank_file,
+)
 from totsim.generation import read_query_manifest
 from totsim.providers import (
     CannedResponseProvider,
@@ -640,8 +649,17 @@ def test_english_only_generate_makes_two_calls_per_entity(
 
 def test_pipeline_evaluates_and_correlates(pipeline_tree: Path) -> None:
     out = pipeline_tree / "out"
-    for name in ("real", "real-monolingual", "real-bilingual", "monolingual-V1", "bilingual-V4"):
-        assert (out / "evaluate" / "zz" / f"{name}.jsonl").exists()
+    # one pool rank table per query set, and nothing else
+    assert stage_files(out / "evaluate") == [
+        "en/full-V1.ranks.tsv",
+        "zz/bilingual-V1.ranks.tsv",
+        "zz/bilingual-V2.ranks.tsv",
+        "zz/bilingual-V3.ranks.tsv",
+        "zz/bilingual-V4.ranks.tsv",
+        "zz/monolingual-V1.ranks.tsv",
+        "zz/monolingual-V2.ranks.tsv",
+        "zz/real.ranks.tsv",
+    ]
     rows = [
         json.loads(line)
         for line in (out / "correlate" / "zz.jsonl").read_text(encoding="utf-8").splitlines()
@@ -810,6 +828,25 @@ def test_outputs_in_an_older_format_rerun_their_stage(tree_copy: Path) -> None:
         manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["schema_version"] == 2
     assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+    # evaluate as format 1 wrote it: one metric report per query set and real
+    # slice, no rank tables
+    evaluate = out / "evaluate"
+    tables = stage_files(evaluate)
+    manifest = json.loads((evaluate / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["schema_version"] == 2
+    reports = [name.replace(".ranks.tsv", ".jsonl") for name in tables]
+    reports += ["zz/real-bilingual.jsonl", "zz/real-monolingual.jsonl"]
+    write_json(evaluate / "manifest.json", {**manifest, "schema_version": 1, "outputs": reports})
+    for name in tables:
+        (evaluate / name).unlink()
+    for name in reports:
+        (evaluate / name).write_text("{}\n", encoding="utf-8")
+    decided = {**tree_state(out / "correlate"), **tree_state(out / "select")}
+    assert main(["pipeline", "--config", config_arg]) == 0
+    assert stage_files(evaluate) == tables
+    manifest = json.loads((evaluate / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["schema_version"] == 2
+    assert {**tree_state(out / "correlate"), **tree_state(out / "select")} == decided
 
 
 def test_a_missing_nested_output_reruns_only_its_stage(
@@ -863,14 +900,15 @@ def test_rerun_leaves_no_report_of_a_query_set_it_no_longer_writes(
     ):
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join(line for line in lines if line.split()[0] in kept), "utf-8")
-    assert (out / "evaluate" / "zz" / "real-monolingual.jsonl").exists()
+    tables = stage_files(out / "evaluate")
     config_arg = str(tree_copy / "config.yaml")
     with caplog.at_level("WARNING", logger="totsim.cli"):
         assert main(["evaluate", "--config", config_arg, "--force"]) == 0
         assert main(["correlate", "--config", config_arg, "--force"]) == 0
-    assert not (out / "evaluate" / "zz" / "real-monolingual.jsonl").exists()
-    assert recorded_outputs(out / "evaluate") == stage_files(out / "evaluate")
-    assert "zz: using the full real set for the monolingual partition" in caplog.text
+    assert stage_files(out / "evaluate") == tables
+    assert recorded_outputs(out / "evaluate") == tables
+    fallbacks = [r.getMessage() for r in caplog.records if "using the full real set" in r.getMessage()]
+    assert fallbacks == ["zz: using the full real set for the monolingual partition"]
 
 
 def test_a_failed_forced_rerun_leaves_its_stage_to_run_again(
@@ -931,31 +969,22 @@ def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: P
             for system_id in sorted(external)
         ]
 
-    # (language, report name) -> reports from the run files
-    expected_reports = {}
+    # (language, set name) -> qrels
+    sets = {}
     for path in out.glob("generate/*/*.jsonl"):
         records = read_query_manifest(path)
-        qrels = {r.query_id: r.target_doc_id for r in records if not r.discarded}
-        code, set_name = path.parent.name, path.stem
-        expected_reports[code, set_name] = evaluate_pool(pool(code, set_name, qrels), qrels)
-    real = load_qrels(pipeline_tree / "real_qrels_zz.txt")
-    real_runs = pool("zz", "real", real)
-    expected_reports["zz", "real"] = evaluate_pool(real_runs, real)
-    partition_of = dict(
-        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
-    )
-    for partition in ("monolingual", "bilingual"):
-        kept = {qid: doc for qid, doc in real.items() if partition_of[doc] == partition}
-        sliced = [
-            RunResult(run.system_id, {qid: run.rankings[qid] for qid in kept}) for run in real_runs
-        ]
-        expected_reports["zz", f"real-{partition}"] = evaluate_pool(sliced, kept)
-    written = out.glob("evaluate/*/*.jsonl")
-    assert sorted((path.parent.name, path.stem) for path in written) == sorted(expected_reports)
-    for (code, name), reports in expected_reports.items():
-        ordered = sorted(reports, key=lambda report: report.system_id)
-        text = "".join(dump_json(report.to_dict()) + "\n" for report in ordered)
-        assert (out / "evaluate" / code / f"{name}.jsonl").read_bytes() == text.encode("utf-8")
+        sets[path.parent.name, path.stem] = {
+            r.query_id: r.target_doc_id for r in records if not r.discarded
+        }
+    sets["zz", "real"] = load_qrels(pipeline_tree / "real_qrels_zz.txt")
+    written = out.glob("evaluate/*/*.ranks.tsv")
+    assert sorted((path.parent.name, path.name.split(".")[0]) for path in written) == sorted(sets)
+    for (code, set_name), qrels in sets.items():
+        runs = pool(code, set_name, qrels)
+        table = read_rank_file(out / "evaluate" / code / f"{set_name}.ranks.tsv")
+        assert table == {run.system_id: target_ranks(run, qrels) for run in runs}
+        reports = [evaluate_ranks(system_id, table[system_id]) for system_id in sorted(table)]
+        assert reports == sorted(evaluate_pool(runs, qrels), key=lambda r: r.system_id)
 
 
 def test_evaluate_reads_no_lexical_run_file(
@@ -1042,16 +1071,17 @@ def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:
         assert "summarize_temperature=0.9;generate_temperature=0.7" in row["provider_fingerprint"]
 
 
-def write_reports(path: Path, ndcg_100: list[float], mrr: list[float]) -> None:
-    write_jsonl(
-        path,
-        (
-            MetricReport(
-                system_id=f"s{i}", ndcg_100=n, ndcg_1000=n, mrr=m, query_count=4
-            ).to_dict()
-            for i, (n, m) in enumerate(zip(ndcg_100, mrr))
-        ),
-    )
+def write_pool_ranks(toy: Path, set_name: str, system_ranks: list[int]) -> None:
+    """An ``evaluate`` rank table in which system ``s<i>`` puts every target at ``system_ranks[i]``.
+
+    The real set's table covers the real qrels; a synthetic one, two queries.
+    """
+    if set_name == "real":
+        query_ids = list(load_qrels(toy / "real_qrels_zz.txt"))
+    else:
+        query_ids = ["q1", "q2"]
+    ranks = {f"s{i}": dict.fromkeys(query_ids, rank) for i, rank in enumerate(system_ranks)}
+    write_rank_file(ranks, toy / "out" / "evaluate" / "zz" / f"{set_name}.ranks.tsv")
 
 
 def test_constant_metric_vector_leaves_its_row_undefined(
@@ -1060,15 +1090,16 @@ def test_constant_metric_vector_leaves_its_row_undefined(
     toy = tmp_path / "toy"
     shutil.copytree(TOY_DIR, toy)
     config_arg = str(toy / "config.yaml")
-    evaluate_dir = toy / "out" / "evaluate" / "zz"
-    rising = [0.1, 0.2, 0.3]
-    write_reports(evaluate_dir / "real.jsonl", rising, rising)
-    # every monolingual variation and bilingual-V1 rank the pool as one tie
+    assert main(["partition", "--config", config_arg]) == 0
+    rising = [3, 2, 1]
+    write_pool_ranks(toy, "real", rising)
+    # every monolingual variation and bilingual-V1 rank the pool as one tie on
+    # NDCG@100: no target is in the top 100
     for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1"):
-        write_reports(evaluate_dir / f"{name}.jsonl", [0.5, 0.5, 0.5], rising)
-    write_reports(evaluate_dir / "bilingual-V2.jsonl", rising, rising)
+        write_pool_ranks(toy, name, [400, 300, 200])
+    write_pool_ranks(toy, "bilingual-V2", rising)
     for name in ("bilingual-V3", "bilingual-V4"):
-        write_reports(evaluate_dir / f"{name}.jsonl", rising[::-1], rising[::-1])
+        write_pool_ranks(toy, name, rising[::-1])
     assert main(["correlate", "--config", config_arg]) == 0
     correlations = toy / "out" / "correlate" / "zz.jsonl"
     rows = [json.loads(line) for line in correlations.read_text(encoding="utf-8").splitlines()]
@@ -1123,10 +1154,171 @@ def test_correlate_still_fails_on_mismatched_pools(
 ) -> None:
     toy = tmp_path / "toy"
     shutil.copytree(TOY_DIR, toy)
-    evaluate_dir = toy / "out" / "evaluate" / "zz"
-    write_reports(evaluate_dir / "real.jsonl", [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
+    assert main(["partition", "--config", str(toy / "config.yaml")]) == 0
+    write_pool_ranks(toy, "real", [3, 2, 1])
     for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1", "bilingual-V2",
                  "bilingual-V3", "bilingual-V4"):
-        write_reports(evaluate_dir / f"{name}.jsonl", [0.1, 0.2], [0.1, 0.2])
+        write_pool_ranks(toy, name, [2, 1])
     assert main(["correlate", "--config", str(toy / "config.yaml")]) == 1
     assert "different systems" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("emptied", ["bilingual-V4", "real"])
+def test_a_query_set_without_queries_leaves_its_rows_undefined(
+    tree_copy: Path, caplog: pytest.LogCaptureFixture, emptied: str
+) -> None:
+    out = tree_copy / "out"
+    if emptied == "real":
+        (tree_copy / "real_qrels_zz.txt").write_text("", encoding="utf-8")
+        undefined = [
+            ("monolingual", "V1"),
+            ("monolingual", "V2"),
+            ("bilingual", "V1"),
+            ("bilingual", "V2"),
+            ("bilingual", "V3"),
+            ("bilingual", "V4"),
+        ]
+    else:
+        path = out / "generate" / "zz" / f"{emptied}.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        path.write_text(
+            "".join(dump_json({**row, "discarded": True}) + "\n" for row in rows), encoding="utf-8"
+        )
+        undefined = [("bilingual", "V4")]
+    config_arg = str(tree_copy / "config.yaml")
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        for stage in ("search", "evaluate", "correlate", "select"):
+            assert main([stage, "--config", config_arg, "--force"]) == 0, stage
+    assert (out / "evaluate" / "zz" / f"{emptied}.ranks.tsv").read_bytes() == b""
+    correlations = out / "correlate" / "zz.jsonl"
+    rows = [json.loads(line) for line in correlations.read_text(encoding="utf-8").splitlines()]
+    assert [(row["partition"], row["variation"]) for row in rows if row["mean_tau"] is None] == (
+        undefined
+    )
+    side = "real" if emptied == "real" else "synthetic"
+    warned = [
+        r.getMessage().split(":")[0]
+        for r in caplog.records
+        if f"the {side} set has no queries" in r.getMessage()
+    ]
+    assert warned == [f"zz/{partition}/{variation}" for partition, variation in undefined]
+    choice = json.loads((out / "select" / "zz.json").read_text(encoding="utf-8"))
+    assert choice == {"monolingual": "V1", "bilingual": "V1"}
+
+
+def correlation_fields(real: list, synthetic: list) -> dict:
+    """A ``correlate/<lang>.jsonl`` row's correlations for two pools' reports."""
+    try:
+        result = correlate(real, synthetic)
+    except ConstantVectorError:
+        result = None
+    fields = {}
+    for metric in METRICS:
+        for kind in ("tau", "pearson"):
+            fields[f"{metric}_{kind}"] = getattr(result.per_metric[metric], kind) if result else None
+    fields["mean_tau"] = result.mean_tau if result else None
+    fields["mean_pearson"] = result.mean_pearson if result else None
+    return fields
+
+
+def test_correlate_slices_the_real_set_by_partition(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tree_copy / "out"
+    config_path = tree_copy / "config.yaml"
+    config_text = config_path.read_text(encoding="utf-8")
+    config = load_config(config_path)
+    partition_of = dict(
+        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
+    )
+    real = load_qrels(tree_copy / "real_qrels_zz.txt")
+    slices = {
+        partition: [qid for qid, doc_id in real.items() if partition_of[doc_id] == partition]
+        for partition in ("monolingual", "bilingual")
+    }
+    assert all(slices.values())
+    lexical = sorted(system.system_id for system in default_lexical_pool())
+
+    def rank(i: int, doc_id: str) -> int:
+        # monolingual targets: every lexical system finds them, in id order;
+        # bilingual ones: only every third system does
+        if partition_of[doc_id] == "monolingual":
+            return i + 1
+        return i + 2 if i % 3 == 0 else 0
+
+    write_rank_file(
+        {
+            system_id: {qid: rank(i, doc_id) for qid, doc_id in real.items()}
+            for i, system_id in enumerate(lexical)
+        },
+        out / "search" / "zz" / "real" / "ranks.tsv",
+    )
+
+    def pool_reports(set_name: str, qrels: dict[str, str], query_ids: list[str]) -> list:
+        ranks = read_rank_file(out / "search" / "zz" / set_name / "ranks.tsv")
+        for system_id, path in config.language("zz").external_runs.items():
+            run = load_external_run(path, qrels, config.depth, system_id)
+            ranks[system_id] = target_ranks(run, qrels)
+        return [
+            evaluate_ranks(system_id, {qid: by_query[qid] for qid in query_ids})
+            for system_id, by_query in sorted(ranks.items())
+        ]
+
+    synthetic = {}
+    for path in sorted(out.glob("generate/zz/*.jsonl")):
+        qrels = {r.query_id: r.target_doc_id for r in read_query_manifest(path) if not r.discarded}
+        synthetic[path.stem] = pool_reports(path.stem, qrels, sorted(qrels))
+
+    def expected_rows(real_ids: dict[str, list[str]]) -> dict[str, dict]:
+        return {
+            name: correlation_fields(
+                pool_reports("real", real, real_ids[name.split("-")[0]]), reports
+            )
+            for name, reports in synthetic.items()
+        }
+
+    def written_rows() -> dict[str, dict]:
+        rows = [
+            json.loads(line)
+            for line in (out / "correlate" / "zz.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        return {f"{row.pop('partition')}-{row.pop('variation')}": row for row in rows}
+
+    sliced = expected_rows(slices)
+    full = expected_rows({partition: list(real) for partition in slices})
+    # the slices order the pool differently, from each other and from the full set
+    assert sliced["monolingual-V1"] != sliced["bilingual-V1"]
+    assert all(sliced[name] != full[name] for name in synthetic)
+    for slice_real, expected in ((True, sliced), (False, full)):
+        config_path.write_text(
+            config_text + f"slice_real_by_partition: {str(slice_real).lower()}\n", encoding="utf-8"
+        )
+        for stage in ("evaluate", "correlate"):
+            assert main([stage, "--config", str(config_path), "--force"]) == 0
+        assert written_rows() == expected, slice_real
+    # with slicing on, a real target outside the partition map is an error
+    config_path.write_text(config_text, encoding="utf-8")
+    qrels_path = tree_copy / "real_qrels_zz.txt"
+    lines = qrels_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    query_id = lines[0].split()[0]
+    lines[0] = f"{query_id} 0 zz9999 1\n"
+    qrels_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    codes = [
+        main([stage, "--config", str(config_path), "--force"]) for stage in ("evaluate", "correlate")
+    ]
+    assert 1 in codes
+    err = capsys.readouterr().err
+    assert f"real query {query_id} targets zz9999, which is not in the partition map" in err
+
+
+def test_correlate_refuses_a_real_table_built_from_other_qrels(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    qrels = tree_copy / "real_qrels_zz.txt"
+    lines = qrels.read_text(encoding="utf-8").splitlines(keepends=True)
+    qrels.write_text("".join(lines[1:]), encoding="utf-8")
+    assert main(["correlate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "real.ranks.tsv does not cover the real qrels" in err
+    assert "run 'totsim evaluate --force'" in err

@@ -121,3 +121,48 @@ def test_every_imported_name_is_read(module_name: str) -> None:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
+def names_read(node: ast.AST, skip: ast.AST) -> set[str]:
+    """Every name ``node`` loads or reads as an attribute, outside ``skip``."""
+    read: set[str] = set()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current is skip:
+            continue
+        if isinstance(current, ast.Name) and isinstance(current.ctx, ast.Load):
+            read.add(current.id)
+        elif isinstance(current, ast.Attribute):
+            read.add(current.attr)
+        stack.extend(ast.iter_child_nodes(current))
+    return read
+
+
+def test_every_private_module_name_is_read() -> None:
+    # A private function, class or constant at module level that nothing in
+    # the package reads, apart from its own definition, is dead code.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(totsim.__file__).parent.glob("*.py"))
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [
+                    name.id
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            else:
+                continue
+            for name in defined:
+                private = name.startswith("_") and not name.startswith("__")
+                if private and not any(name in names_read(other, node) for other in trees.values()):
+                    unread.append(f"{module}:{name}")
+    assert unread == []
