@@ -907,7 +907,9 @@ def test_rerun_leaves_no_report_of_a_query_set_it_no_longer_writes(
         assert main(["correlate", "--config", config_arg, "--force"]) == 0
     assert stage_files(out / "evaluate") == tables
     assert recorded_outputs(out / "evaluate") == tables
-    fallbacks = [r.getMessage() for r in caplog.records if "using the full real set" in r.getMessage()]
+    fallbacks = [
+        r.getMessage() for r in caplog.records if "using the full real set" in r.getMessage()
+    ]
     assert fallbacks == ["zz: using the full real set for the monolingual partition"]
 
 
@@ -1215,7 +1217,8 @@ def correlation_fields(real: list, synthetic: list) -> dict:
     fields = {}
     for metric in METRICS:
         for kind in ("tau", "pearson"):
-            fields[f"{metric}_{kind}"] = getattr(result.per_metric[metric], kind) if result else None
+            value = getattr(result.per_metric[metric], kind) if result else None
+            fields[f"{metric}_{kind}"] = value
     fields["mean_tau"] = result.mean_tau if result else None
     fields["mean_pearson"] = result.mean_pearson if result else None
     return fields
@@ -1305,7 +1308,8 @@ def test_correlate_slices_the_real_set_by_partition(
     qrels_path.write_text("".join(lines), encoding="utf-8")
     capsys.readouterr()
     codes = [
-        main([stage, "--config", str(config_path), "--force"]) for stage in ("evaluate", "correlate")
+        main([stage, "--config", str(config_path), "--force"])
+        for stage in ("evaluate", "correlate")
     ]
     assert 1 in codes
     err = capsys.readouterr().err
