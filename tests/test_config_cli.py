@@ -497,6 +497,23 @@ def test_search_bytes_are_pinned(pipeline_tree: Path) -> None:
     assert digests == SEARCH_DIGESTS
 
 
+# sha256 of each index/<lang>.npz, taken from the per-language build that
+# first wrote format v2. Building the indexes another way must keep them.
+INDEX_DIGESTS = {
+    "en.npz": "4aa9deed79bca8a2bd439f3332e209ab5e53b744e3c747f51c4104d4f5163939",
+    "zz.npz": "785db4fab8e4b48f6e6c988b521326694e6234848cc253d84f40247ade817f03",
+}
+
+
+def test_index_bytes_are_pinned(pipeline_tree: Path) -> None:
+    index = pipeline_tree / "out" / "index"
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(index.glob("*.npz"))
+    }
+    assert digests == INDEX_DIGESTS
+
+
 # sha256 of each generate/<lang>/<set>.jsonl, taken when every variation
 # still sent its own summarize request.
 GENERATE_DIGESTS = {
