@@ -304,51 +304,57 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
     templates = TemplateSet.load(config.templates_dir)
     generator = config.make_generator()
     translator = config.make_translator()
-    english = _load_english(config)
-    counts: dict[str, dict[str, int]] = {}
-    # one memo for the whole run: V1/V2 (and V3/V4, and English full-V1)
-    # ask for the same summaries
-    summaries: dict[str, str] = {}
-    for entry in config.languages:
-        if (entry.code, entry.corpus) == ("en", config.english_corpus):
-            corpus = english  # the same file, parsed once
-        else:
-            corpus = _load_corpus(config, entry.code)
-        candidates = {
-            partition: read_candidate_manifest(
-                _existing(config, _sample_path(config, entry.code, partition))
-            )
-            for partition in _partitions_for(entry.code)
-        }
-        for partition, variation, set_name in _synthetic_sets(entry.code):
-            records = generate_batch(
-                candidates[partition],
-                variation,
-                corpus,
-                english,
-                generator,
-                templates,
-                translator=translator,
-                char_budget=config.char_budget,
-                summarize_temperature=config.summarize_temperature,
-                generate_temperature=config.generate_temperature,
-                workers=config.workers,
-                summaries=summaries,
-            )
-            write_query_manifest(_generate_path(config, entry.code, set_name), records)
-            discarded = sum(1 for r in records if r.discarded)
-            counts[f"{entry.code}/{set_name}"] = {
-                "accepted": len(records) - discarded,
-                "discarded": discarded,
+    try:
+        english = _load_english(config)
+        counts: dict[str, dict[str, int]] = {}
+        # one memo for the whole run: V1/V2 (and V3/V4, and English full-V1)
+        # ask for the same summaries
+        summaries: dict[str, str] = {}
+        for entry in config.languages:
+            if (entry.code, entry.corpus) == ("en", config.english_corpus):
+                corpus = english  # the same file, parsed once
+            else:
+                corpus = _load_corpus(config, entry.code)
+            candidates = {
+                partition: read_candidate_manifest(
+                    _existing(config, _sample_path(config, entry.code, partition))
+                )
+                for partition in _partitions_for(entry.code)
             }
-    entities = sum(sum(c.values()) for c in counts.values())
-    logger.info(
-        "generate: sent %d summarize requests for %d entities, reused %d summaries",
-        len(summaries),
-        entities,
-        entities - len(summaries),
-    )
-    return {"generation_counts": counts}
+            for partition, variation, set_name in _synthetic_sets(entry.code):
+                records = generate_batch(
+                    candidates[partition],
+                    variation,
+                    corpus,
+                    english,
+                    generator,
+                    templates,
+                    translator=translator,
+                    char_budget=config.char_budget,
+                    summarize_temperature=config.summarize_temperature,
+                    generate_temperature=config.generate_temperature,
+                    workers=config.workers,
+                    summaries=summaries,
+                )
+                write_query_manifest(_generate_path(config, entry.code, set_name), records)
+                discarded = sum(1 for r in records if r.discarded)
+                counts[f"{entry.code}/{set_name}"] = {
+                    "accepted": len(records) - discarded,
+                    "discarded": discarded,
+                }
+        entities = sum(sum(c.values()) for c in counts.values())
+        logger.info(
+            "generate: sent %d summarize requests for %d entities, reused %d summaries",
+            len(summaries),
+            entities,
+            entities - len(summaries),
+        )
+        return {"generation_counts": counts}
+    finally:
+        # an HTTP backend's sessions close whether the stage succeeds or fails
+        for backend in (generator, translator):
+            if hasattr(backend, "close"):
+                backend.close()
 
 
 def _index(config: PipelineConfig, stage_dir: Path) -> dict:

@@ -154,6 +154,13 @@ def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
     return read
 
 
+def _count(key: str, value: Any, base: Path) -> int:
+    number = _INT.read(key, value, base)
+    if number < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value!r}")
+    return number
+
+
 def _choice(*options: str) -> Callable[[str, Any, Path], str]:
     def read(key: str, value: Any, base: Path) -> str:
         if value not in options:
@@ -216,6 +223,7 @@ def _languages(key: str, value: Any, base: Path) -> tuple[LanguageConfig, ...]:
 Table = Mapping[str, tuple[str, Kind]]  # dotted key -> (field it sets, kind of value)
 
 _INT = Kind(_scalar(int, "an integer"))
+_COUNT = Kind(_count)
 _NUMBER = Kind(_scalar(float, "a number"))
 _TEXT = Kind(_scalar(str, "a string"))
 _INPUT = Kind(_path, _relative, lambda path: [path])
@@ -242,7 +250,7 @@ KEYS: Table = {
     "seed": ("seed", _INT),
     # Neither where the outputs land nor how many workers write them is hashed.
     "output_dir": ("output_dir", Kind(_path, show=None)),
-    "workers": ("workers", Kind(_INT.read, show=None)),
+    "workers": ("workers", Kind(_count, show=None)),
     "english_corpus": ("english_corpus", _INPUT),
     "languages": ("languages", _LANGUAGES),
     "domain_mapping": ("domain_mapping", _INPUT),
@@ -257,12 +265,12 @@ KEYS: Table = {
     "generation.provider": ("generation_provider", Kind(_choice("mock", "canned", "http"))),
     "generation.model": ("generation_model", _TEXT),
     "generation.canned_path": ("canned_path", _INPUT),
-    "generation.char_budget": ("char_budget", _INT),
+    "generation.char_budget": ("char_budget", _COUNT),
     "generation.summarize_temperature": ("summarize_temperature", _NUMBER),
     "generation.generate_temperature": ("generate_temperature", _NUMBER),
     "translation.provider": ("translation_provider", Kind(_choice("identity", "mapping", "http"))),
     "translation.mapping_path": ("translation_mapping_path", _INPUT),
-    "retrieval.depth": ("depth", _INT),
+    "retrieval.depth": ("depth", _COUNT),
     "collection.split_ratio": ("split_ratio", Kind(_split_ratio)),
 }
 
@@ -333,4 +341,6 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     config = PipelineConfig(**settings, base_dir=path.parent)
     if config.english_corpus is None and any(e.code != "en" for e in config.languages):
         raise ConfigError("missing config key english_corpus (needed for non-English languages)")
+    if "http" in (config.generation_provider, config.translation_provider):
+        providers.require_http_client()  # before any stage runs, not when generate starts
     return config

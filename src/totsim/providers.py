@@ -8,24 +8,28 @@ tests and desk-scale runs.  A backend is anything with a ``name`` and a
 
 Credentials are never read from configuration files.  The HTTP backend
 takes its endpoint and key from the environment (``TOTSIM_ENDPOINT`` and
-``TOTSIM_API_KEY``) unless passed explicitly.
+``TOTSIM_API_KEY``) unless passed explicitly.  It alone imports ``requests``,
+when it is built, so runs that never call it never load an HTTP client.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import logging
 import os
 import random
+import threading
 import time
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence, runtime_checkable
-
-import requests
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
 
 from .errors import ConfigError, ProviderError
 from .util import read_json
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -40,6 +44,7 @@ __all__ = [
     "MappingTranslator",
     "ChatTranslator",
     "request_hash",
+    "require_http_client",
     "ENDPOINT_ENV",
     "API_KEY_ENV",
     "MAX_RETRY_AFTER_S",
@@ -50,6 +55,7 @@ API_KEY_ENV = "TOTSIM_API_KEY"
 # The longest wait a ``Retry-After`` header may ask for; a longer one fails
 # the call instead of stalling a worker for it.
 MAX_RETRY_AFTER_S = 60
+_NO_HTTP_CLIENT = "provider 'http' needs the 'requests' package, which is not installed"
 
 
 @runtime_checkable
@@ -74,15 +80,28 @@ def request_hash(prompt: str, temperature: float) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def require_http_client() -> None:
+    """Fail unless ``requests`` is installed; finds the package without loading it."""
+    if importlib.util.find_spec("requests") is None:
+        raise ConfigError(_NO_HTTP_CLIENT)
+
+
 class HttpChatProvider:
     """Chat-completion backend over a JSON HTTP API.
 
     Sends ``{"model", "messages", "temperature"}`` and expects the reply
     text at ``choices[0].message.content``.  Transient failures (network
     errors, 5xx and 429 rate limits) retry after the numeric
-    ``Retry-After`` the response gives, or else with exponential backoff;
-    a ``Retry-After`` above :data:`MAX_RETRY_AFTER_S` and other client
-    errors fail immediately.
+    ``Retry-After`` the response gives, or else after a uniform draw in
+    ``[0, backoff * 2**attempt]`` (full jitter, so workers that failed
+    together do not retry together); a ``Retry-After`` above
+    :data:`MAX_RETRY_AFTER_S` and other client errors fail immediately.
+
+    Each call borrows an idle ``requests.Session``, or opens one when none
+    is idle, and hands it back after: concurrent callers never share a
+    session, and no more are opened than ever ran at once.  Their
+    connections stay open for the next call until :meth:`close`, which
+    must not run while a call is in flight.
     """
 
     def __init__(
@@ -94,6 +113,11 @@ class HttpChatProvider:
         max_retries: int = 3,
         backoff: float = 1.0,
     ):
+        try:
+            import requests
+        except ImportError as exc:
+            raise ConfigError(_NO_HTTP_CLIENT) from exc
+        self._requests = requests
         self.name = model
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         if not self.endpoint:
@@ -102,8 +126,26 @@ class HttpChatProvider:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
+        self._idle: list[requests.Session] = []
+        self._lock = threading.Lock()
 
     def complete(self, prompt: str, temperature: float) -> str:
+        with self._lock:
+            session = self._idle.pop() if self._idle else self._requests.Session()
+        try:
+            return self._complete(session, prompt, temperature)
+        finally:
+            with self._lock:
+                self._idle.append(session)
+
+    def close(self) -> None:
+        """Close every session this backend opened."""
+        with self._lock:
+            sessions, self._idle = self._idle, []
+        for session in sessions:
+            session.close()
+
+    def _complete(self, session: requests.Session, prompt: str, temperature: float) -> str:
         payload = {
             "model": self.name,
             "messages": [{"role": "user", "content": prompt}],
@@ -116,10 +158,10 @@ class HttpChatProvider:
         for attempt in range(self.max_retries):
             retry_after = ""
             try:
-                response = requests.post(
+                response = session.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.timeout
                 )
-            except requests.RequestException as exc:
+            except self._requests.RequestException as exc:
                 last_error = exc
             else:
                 status = response.status_code
@@ -135,8 +177,10 @@ class HttpChatProvider:
                         f"{last_error}: asked to wait {retry_after}s, over {MAX_RETRY_AFTER_S}s"
                     )
             if attempt + 1 < self.max_retries:
-                backoff = self.backoff * (2**attempt)
-                delay = float(retry_after) if retry_after.isdecimal() else backoff
+                if retry_after.isdecimal():
+                    delay = float(retry_after)
+                else:
+                    delay = random.uniform(0.0, self.backoff * (2**attempt))
                 logger.warning(
                     "%s: attempt %d failed (%s); retrying in %.1fs",
                     self.name,
@@ -261,6 +305,11 @@ class ChatTranslator:
     def __init__(self, provider: ChatProvider):
         self.provider = provider
         self.name = f"translate-{provider.name}"
+
+    def close(self) -> None:
+        """Close what the chat backend holds open, if it holds anything."""
+        if hasattr(self.provider, "close"):
+            self.provider.close()
 
     def translate(self, text: str, target_language: str) -> str:
         prompt = (

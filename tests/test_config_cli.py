@@ -186,6 +186,14 @@ BAD_INPUT = [
         "sampling.bucket_count must be an integer, got '12'",
     ),
     (MINIMAL + "retrieval: {depth: .inf}\n", "retrieval.depth must be an integer, got inf"),
+    (MINIMAL + "retrieval: {depth: -1}\n", "retrieval.depth must be at least 1, got -1"),
+    (MINIMAL + "retrieval: {depth: 0}\n", "retrieval.depth must be at least 1, got 0"),
+    (MINIMAL + "workers: 0\n", "workers must be at least 1, got 0"),
+    (MINIMAL + "workers: 2.5\n", "workers must be an integer, got 2.5"),
+    (
+        MINIMAL + "generation: {char_budget: 0}\n",
+        "generation.char_budget must be at least 1, got 0",
+    ),
     (
         MINIMAL + "generation: {summarize_temperature: '0.7'}\n",
         "generation.summarize_temperature must be a number, got '0.7'",
@@ -743,6 +751,15 @@ def test_malformed_config_value_reports_error(
     err = capsys.readouterr().err
     assert "error: ingest: sampling.target_count must be an integer" in err
     assert "Traceback" not in err
+
+
+def test_a_worker_count_below_one_is_refused(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config = write_config(tmp_path, MINIMAL)
+    assert main(["ingest", "--config", str(config), "--workers", "-3"]) == 1
+    assert "error: ingest: workers must be at least 1, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override_changes_sample_output(tmp_path: Path) -> None:

@@ -577,9 +577,11 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
 
 def test_importing_the_cli_does_not_load_numpy() -> None:
     # numpy and orjson are loaded by the index, search and run-writing code
-    # paths only, so stages that never index or search keep their footprint.
+    # paths only, and requests (with urllib3) by the HTTP backend only, so
+    # stages that never index, search or call a hosted model keep their footprint.
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys; import totsim.cli; print({'numpy', 'orjson'} & set(sys.modules))"
+    heavy = {"numpy", "orjson", "requests", "urllib3"}
+    code = f"import sys; import totsim.cli; print({heavy!r} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,

@@ -8,6 +8,7 @@ import importlib
 import json
 import pkgutil
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
@@ -121,6 +122,54 @@ def test_every_imported_name_is_read(module_name: str) -> None:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
+# Each is loaded only by the code path that needs it, so a module that
+# imports one at load time puts it into every totsim process.
+HEAVY_MODULES = {"numpy", "orjson", "requests"}
+
+
+def load_time_imports(nodes: Iterable[ast.AST]) -> set[str]:
+    """The top-level packages ``nodes`` import when their module loads.
+
+    Function bodies run later, and an ``if TYPE_CHECKING:`` body never runs.
+    """
+    found: set[str] = set()
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING",
+            "typing.TYPE_CHECKING",
+        ):
+            found |= load_time_imports(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        found |= load_time_imports(ast.iter_child_nodes(node))
+    return found
+
+
+def test_load_time_imports_skips_functions_and_type_checking() -> None:
+    tree = ast.parse(
+        "import numpy.linalg as la\n"
+        "from . import util\n"
+        "if TYPE_CHECKING:\n    import orjson\nelse:\n    import yaml\n"
+        "try:\n    from requests import Session\nexcept ImportError:\n    pass\n"
+        "def f():\n    import zipfile\n"
+        "class C:\n    import json\n"
+    )
+    assert load_time_imports(tree.body) == {"numpy", "yaml", "requests", "json"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(totsim.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_no_heavy_package_is_imported_at_load(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert sorted(load_time_imports(tree.body) & HEAVY_MODULES) == []
 
 
 def names_read(node: ast.AST, skip: ast.AST) -> set[str]:
