@@ -59,7 +59,6 @@ from .evaluation import (
     load_qrels,
     read_rank_file,
     select_best_strategy,
-    target_ranks,
     write_rank_file,
 )
 from .generation import (
@@ -227,12 +226,9 @@ def _query_sets(
 
 
 def _ingest(config: PipelineConfig, stage_dir: Path) -> dict:
-    counts: dict[str, int] = {}
-    for entry in config.languages:
-        corpus = ingest_corpus(entry.corpus, entry.code)
-        counts[entry.code] = len(corpus)
+    counts = {entry.code: len(_load_corpus(config, entry.code)) for entry in config.languages}
     if config.english_corpus is not None and "en" not in counts:
-        counts["en"] = len(ingest_corpus(config.english_corpus, "en"))
+        counts["en"] = len(_load_english(config))
     return {"document_counts": counts}
 
 
@@ -242,8 +238,6 @@ def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         if entry.code == "en":
             continue
-        if english is None:
-            raise ConfigError("missing config key english_corpus (needed for partitioning)")
         corpus = _load_corpus(config, entry.code)
         mapping = partition_corpus(corpus, english)
         atomic_write_text(
@@ -415,7 +409,7 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
         for set_name, qrels in sorted(sets.items()):
             ranks = _lexical_ranks(config, entry.code, set_name, qrels)
             for system_id, run in external.items():
-                ranks[system_id] = target_ranks(run, qrels)
+                ranks[system_id] = run.target_ranks(qrels)
             write_rank_file(ranks, _pool_ranks_path(config, entry.code, set_name))
     return {}
 
@@ -494,16 +488,13 @@ def _result_from_row(row: Mapping) -> CorrelationResult:
 
 
 def _correlation_table(rows: Sequence[dict]) -> str:
-    headers = ["partition", "variation"]
-    for metric in METRICS:
-        headers.extend([f"{metric}_tau", f"{metric}_r"])
-    headers.extend(["mean_tau", "mean_r"])
-    lines = ["\t".join(headers)]
+    """The rows, columns in row order, as a tab-separated table; ``pearson`` heads as ``r``."""
+    lines = ["\t".join(key.replace("_pearson", "_r") for key in rows[0])]
     for row in rows:
-        values = [row[f"{metric}_{kind}"] for metric in METRICS for kind in ("tau", "pearson")]
-        values.extend([row["mean_tau"], row["mean_pearson"]])
-        cells = [row["partition"], row["variation"]]
-        cells.extend(f"{float('nan') if value is None else value:.4f}" for value in values)
+        cells = (
+            value if isinstance(value, str) else f"{float('nan') if value is None else value:.4f}"
+            for value in row.values()
+        )
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -542,47 +533,38 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
     return {}
 
 
-def _selected_variations(config: PipelineConfig, code: str) -> dict[Partition, str]:
-    """The best variation per partition among defined correlations; V1 where none is."""
-    results = {
-        (Partition(row["partition"]), row["variation"]): _result_from_row(row)
-        for row in read_jsonl(_existing(config, _correlations_path(config, code)))
-        if row["mean_tau"] is not None
-    }
-    selected = select_best_strategy(results) if results else {}
-    for partition, winner in selected.items():
-        best = results[partition, winner].mean_tau
-        tied = sorted(v for (p, v), r in results.items() if p is partition and r.mean_tau == best)
-        if len(tied) > 1:
-            logger.warning(
-                "%s/%s: variations %s tie on mean tau %r; the lowest id, %s, is selected",
-                code, partition.value, ", ".join(tied), best, winner,
-            )
-    for partition in _partitions_for(code):
-        if partition not in selected:
-            logger.warning(
-                "%s: no defined correlation in the %s partition; defaulting to V1",
-                code,
-                partition.value,
-            )
-            selected[partition] = PromptVariation.V1.value
-    return selected
-
-
 def _select(config: PipelineConfig, stage_dir: Path) -> dict:
+    """The best variation per partition among defined correlations; V1 where none is."""
     for entry in config.languages:
-        selected: dict[Partition, str] = {}
-        if entry.code != "en" and entry.real_qrels is None:
-            logger.warning(
-                "%s has no correlations; defaulting every partition to V1", entry.code
-            )
-        elif entry.code != "en":
-            selected = _selected_variations(config, entry.code)
-        strategy = {
-            partition.value: selected.get(partition, PromptVariation.V1.value)
-            for partition in _partitions_for(entry.code)
+        code = entry.code
+        # English has only V1, so nothing is chosen and its correlations are not read.
+        correlated = code != "en" and entry.real_qrels is not None
+        if code != "en" and not correlated:
+            logger.warning("%s has no correlations; defaulting every partition to V1", code)
+        rows = read_jsonl(_existing(config, _correlations_path(config, code))) if correlated else ()
+        results = {
+            (Partition(row["partition"]), row["variation"]): _result_from_row(row)
+            for row in rows
+            if row["mean_tau"] is not None
         }
-        write_json(_strategy_path(config, entry.code), strategy)
+        selected = select_best_strategy(results) if results else {}
+        strategy = {}
+        for partition in _partitions_for(code):
+            winner = strategy[partition.value] = selected.get(partition, PromptVariation.V1.value)
+            means = {v: r.mean_tau for (p, v), r in results.items() if p is partition}
+            tied = sorted(v for v, mean in means.items() if mean == means.get(winner))
+            if len(tied) > 1:
+                logger.warning(
+                    "%s/%s: variations %s tie on mean tau %r; the lowest id, %s, is selected",
+                    code, partition.value, ", ".join(tied), means[winner], winner,
+                )
+            elif correlated and partition not in selected:
+                logger.warning(
+                    "%s: no defined correlation in the %s partition; defaulting to V1",
+                    code,
+                    partition.value,
+                )
+        write_json(_strategy_path(config, code), strategy)
     return {}
 
 

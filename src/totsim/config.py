@@ -21,10 +21,10 @@ import yaml
 from . import providers
 from .collection import check_split_ratio
 from .corpus import DEFAULT_MIN_CHARS, DEFAULT_TOP_FRACTION, DomainLabel
-from .errors import CollectionError, ConfigError
+from .errors import CollectionError, ConfigError, SamplingError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
 from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE
-from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO
+from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO, check_domain_ratio
 from .util import read_json, stable_hash
 
 __all__ = ["KEYS", "LANGUAGE_KEYS", "Kind", "LanguageConfig", "PipelineConfig", "load_config"]
@@ -154,11 +154,15 @@ def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
     return read
 
 
-def _count(key: str, value: Any, base: Path) -> int:
-    number = _INT.read(key, value, base)
-    if number < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value!r}")
-    return number
+def _checked(kind: Kind, holds: Callable[[Any], bool], rule: str) -> Kind:
+    """``kind``, refusing a value for which ``holds`` is false; ``rule`` says what it wants."""
+    def read(key: str, value: Any, base: Path) -> Any:
+        number = kind.read(key, value, base)
+        if not holds(number):
+            raise ConfigError(f"{key} must be {rule}, got {value!r}")
+        return number
+
+    return Kind(read)
 
 
 def _choice(*options: str) -> Callable[[str, Any, Path], str]:
@@ -191,9 +195,11 @@ def _domain_ratio(key: str, value: Any, base: Path) -> dict[DomainLabel, float]:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must map domain labels to shares")
     try:
-        return {DomainLabel(d): _NUMBER.read(f"{key}.{d}", r, base) for d, r in value.items()}
-    except ValueError as exc:
+        ratio = {DomainLabel(d): _NUMBER.read(f"{key}.{d}", r, base) for d, r in value.items()}
+        check_domain_ratio(ratio)
+    except (ValueError, SamplingError) as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    return ratio
 
 
 def _split_ratio(key: str, value: Any, base: Path) -> tuple[float, ...]:
@@ -223,8 +229,9 @@ def _languages(key: str, value: Any, base: Path) -> tuple[LanguageConfig, ...]:
 Table = Mapping[str, tuple[str, Kind]]  # dotted key -> (field it sets, kind of value)
 
 _INT = Kind(_scalar(int, "an integer"))
-_COUNT = Kind(_count)
+_COUNT = _checked(_INT, lambda n: n >= 1, "at least 1")
 _NUMBER = Kind(_scalar(float, "a number"))
+_FRACTION = _checked(_NUMBER, lambda f: 0 < f <= 1, "in (0, 1]")
 _TEXT = Kind(_scalar(str, "a string"))
 _INPUT = Kind(_path, _relative, lambda path: [path])
 _RUNS = Kind(
@@ -250,17 +257,17 @@ KEYS: Table = {
     "seed": ("seed", _INT),
     # Neither where the outputs land nor how many workers write them is hashed.
     "output_dir": ("output_dir", Kind(_path, show=None)),
-    "workers": ("workers", Kind(_count, show=None)),
+    "workers": ("workers", _COUNT._replace(show=None)),
     "english_corpus": ("english_corpus", _INPUT),
     "languages": ("languages", _LANGUAGES),
     "domain_mapping": ("domain_mapping", _INPUT),
     "templates_dir": ("templates_dir", _INPUT),
     "slice_real_by_partition": ("slice_real_by_partition", Kind(_scalar(bool, "true or false"))),
-    "corpus_filters.popularity_top_fraction": ("popularity_top_fraction", _NUMBER),
-    "corpus_filters.min_chars": ("min_chars", _INT),
-    "sampling.bucket_count": ("bucket_count", _INT),
-    "sampling.target_count": ("target_count", _INT),
-    "sampling.full_target_count": ("full_target_count", _INT),
+    "corpus_filters.popularity_top_fraction": ("popularity_top_fraction", _FRACTION),
+    "corpus_filters.min_chars": ("min_chars", _checked(_INT, lambda n: n >= 0, "at least 0")),
+    "sampling.bucket_count": ("bucket_count", _COUNT),
+    "sampling.target_count": ("target_count", _COUNT),
+    "sampling.full_target_count": ("full_target_count", _COUNT),
     "sampling.domain_ratio": ("domain_ratio", Kind(_domain_ratio)),
     "generation.provider": ("generation_provider", Kind(_choice("mock", "canned", "http"))),
     "generation.model": ("generation_model", _TEXT),

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ConstantVectorError, EvaluationError
 from .retrieval import RunResult
@@ -33,8 +33,6 @@ __all__ = [
     "write_qrels",
     "write_rank_file",
     "read_rank_file",
-    "target_rank",
-    "target_ranks",
     "MetricReport",
     "evaluate_ranks",
     "evaluate_pool",
@@ -121,22 +119,6 @@ def read_rank_file(path: Path | str) -> dict[str, dict[str, int]]:
     return ranks
 
 
-def target_rank(ranking: Iterable[str], relevant: str) -> int:
-    """The 1-based position of ``relevant`` in ``ranking``, or 0 when absent."""
-    for position, doc_id in enumerate(ranking, start=1):
-        if doc_id == relevant:
-            return position
-    return 0
-
-
-def target_ranks(run: RunResult, qrels: Mapping[str, str]) -> dict[str, int]:
-    """Each qrels query's target rank in ``run``; 0 for a query it did not answer."""
-    return {
-        query_id: target_rank((doc_id for doc_id, _ in run.rankings.get(query_id, ())), relevant)
-        for query_id, relevant in qrels.items()
-    }
-
-
 def _gain(rank: int, k: int) -> float:
     # DCG of a single relevant document at ``rank``, cut off at ``k``.
     return 1.0 / math.log2(rank + 1) if 0 < rank <= k else 0.0
@@ -199,7 +181,7 @@ def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[M
                 f"run {run.system_id} references {len(unknown)} query ids outside the qrels"
                 f" (for example {sample})"
             )
-    return [evaluate_ranks(run.system_id, target_ranks(run, qrels)) for run in runs]
+    return [evaluate_ranks(run.system_id, run.target_ranks(qrels)) for run in runs]
 
 
 @dataclass(frozen=True)

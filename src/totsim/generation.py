@@ -28,6 +28,7 @@ the linked English page.
 from __future__ import annotations
 
 import logging
+import threading
 import unicodedata
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -387,6 +388,8 @@ def generate_query(
         names.extend([source.title, *source.aliases])
     else:
         source = doc
+    if variation.post_translate and translator is None:
+        raise GenerationError(f"{query_id}: variation {variation.value} needs a translator")
     summary = summarize_entity(
         source,
         generator,
@@ -405,8 +408,6 @@ def generate_query(
         if not text.strip():
             raise GenerationError(f"{query_id}: empty generation response")
         if variation.post_translate:
-            if translator is None:
-                raise GenerationError(f"{query_id}: variation V4 needs a translator")
             text = translate_text(text, language, translator)
         # queries end up in single-line TSV files, so flatten any internal
         # newlines or tab runs the model produced
@@ -454,9 +455,10 @@ def generate_batch(
 ) -> list[SyntheticQuery | DiscardRecord]:
     """Generate for every candidate, preserving candidate order.
 
-    With ``workers > 1`` requests run in a thread pool; results still
-    come back in input order, so a deterministic backend yields the same
-    batch bytes at any worker count.
+    Requests run on ``workers`` pool threads; results still come back in
+    input order, so a deterministic backend yields the same batch bytes at
+    any worker count.  Once one call raises, no queued call starts and the
+    batch raises; only the calls already running finish.
 
     Pass one ``summaries`` memo to every batch of a run to summarize each
     article once for all the variations that use it.  Batches sharing it
@@ -464,24 +466,31 @@ def generate_batch(
     threads do not look up the same key; should two ever miss on one key
     at once, the cost is one duplicate call, never a wrong summary.
     """
+    failed = threading.Event()
 
-    def one(candidate: EntityCandidate) -> SyntheticQuery | DiscardRecord:
-        return generate_query(
-            candidate,
-            variation,
-            corpus,
-            english_corpus,
-            generator,
-            templates,
-            translator=translator,
-            char_budget=char_budget,
-            summarize_temperature=summarize_temperature,
-            generate_temperature=generate_temperature,
-            summaries=summaries,
-        )
+    def one(candidate: EntityCandidate) -> SyntheticQuery | DiscardRecord | None:
+        if failed.is_set():
+            return None  # an earlier call raised: the batch fails, so start no more
+        try:
+            return generate_query(
+                candidate,
+                variation,
+                corpus,
+                english_corpus,
+                generator,
+                templates,
+                translator=translator,
+                char_budget=char_budget,
+                summarize_temperature=summarize_temperature,
+                generate_temperature=generate_temperature,
+                summaries=summaries,
+            )
+        except BaseException:
+            failed.set()
+            raise
 
-    if workers <= 1:
-        return [one(candidate) for candidate in candidates]
+    # Calls start in candidate order, so every skipped call comes after the
+    # one that raised, and the results raise before reaching a skipped one.
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, candidates))
 
@@ -512,29 +521,16 @@ def write_query_manifest(
 def read_query_manifest(path: Path | str) -> list[SyntheticQuery | DiscardRecord]:
     records: list[SyntheticQuery | DiscardRecord] = []
     for row in read_jsonl(path):
-        if row["discarded"]:
-            records.append(
-                DiscardRecord(
-                    query_id=row["query_id"],
-                    target_doc_id=row["doc_id"],
-                    language=row["language"],
-                    variation=PromptVariation(row["variation"]),
-                    attempts=row["attempts"],
-                    summary=row["summary"],
-                    provider_fingerprint=row["provider_fingerprint"],
-                )
-            )
-        else:
-            records.append(
-                SyntheticQuery(
-                    query_id=row["query_id"],
-                    text=row["text"],
-                    target_doc_id=row["doc_id"],
-                    language=row["language"],
-                    variation=PromptVariation(row["variation"]),
-                    attempts=row["attempts"],
-                    summary=row["summary"],
-                    provider_fingerprint=row["provider_fingerprint"],
-                )
-            )
+        shared = {
+            "query_id": row["query_id"],
+            "target_doc_id": row["doc_id"],
+            "language": row["language"],
+            "variation": PromptVariation(row["variation"]),
+            "attempts": row["attempts"],
+            "summary": row["summary"],
+            "provider_fingerprint": row["provider_fingerprint"],
+        }
+        records.append(
+            DiscardRecord(**shared) if row["discarded"] else SyntheticQuery(text=row["text"], **shared)
+        )
     return records

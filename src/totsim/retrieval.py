@@ -473,8 +473,20 @@ def score_ql_dirichlet(
     return _pairs(query, index, RetrievalSystem("qld", "ql-dirichlet", mu=mu), depth)
 
 
+class _Run:
+    """What both forms of a run share: the known-item rank rule, read through ``columns``."""
+
+    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
+        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
+        ranks = {}
+        for query_id, doc_id in qrels.items():
+            doc_ids = self.columns(query_id)[0] if query_id in self.rankings else []
+            ranks[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
+        return ranks
+
+
 @dataclass
-class RunResult:
+class RunResult(_Run):
     """Per-query rankings produced by one system, as (doc_id, score) pairs, best first."""
 
     system_id: str
@@ -486,7 +498,7 @@ class RunResult:
 
 
 @dataclass
-class SearchRun:
+class SearchRun(_Run):
     """One lexical system's rankings: query id -> (doc numbers, scores) arrays, best first."""
 
     system_id: str
@@ -496,15 +508,6 @@ class SearchRun:
     def columns(self, query_id: str) -> tuple[list[str], np.ndarray]:
         numbers, scores = self.rankings[query_id]
         return list(map(self.doc_ids.__getitem__, numbers.tolist())), scores
-
-    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
-        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
-        ranks = {}
-        for query_id, doc_id in qrels.items():
-            numbers = self.rankings[query_id][0].tolist() if query_id in self.rankings else []
-            number = _position(self.doc_ids, doc_id)
-            ranks[query_id] = numbers.index(number) + 1 if number in numbers else 0
-        return ranks
 
 
 def run_search(

@@ -23,6 +23,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SamplingConfig",
+    "check_domain_ratio",
     "EntityCandidate",
     "stratify",
     "domain_targets",
@@ -51,6 +52,17 @@ DEFAULT_DOMAIN_RATIO: dict[DomainLabel, float] = {
 DOMAIN_ORDER = (DomainLabel.GENERAL, DomainLabel.MOVIES, DomainLabel.PEOPLE)
 
 
+def check_domain_ratio(ratio: Mapping[DomainLabel, float]) -> None:
+    """Raise unless ``ratio`` gives every known domain a non-negative share, summing to 1."""
+    if set(ratio) != set(DomainLabel):
+        raise SamplingError("domain_ratio must cover exactly the known domains")
+    if any(r < 0 for r in ratio.values()):
+        raise SamplingError("domain_ratio entries must be non-negative")
+    total = sum(ratio.values())
+    if abs(total - 1.0) > 1e-9:
+        raise SamplingError(f"domain_ratio must sum to 1, got {total}")
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Targets and strata shape for one partition's sampling run."""
@@ -67,13 +79,7 @@ class SamplingConfig:
             raise SamplingError(f"target_count must be positive, got {self.target_count}")
         if self.bucket_count <= 0:
             raise SamplingError(f"bucket_count must be positive, got {self.bucket_count}")
-        if set(self.domain_ratio) != set(DomainLabel):
-            raise SamplingError("domain_ratio must cover exactly the known domains")
-        if any(r < 0 for r in self.domain_ratio.values()):
-            raise SamplingError("domain_ratio entries must be non-negative")
-        total = sum(self.domain_ratio.values())
-        if abs(total - 1.0) > 1e-9:
-            raise SamplingError(f"domain_ratio must sum to 1, got {total}")
+        check_domain_ratio(self.domain_ratio)
 
     def content_hash(self) -> str:
         return stable_hash(

@@ -23,13 +23,12 @@ __all__ = [
 
 
 def stable_hash(obj: Any) -> str:
-    """Return a sha256 hex digest of ``obj`` via canonical JSON.
+    """Return a sha256 hex digest of ``obj``'s canonical JSON, :func:`dump_json`.
 
-    Keys are sorted and separators fixed so the digest depends only on
-    content, never on dict insertion order.
+    Its keys are sorted, so the digest depends only on content, never on
+    dict insertion order.
     """
-    canonical = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(dump_json(obj).encode("utf-8")).hexdigest()
 
 
 def dump_json(obj: Any) -> str:

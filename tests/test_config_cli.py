@@ -8,6 +8,7 @@ import json
 import shutil
 from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 import yaml
@@ -16,7 +17,7 @@ from conftest import TOY_DIR
 import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
-from totsim.corpus import ingest_corpus
+from totsim.corpus import DomainLabel, ingest_corpus
 from totsim.errors import ConfigError, ConstantVectorError
 from totsim.evaluation import (
     METRICS,
@@ -25,7 +26,6 @@ from totsim.evaluation import (
     evaluate_ranks,
     load_qrels,
     read_rank_file,
-    target_ranks,
     write_rank_file,
 )
 from totsim.generation import read_query_manifest
@@ -38,7 +38,8 @@ from totsim.providers import (
     MappingTranslator,
 )
 from totsim.retrieval import RunResult, default_lexical_pool, load_external_run
-from totsim.util import dump_json, write_json, write_jsonl
+from totsim.sampling import read_candidate_manifest
+from totsim.util import dump_json, read_json, write_json, write_jsonl
 
 TOY_CONFIG = TOY_DIR / "config.yaml"
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -163,6 +164,33 @@ BAD_INPUT = [
         MINIMAL + "sampling: {domain_ratio: {Gadgets: 1.0}}\n",
         "sampling.domain_ratio",
     ),
+    (
+        MINIMAL + "sampling: {domain_ratio: {General: 0.9, Movies: 0.1}}\n",
+        "sampling.domain_ratio: domain_ratio must cover exactly the known domains",
+    ),
+    (
+        MINIMAL + "sampling: {domain_ratio: {General: 0.5, Movies: 0.1, People: 0.1}}\n",
+        "sampling.domain_ratio: domain_ratio must sum to 1, got 0.7",
+    ),
+    (
+        MINIMAL + "sampling: {domain_ratio: {General: 1.2, Movies: -0.1, People: -0.1}}\n",
+        "sampling.domain_ratio: domain_ratio entries must be non-negative",
+    ),
+    (MINIMAL + "sampling: {target_count: 0}\n", "sampling.target_count must be at least 1, got 0"),
+    (MINIMAL + "sampling: {bucket_count: 0}\n", "sampling.bucket_count must be at least 1, got 0"),
+    (
+        MINIMAL + "sampling: {full_target_count: 0}\n",
+        "sampling.full_target_count must be at least 1, got 0",
+    ),
+    (
+        MINIMAL + "corpus_filters: {popularity_top_fraction: 0}\n",
+        r"corpus_filters.popularity_top_fraction must be in \(0, 1\], got 0",
+    ),
+    (
+        MINIMAL + "corpus_filters: {popularity_top_fraction: 1.5}\n",
+        r"corpus_filters.popularity_top_fraction must be in \(0, 1\], got 1.5",
+    ),
+    (MINIMAL + "corpus_filters: {min_chars: -1}\n", "corpus_filters.min_chars must be at least 0"),
     (
         MINIMAL + "collection: {split_ratio: [0.5, 0.5]}\n",
         "split_ratio must be a list of three numbers",
@@ -725,6 +753,62 @@ def test_pipeline_selects_and_assembles(pipeline_tree: Path) -> None:
     assert set(manifest["counts"]) == {"monolingual", "bilingual"}
 
 
+def edit_toy_config(toy: Path, edit: Callable[[dict], None]) -> str:
+    """Apply ``edit`` to the toy copy's config; the config path, for ``--config``."""
+    path = toy / "config.yaml"
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    edit(raw)
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    return str(path)
+
+
+def test_ingest_counts_an_english_corpus_that_is_not_a_target(toy_copy: Path) -> None:
+    config_arg = edit_toy_config(toy_copy, lambda raw: raw["languages"].pop("en"))
+    assert main(["ingest", "--config", config_arg]) == 0
+    manifest = read_json(toy_copy / "out" / "ingest" / "manifest.json")
+    assert manifest["document_counts"] == {"zz": 320, "en": 260}
+
+
+def test_sample_labels_domains_by_the_configured_mapping(toy_copy: Path) -> None:
+    # Q5 is People in the packaged mapping, Q999999 in none of it
+    (toy_copy / "domains.tsv").write_text("Q5\tMovies\nQ999999\tPeople\n", encoding="utf-8")
+    config_arg = edit_toy_config(toy_copy, lambda raw: raw.update(domain_mapping="domains.tsv"))
+    for stage in ("partition", "sample"):
+        assert main([stage, "--config", config_arg]) == 0
+    docs = {doc.doc_id: doc for doc in ingest_corpus(toy_copy / "corpus_zz.jsonl", "zz")}
+    expected = {"Q5": DomainLabel.MOVIES, "Q999999": DomainLabel.PEOPLE}
+    labels = Counter()
+    for partition in ("monolingual", "bilingual"):
+        path = toy_copy / "out" / "sample" / f"zz-{partition}.jsonl"
+        for candidate in read_candidate_manifest(path):
+            classes = docs[candidate.doc_id].instance_of
+            label = next((expected[c] for c in classes if c in expected), DomainLabel.GENERAL)
+            assert candidate.domain is label, candidate.doc_id
+            labels[label] += 1
+    assert labels[DomainLabel.MOVIES] and labels[DomainLabel.PEOPLE]
+
+
+def test_select_defaults_a_language_without_real_queries_to_v1(
+    toy_copy: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    def drop_real_data(raw: dict) -> None:
+        for key in ("real_queries", "real_qrels", "external_runs"):
+            del raw["languages"]["zz"][key]
+
+    config_arg = edit_toy_config(toy_copy, drop_real_data)
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        assert main(["select", "--config", config_arg]) == 0
+    out = toy_copy / "out"
+    choice = json.loads((out / "select" / "zz.json").read_text(encoding="utf-8"))
+    assert choice == {"monolingual": "V1", "bilingual": "V1"}
+    assert json.loads((out / "select" / "en.json").read_text(encoding="utf-8")) == {"full": "V1"}
+    assert [r.getMessage() for r in caplog.records] == [
+        "zz has no correlations; defaulting every partition to V1"
+    ]
+    # it read no correlation table: none was ever written
+    assert not (out / "correlate").exists()
+
+
 def test_missing_upstream_stage_fails_with_hint(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
@@ -1018,7 +1102,7 @@ def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: P
     for (code, set_name), qrels in sets.items():
         runs = pool(code, set_name, qrels)
         table = read_rank_file(out / "evaluate" / code / f"{set_name}.ranks.tsv")
-        assert table == {run.system_id: target_ranks(run, qrels) for run in runs}
+        assert table == {run.system_id: run.target_ranks(qrels) for run in runs}
         reports = [evaluate_ranks(system_id, table[system_id]) for system_id in sorted(table)]
         assert reports == sorted(evaluate_pool(runs, qrels), key=lambda r: r.system_id)
 
@@ -1295,7 +1379,7 @@ def test_correlate_slices_the_real_set_by_partition(
         ranks = read_rank_file(out / "search" / "zz" / set_name / "ranks.tsv")
         for system_id, path in config.language("zz").external_runs.items():
             run = load_external_run(path, qrels, config.depth, system_id)
-            ranks[system_id] = target_ranks(run, qrels)
+            ranks[system_id] = run.target_ranks(qrels)
         return [
             evaluate_ranks(system_id, {qid: by_query[qid] for qid in query_ids})
             for system_id, by_query in sorted(ranks.items())

@@ -25,7 +25,6 @@ from totsim.evaluation import (
     pearson_r,
     read_rank_file,
     select_best_strategy,
-    target_ranks,
     write_qrels,
     write_rank_file,
 )
@@ -119,7 +118,7 @@ def test_metric_report_accessors() -> None:
 def test_target_ranks_zero_fill_missing_queries() -> None:
     run = RunResult(system_id="s", rankings={"q1": [("d1", 1.0), ("d2", 0.5)]})
     qrels = {"q1": "d2", "q2": "d9"}
-    ranks = target_ranks(run, qrels)
+    ranks = run.target_ranks(qrels)
     assert ranks == {"q1": 2, "q2": 0}
     result = evaluate_ranks("s", ranks)
     # q1 finds the target at rank 2, q2 contributes zeros
@@ -164,7 +163,7 @@ def test_evaluate_ranks_matches_per_query_formulas(ranks: list[int]) -> None:
             rankings[query_id].insert(rank - 1, ("target", 0.0))
     run = RunResult(system_id="s", rankings=rankings)
     qrels = dict.fromkeys(by_query, "target")
-    assert target_ranks(run, qrels) == by_query
+    assert run.target_ranks(qrels) == by_query
     assert evaluate_pool([run], qrels) == [result]
     with pytest.raises(EvaluationError, match="empty"):
         evaluate_ranks("s", {})
@@ -188,7 +187,7 @@ def test_target_rank_is_zero_when_the_target_is_not_retrieved() -> None:
     assert full.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
     # the doc-number arrays give the rank the (doc_id, score) pairs give
     pairs = RunResult("bm25", {q: list(zip(*full.columns(q))) for q in full.rankings})
-    assert target_ranks(pairs, qrels) == full.target_ranks(qrels)
+    assert pairs.target_ranks(qrels) == full.target_ranks(qrels)
     # below the search depth the target counts as not retrieved
     [shallow] = run_search([system], queries, index, depth=1)
     assert shallow.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}

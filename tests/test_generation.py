@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_corpus, make_doc
 from totsim.corpus import DomainLabel, Partition
-from totsim.errors import GenerationError, TemplateError
+from totsim.errors import GenerationError, ProviderError, TemplateError
 from totsim.generation import (
     MAX_ATTEMPTS,
     DiscardRecord,
@@ -344,10 +344,12 @@ def test_generate_query_v4_discards_when_translation_leaks() -> None:
 def test_generate_query_v4_needs_translator() -> None:
     target, english = corpora()
     provider = ScriptedProvider(["sum", "genout"])
-    with pytest.raises(GenerationError, match="translator"):
+    with pytest.raises(GenerationError, match="V4 needs a translator"):
         generate_query(
             bilingual_candidate(), PromptVariation.V4, target, english, provider, small_templates()
         )
+    # checked up front, like V3 and V4's other needs, before any call is paid for
+    assert provider.calls == 0
 
 
 def test_generate_query_rejects_empty_generation() -> None:
@@ -465,6 +467,47 @@ def test_generate_batch_worker_count_does_not_change_output() -> None:
     )
     assert serial == threaded
     assert [r.target_doc_id for r in serial] == [c.doc_id for c in candidates]
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_generate_batch_starts_no_call_once_one_has_raised(workers: int) -> None:
+    class RefuseFrom:
+        """Answers cleanly until call ``limit``, then refuses every call."""
+
+        name = "refuse"
+
+        def __init__(self, limit: int) -> None:
+            self.limit = limit
+            self.calls = 0
+            self.lock = threading.Lock()
+
+        def complete(self, prompt: str, temperature: float) -> str:
+            with self.lock:
+                self.calls += 1
+                if self.calls > self.limit:
+                    raise ProviderError("refused")
+            return "a clean query"
+
+    corpus = make_corpus(
+        "zz", *(make_doc(f"z{i:03d}", title=f"T{i}", body="b", language="zz") for i in range(200))
+    )
+    candidates = [
+        EntityCandidate(doc.doc_id, Partition.MONOLINGUAL, DomainLabel.GENERAL, 0)
+        for doc in corpus
+    ]
+    provider = RefuseFrom(limit=51)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(ProviderError, match="refused"):
+            generate_batch(
+                candidates, PromptVariation.V1, corpus, None, provider, small_templates(),
+                workers=workers,
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    # each worker's call ends at its first refusal, and then no call starts
+    assert 51 < provider.calls <= 51 + workers
 
 
 def test_query_manifest_round_trip(tmp_path: Path) -> None:

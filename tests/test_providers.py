@@ -434,6 +434,24 @@ def test_generate_closes_its_sessions_when_a_call_fails(
     assert all(session.closed for session in transport.sessions)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generate_starts_no_call_after_one_has_failed(
+    toy_copy: Path, monkeypatch: pytest.MonkeyPatch, transport: FakeTransport, workers: int
+) -> None:
+    config = http_toy(toy_copy, monkeypatch, workers=workers)
+
+    def respond(payload: dict) -> FakeResponse:
+        # the 201st post, in the second query set, and every later one are refused
+        return FakeResponse(401) if len(transport.posts) > 200 else mock_reply(payload)
+
+    transport.respond = respond
+    with pytest.raises(ProviderError, match=r"rejected \(401\)"):
+        run_stage("generate", config)
+    # A refused post ends the call that made it, and then no call starts: past
+    # the 200th, each worker posts at most once.
+    assert 201 <= len(transport.posts) <= 200 + workers
+
+
 def test_a_missing_requests_package_fails_the_http_config_at_load(toy_copy: Path) -> None:
     path = toy_copy / "config.yaml"
     raw = yaml.safe_load(path.read_text(encoding="utf-8"))

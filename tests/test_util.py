@@ -13,7 +13,9 @@ from typing import Iterable
 import pytest
 
 import totsim
+from totsim.config import KEYS, LANGUAGE_KEYS
 from totsim.util import (
+    atomic_output,
     atomic_write_text,
     dump_json,
     read_json,
@@ -55,6 +57,18 @@ def test_atomic_write_creates_parents_and_overwrites(tmp_path: Path) -> None:
 def test_atomic_write_leaves_no_temp_files(tmp_path: Path) -> None:
     atomic_write_text(tmp_path / "out.txt", "data")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_atomic_output_removes_its_temp_file_when_the_write_fails(tmp_path: Path) -> None:
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "kept")
+    with pytest.raises(RuntimeError, match="disk gone"):
+        with atomic_output(path) as handle:
+            handle.write(b"half written")
+            assert len(list(tmp_path.iterdir())) == 2  # the target and the temp file
+            raise RuntimeError("disk gone")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    assert path.read_text(encoding="utf-8") == "kept"
 
 
 def test_json_round_trip(tmp_path: Path) -> None:
@@ -122,6 +136,19 @@ def test_every_imported_name_is_read(module_name: str) -> None:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
+
+
+def test_every_config_field_is_read_by_the_pipeline() -> None:
+    # A field nothing reads is a key that is parsed and then ignored.  The
+    # ``getattr`` calls that hash and list every field are not attribute reads.
+    read = {
+        node.attr
+        for path in Path(totsim.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = {name for table in (KEYS, LANGUAGE_KEYS) for name, _ in table.values()}
+    assert sorted(fields - read) == []
 
 
 # Each is loaded only by the code path that needs it, so a module that
