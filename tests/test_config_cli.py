@@ -550,6 +550,36 @@ def test_index_bytes_are_pinned(pipeline_tree: Path) -> None:
     assert digests == INDEX_DIGESTS
 
 
+# sha256 of each file sample and assemble write, manifests included: the
+# candidates and the assembled collection, which is the pipeline's product.
+PRODUCT_DIGESTS = {
+    "collection/en/manifest.json": "047dfeb3fa709ddec8b5a922f054e015cf3a06305c115b0ee470125865392d4a",
+    "collection/en/qrels.txt": "9450ee00e7a97b9b065ec33b6125e687d3f1d276f970d60ca73aec94c0b66cc1",
+    "collection/en/queries.tsv": "ccf5b9fb5fa113a6d559831fec5e8e006a783069b8fa2c914a18e97d85887916",
+    "collection/en/splits.tsv": "d96cb31218ac611ddaef7b768ebcc73826d14bcc8aee5a2a56bc85f5bad40fb6",
+    "collection/manifest.json": "673141e3df6b709d985caf7e8537dbb8d138c4c720d2d92563785fb925703895",
+    "collection/zz/manifest.json": "7e6c0bad31c055d89209654c8ba7250777b1099e4cf34ff4b1f8c9a998742830",
+    "collection/zz/qrels.txt": "010a887facb06be96979439de7fe9b9b7bad6156299db9ae5a14ed5d5c2788a7",
+    "collection/zz/queries.tsv": "52c68e3e77c657c1f01f6cf47281ff5f31e715503df6a2ae0f2133c550cb50d8",
+    "collection/zz/splits.tsv": "f1bb821b758643a3183ae54b534459da8c53364a174f5845192c3ee6d004ef4d",
+    "sample/en-full.jsonl": "cf5950da9b2af4d976a7b4584c4f27c405ac71dc180e27bf05fec3ba0a6660b5",
+    "sample/manifest.json": "837d02f61dc994a8f8c7c7002bff531a10d095cc2e9274ced2a5b3630872f68b",
+    "sample/zz-bilingual.jsonl": "3950d0fbd7356fa8bee9de7bb4dc6eb332cb0ad2779d43a87a5470f036e496c7",
+    "sample/zz-monolingual.jsonl": "3386df1575812becec4e46d82823e46b8797c837b409cfa611ddcd2310867436",
+}
+
+
+def test_sample_and_collection_bytes_are_pinned(pipeline_tree: Path) -> None:
+    out = pipeline_tree / "out"
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for stage in ("sample", "collection")
+        for path in sorted((out / stage).rglob("*"))
+        if path.is_file()
+    }
+    assert digests == PRODUCT_DIGESTS
+
+
 # sha256 of each generate/<lang>/<set>.jsonl, taken when every variation
 # still sent its own summarize request.
 GENERATE_DIGESTS = {
