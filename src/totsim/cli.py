@@ -25,7 +25,6 @@ import logging
 import os
 import shutil
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -112,7 +111,7 @@ def _artifact(config: PipelineConfig, producer: str, *parts: str) -> Path:
 
 
 def _partition_map_path(config: PipelineConfig, code: str) -> Path:
-    return _artifact(config, "partition", f"{code}.tsv")
+    return _artifact(config, "partition", f"{code}.json")
 
 
 def _sample_path(config: PipelineConfig, code: str, partition: Partition) -> Path:
@@ -185,18 +184,10 @@ def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str
             yield partition, variation, f"{partition.value}-{variation.value}"
 
 
-def _read_partition_map(path: Path) -> dict[str, Partition]:
-    mapping: dict[str, Partition] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{path.name} line {line_no}: expected 'doc_id<TAB>partition'")
-            mapping[parts[0]] = Partition(parts[1])
-    return mapping
+def _read_partition_map(config: PipelineConfig, code: str) -> dict[str, Partition]:
+    """Each document's partition, from the doc ids ``partition`` grouped by partition."""
+    grouped = read_json(_existing(config, _partition_map_path(config, code)))
+    return {doc_id: Partition(name) for name, doc_ids in grouped.items() for doc_id in doc_ids}
 
 
 def _accepted_queries(records) -> tuple[dict[str, str], dict[str, str]]:
@@ -240,11 +231,11 @@ def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
             continue
         corpus = _load_corpus(config, entry.code)
         mapping = partition_corpus(corpus, english)
-        atomic_write_text(
-            _partition_map_path(config, entry.code),
-            "".join(f"{doc_id}\t{mapping[doc_id].value}\n" for doc_id in sorted(mapping)),
-        )
-        counts[entry.code] = dict(Counter(partition.value for partition in mapping.values()))
+        grouped = {partition.value: [] for partition in _partitions_for(entry.code)}
+        for doc_id in sorted(mapping):
+            grouped[mapping[doc_id].value].append(doc_id)
+        write_json(_partition_map_path(config, entry.code), grouped)
+        counts[entry.code] = {name: len(doc_ids) for name, doc_ids in grouped.items()}
     return {"partition_counts": counts}
 
 
@@ -259,9 +250,7 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
         if entry.code == "en":
             partition_of = {doc.doc_id: Partition.FULL for doc in corpus}
         else:
-            partition_of = _read_partition_map(
-                _existing(config, _partition_map_path(config, entry.code))
-            )
+            partition_of = _read_partition_map(config, entry.code)
         for partition in _partitions_for(entry.code):
             pool = [doc for doc in corpus if partition_of[doc.doc_id] is partition]
             pool = filter_by_popularity(pool, config.popularity_top_fraction)
@@ -305,10 +294,8 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
         # ask for the same summaries
         summaries: dict[str, str] = {}
         for entry in config.languages:
-            if (entry.code, entry.corpus) == ("en", config.english_corpus):
-                corpus = english  # the same file, parsed once
-            else:
-                corpus = _load_corpus(config, entry.code)
+            reuse = entry.code == "en" and english is not None  # the same file, parsed once
+            corpus = english if reuse else _load_corpus(config, entry.code)
             candidates = {
                 partition: read_candidate_manifest(
                     _existing(config, _sample_path(config, entry.code, partition))
@@ -419,17 +406,6 @@ def _pool_reports(ranks: Mapping[str, Mapping[str, int]]) -> list[MetricReport]:
     return [evaluate_ranks(system_id, by_query) for system_id, by_query in sorted(ranks.items())]
 
 
-def _real_partition(
-    query_id: str, doc_id: str, partition_of: Mapping[str, Partition]
-) -> Partition:
-    partition = partition_of.get(doc_id)
-    if partition is None:
-        raise EvaluationError(
-            f"real query {query_id} targets {doc_id}, which is not in the partition map"
-        )
-    return partition
-
-
 def _real_slices(
     config: PipelineConfig, code: str, qrels: Mapping[str, str]
 ) -> dict[Partition, dict[str, dict[str, int]]]:
@@ -444,13 +420,15 @@ def _real_slices(
         raise ConfigError(f"{path} does not cover the real qrels; run 'totsim evaluate --force'")
     if code == "en" or not config.slice_real_by_partition:
         return dict.fromkeys(_partitions_for(code), ranks)
-    partition_of = _read_partition_map(_existing(config, _partition_map_path(config, code)))
+    partition_of = _read_partition_map(config, code)
+    for query_id, doc_id in qrels.items():
+        if doc_id not in partition_of:
+            raise EvaluationError(
+                f"real query {query_id} targets {doc_id}, which is not in the partition map"
+            )
     slices = {}
     for partition in _partitions_for(code):
-        kept = [
-            query_id for query_id, doc_id in qrels.items()
-            if _real_partition(query_id, doc_id, partition_of) is partition
-        ]
+        kept = [query for query, doc_id in qrels.items() if partition_of[doc_id] is partition]
         if not kept:
             logger.warning(
                 "%s: using the full real set for the %s partition", code, partition.value
@@ -615,7 +593,8 @@ def _assemble(config: PipelineConfig, stage_dir: Path) -> dict:
 # The pipeline, in the order ``totsim pipeline`` runs it.
 STAGES: dict[str, Stage] = {
     "ingest": Stage("ingest", _ingest),
-    "partition": Stage("partition", _partition),
+    # 2: ``<lang>.json``, the doc ids grouped by partition, in place of a TSV.
+    "partition": Stage("partition", _partition, version=2),
     "sample": Stage("sample", _sample),
     "generate": Stage("generate", _generate),
     # 2: one CSR ``.npz`` archive per language.

@@ -5,7 +5,8 @@ accepted key is one entry of :data:`KEYS`, or of :data:`LANGUAGE_KEYS` under
 ``languages.<code>``: the field it sets and the :class:`Kind` that reads,
 hashes and lists it.  Loading, ``content_hash`` (stamped into every stage
 manifest) and ``inputs`` walk these tables.  Defaults live on the dataclasses;
-null keeps one.  An unknown key or unreadable value is a :class:`ConfigError`.
+null keeps one.  An unknown key, an unreadable value, a backend without the key
+it needs or a second English corpus is a :class:`ConfigError` at load.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .collection import check_split_ratio
 from .corpus import DEFAULT_MIN_CHARS, DEFAULT_TOP_FRACTION, DomainLabel
 from .errors import CollectionError, ConfigError, SamplingError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
-from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE
+from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE, default_lexical_pool
 from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO, check_domain_ratio
-from .util import read_json, stable_hash
+from .util import stable_hash
 
 __all__ = ["KEYS", "LANGUAGE_KEYS", "Kind", "LanguageConfig", "PipelineConfig", "load_config"]
 
@@ -98,33 +99,19 @@ class PipelineConfig:
         return [path for path in _inputs(self, KEYS) if path is not None]
 
     def make_generator(self) -> providers.ChatProvider:
-        if self.generation_provider == "mock":
-            return providers.DeterministicMockProvider()
         if self.generation_provider == "canned":
-            if self.canned_path is None:
-                raise ConfigError("generation.provider 'canned' needs generation.canned_path")
             return providers.CannedResponseProvider(self.canned_path)
         if self.generation_provider == "http":
-            if not self.generation_model:
-                raise ConfigError("generation.provider 'http' needs generation.model")
             return providers.HttpChatProvider(self.generation_model)
-        raise ConfigError(f"unknown generation provider {self.generation_provider!r}")
+        return providers.DeterministicMockProvider()
 
     def make_translator(self) -> providers.Translator:
-        if self.translation_provider == "identity":
-            return providers.IdentityTranslator()
         if self.translation_provider == "mapping":
-            if self.translation_mapping_path is None:
-                raise ConfigError("translation.provider 'mapping' needs translation.mapping_path")
-            raw = read_json(self.translation_mapping_path)
-            if not isinstance(raw, dict):
-                raise ConfigError(f"{self.translation_mapping_path}: expected a JSON object")
-            return providers.MappingTranslator(raw)
+            table = providers.read_text_table(self.translation_mapping_path)
+            return providers.MappingTranslator(table)
         if self.translation_provider == "http":
-            if not self.generation_model:
-                raise ConfigError("translation.provider 'http' needs generation.model")
             return providers.ChatTranslator(providers.HttpChatProvider(self.generation_model))
-        raise ConfigError(f"unknown translation provider {self.translation_provider!r}")
+        return providers.IdentityTranslator()
 
 
 class Kind(NamedTuple):
@@ -188,6 +175,9 @@ def _relative(path: Path | None, base: Path) -> str | None:
 def _runs(key: str, value: Any, base: Path) -> dict[str, Path]:
     if not isinstance(value, dict) or not all(isinstance(name, str) for name in value):
         raise ConfigError(f"{key} must map system id strings to run files")
+    taken = sorted(_LEXICAL_IDS.intersection(value))
+    if taken:
+        raise ConfigError(f"{key}.{taken[0]}: {taken[0]!r} is the id of a lexical system")
     return {name: _path(f"{key}.{name}", run, base) for name, run in sorted(value.items())}
 
 
@@ -234,6 +224,8 @@ _NUMBER = Kind(_scalar(float, "a number"))
 _FRACTION = _checked(_NUMBER, lambda f: 0 < f <= 1, "in (0, 1]")
 _TEXT = Kind(_scalar(str, "a string"))
 _INPUT = Kind(_path, _relative, lambda path: [path])
+# ``evaluate`` pools external runs with the lexical systems by id: those ids are taken.
+_LEXICAL_IDS = frozenset(system.system_id for system in default_lexical_pool())
 _RUNS = Kind(
     _runs, lambda runs, base: {name: _relative(p, base) for name, p in runs.items()}, dict.values
 )
@@ -348,6 +340,18 @@ def load_config(path: Path | str, overrides: Mapping[str, Any] | None = None) ->
     config = PipelineConfig(**settings, base_dir=path.parent)
     if config.english_corpus is None and any(e.code != "en" for e in config.languages):
         raise ConfigError("missing config key english_corpus (needed for non-English languages)")
+    english = {config.english_corpus, *(e.corpus for e in config.languages if e.code == "en")}
+    english.discard(None)
+    if len(english) > 1 and len({_relative(corpus, path.parent) for corpus in english}) > 1:
+        raise ConfigError("english_corpus and languages.en.corpus must name the same file")
+    # What each backend needs, checked before any stage runs; no file the config names is read.
+    if config.generation_provider == "canned" and config.canned_path is None:
+        raise ConfigError("generation.provider 'canned' needs generation.canned_path")
+    if config.translation_provider == "mapping" and config.translation_mapping_path is None:
+        raise ConfigError("translation.provider 'mapping' needs translation.mapping_path")
+    for section in ("generation", "translation"):
+        if getattr(config, f"{section}_provider") == "http" and not config.generation_model:
+            raise ConfigError(f"{section}.provider 'http' needs generation.model")
     if "http" in (config.generation_provider, config.translation_provider):
-        providers.require_http_client()  # before any stage runs, not when generate starts
+        providers.require_http_client()
     return config

@@ -44,6 +44,7 @@ __all__ = [
     "MappingTranslator",
     "ChatTranslator",
     "request_hash",
+    "read_text_table",
     "require_http_client",
     "ENDPOINT_ENV",
     "API_KEY_ENV",
@@ -202,6 +203,17 @@ class HttpChatProvider:
         return text
 
 
+def read_text_table(path: Path | str) -> dict[str, str]:
+    """The JSON object at ``path``, which must map each key to a string."""
+    table = read_json(path)
+    if not isinstance(table, dict):
+        raise ProviderError(f"{path}: expected a JSON object of strings")
+    bad = next((key for key, value in table.items() if not isinstance(value, str)), None)
+    if bad is not None:
+        raise ProviderError(f"{path}: the value of {bad!r} is not a string")
+    return table
+
+
 class CannedResponseProvider:
     """Replays recorded responses keyed by request hash.
 
@@ -211,11 +223,7 @@ class CannedResponseProvider:
 
     def __init__(self, path: Path | str, name: str = "canned"):
         self.name = name
-        self.path = Path(path)
-        raw = read_json(self.path)
-        if not isinstance(raw, dict):
-            raise ProviderError(f"{self.path}: expected a JSON object of hash to response")
-        self._responses: dict[str, str] = dict(raw)
+        self._responses = read_text_table(path)
 
     def complete(self, prompt: str, temperature: float) -> str:
         key = request_hash(prompt, temperature)

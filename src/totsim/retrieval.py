@@ -229,14 +229,6 @@ class InvertedIndex:
         term_ids = np.array(sorted(qtf_of), dtype=np.int64)
         return term_ids, np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
 
-    def df(self, term: str) -> int:
-        t = self.term_id(term)
-        return 0 if t is None else int(self.offsets[t + 1] - self.offsets[t])
-
-    def ctf(self, term: str) -> int:
-        t = self.term_id(term)
-        return 0 if t is None else int(self.term_ctf[t])
-
 
 def _position(names: list[str], name: str) -> int | None:
     position = bisect.bisect_left(names, name)

@@ -18,7 +18,7 @@ import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
 from totsim.corpus import DomainLabel, ingest_corpus
-from totsim.errors import ConfigError, ConstantVectorError
+from totsim.errors import ConfigError, ConstantVectorError, ProviderError
 from totsim.evaluation import (
     METRICS,
     correlate,
@@ -242,6 +242,36 @@ BAD_INPUT = [
     ),
     (MINIMAL + "generation: {provider: moc}\n", "generation.provider must be 'mock' or"),
     (
+        MINIMAL + "translation: {provider: telegraph}\n",
+        "translation.provider must be 'identity' or",
+    ),
+    # what a backend needs is checked at load, before any stage runs
+    (
+        MINIMAL + "generation: {provider: canned}\n",
+        "generation.provider 'canned' needs generation.canned_path",
+    ),
+    (
+        MINIMAL + "generation: {provider: http}\n",
+        "generation.provider 'http' needs generation.model",
+    ),
+    (
+        MINIMAL + "translation: {provider: mapping}\n",
+        "translation.provider 'mapping' needs translation.mapping_path",
+    ),
+    (
+        MINIMAL + "translation: {provider: http}\n",
+        "translation.provider 'http' needs generation.model",
+    ),
+    (
+        "seed: 1\noutput_dir: out\nenglish_corpus: e.jsonl\nlanguages: {en: {corpus: f.jsonl}}\n",
+        "english_corpus and languages.en.corpus must name the same file",
+    ),
+    (
+        "seed: 1\noutput_dir: out\n"
+        "languages: {en: {corpus: c, external_runs: {qld-mu500: a.run}}}\n",
+        "languages.en.external_runs.qld-mu500: 'qld-mu500' is the id of a lexical system",
+    ),
+    (
         "seed: 1\noutput_dir: out\nlanguages: {en: {corpus: c, external_runs: {yes: a.run}}}\n",
         "external_runs must map system id strings",
     ),
@@ -408,30 +438,22 @@ def test_both_yaml_loaders_give_the_same_config(
 def test_make_generator_variants(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     config = load_config(TOY_CONFIG)
     assert isinstance(config.make_generator(), DeterministicMockProvider)
-    with pytest.raises(ConfigError, match="needs generation.canned_path"):
-        dataclasses.replace(config, generation_provider="canned").make_generator()
     canned_path = tmp_path / "canned.json"
     write_json(canned_path, {})
     canned = dataclasses.replace(
         config, generation_provider="canned", canned_path=canned_path
     ).make_generator()
     assert isinstance(canned, CannedResponseProvider)
-    with pytest.raises(ConfigError, match="needs generation.model"):
-        dataclasses.replace(config, generation_provider="http").make_generator()
     monkeypatch.setenv("TOTSIM_ENDPOINT", "https://example.test/v1")
     http = dataclasses.replace(
         config, generation_provider="http", generation_model="m"
     ).make_generator()
     assert isinstance(http, HttpChatProvider)
-    with pytest.raises(ConfigError, match="unknown generation provider 'carrier-pigeon'"):
-        dataclasses.replace(config, generation_provider="carrier-pigeon").make_generator()
 
 
 def test_make_translator_variants(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
     config = load_config(TOY_CONFIG)
     assert isinstance(config.make_translator(), IdentityTranslator)
-    with pytest.raises(ConfigError, match="needs translation.mapping_path"):
-        dataclasses.replace(config, translation_provider="mapping").make_translator()
     mapping_path = tmp_path / "mapping.json"
     write_json(mapping_path, {"hello": "bonjour"})
     translator = dataclasses.replace(
@@ -439,20 +461,28 @@ def test_make_translator_variants(tmp_path: Path, monkeypatch: pytest.MonkeyPatc
     ).make_translator()
     assert isinstance(translator, MappingTranslator)
     assert translator.translate("hello", "fr") == "bonjour"
-    write_json(mapping_path, ["not", "an", "object"])
-    with pytest.raises(ConfigError, match="expected a JSON object"):
-        dataclasses.replace(
-            config, translation_provider="mapping", translation_mapping_path=mapping_path
-        ).make_translator()
-    with pytest.raises(ConfigError, match="needs generation.model"):
-        dataclasses.replace(config, translation_provider="http").make_translator()
+    for table, message in (
+        (["not", "an", "object"], "expected a JSON object"),
+        ({"hello": "bonjour", "bye": None}, "the value of 'bye' is not a string"),
+    ):
+        write_json(mapping_path, table)
+        with pytest.raises(ProviderError, match=message):
+            dataclasses.replace(
+                config, translation_provider="mapping", translation_mapping_path=mapping_path
+            ).make_translator()
     monkeypatch.setenv("TOTSIM_ENDPOINT", "https://example.test/v1")
     chat = dataclasses.replace(
         config, translation_provider="http", generation_model="m"
     ).make_translator()
     assert isinstance(chat, ChatTranslator)
-    with pytest.raises(ConfigError, match="unknown translation provider"):
-        dataclasses.replace(config, translation_provider="telegraph").make_translator()
+
+
+def test_english_corpus_may_spell_the_language_corpus_path_differently(tmp_path: Path) -> None:
+    # the paths are compared as the content hash records them, opening no file
+    for spelling in ("./e.jsonl", "data/../e.jsonl", str(tmp_path / "e.jsonl")):
+        text = f"seed: 1\noutput_dir: out\nenglish_corpus: {spelling}\n"
+        config = load_config(write_config(tmp_path, text + "languages: {en: {corpus: e.jsonl}}\n"))
+        assert config.language("en").corpus == tmp_path / "e.jsonl"
 
 
 def test_parse_args_requires_command_and_config() -> None:
@@ -494,8 +524,17 @@ def test_pipeline_writes_every_stage(pipeline_tree: Path) -> None:
         assert (out / stage / "manifest.json").exists(), stage
     ingest = json.loads((out / "ingest" / "manifest.json").read_text(encoding="utf-8"))
     assert ingest["document_counts"] == {"en": 260, "zz": 320}
-    assert (out / "partition" / "zz.tsv").exists()
-    assert not (out / "partition" / "en.tsv").exists()
+    # the zz doc ids, grouped by partition and sorted; English is not partitioned
+    grouped = read_json(out / "partition" / "zz.json")
+    assert sorted(grouped) == ["bilingual", "monolingual"]
+    assert all(doc_ids == sorted(doc_ids) for doc_ids in grouped.values())
+    assert sorted(grouped["bilingual"] + grouped["monolingual"]) == sorted(
+        doc.doc_id for doc in ingest_corpus(pipeline_tree / "corpus_zz.jsonl", "zz")
+    )
+    partition = read_json(out / "partition" / "manifest.json")
+    assert partition["schema_version"] == 2
+    assert partition["outputs"] == ["zz.json"]
+    assert partition["partition_counts"] == {"zz": {k: len(v) for k, v in grouped.items()}}
     for name in ("en-full", "zz-monolingual", "zz-bilingual"):
         assert (out / "sample" / f"{name}.jsonl").exists()
     assert (out / "search" / "zz" / "real" / "bm25-k1.2-b0.75.run").exists()
@@ -792,6 +831,34 @@ def edit_toy_config(toy: Path, edit: Callable[[dict], None]) -> str:
     return str(path)
 
 
+def test_a_backend_without_what_it_needs_fails_before_any_stage(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config_arg = edit_toy_config(
+        toy_copy, lambda raw: raw.update(generation={"provider": "canned"})
+    )
+    assert main(["pipeline", "--config", config_arg]) == 1
+    assert "generation.provider 'canned' needs generation.canned_path" in capsys.readouterr().err
+    assert not (toy_copy / "out").exists()
+
+
+def test_a_recorded_response_that_is_not_text_fails_generate(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    recorded = toy_copy / "recorded.json"
+    write_json(recorded, {"a" * 64: "text", "b" * 64: None})
+    config_arg = edit_toy_config(
+        toy_copy,
+        lambda raw: raw.update(generation={"provider": "canned", "canned_path": recorded.name}),
+    )
+    for stage in ("ingest", "partition", "sample"):
+        assert main([stage, "--config", config_arg]) == 0
+    capsys.readouterr()
+    assert main(["generate", "--config", config_arg]) == 1
+    message = f"{recorded}: the value of {'b' * 64!r} is not a string"
+    assert capsys.readouterr().err == f"error: generate: {message}\n"
+
+
 def test_ingest_counts_an_english_corpus_that_is_not_a_target(toy_copy: Path) -> None:
     config_arg = edit_toy_config(toy_copy, lambda raw: raw["languages"].pop("en"))
     assert main(["ingest", "--config", config_arg]) == 0
@@ -1029,13 +1096,17 @@ def recorded_outputs(stage_dir: Path) -> list[str]:
     return json.loads((stage_dir / "manifest.json").read_text(encoding="utf-8"))["outputs"]
 
 
+def zz_partitions(out: Path) -> dict[str, str]:
+    """Each zz document's partition, from the map the partition stage wrote."""
+    grouped = read_json(out / "partition" / "zz.json")
+    return {doc_id: name for name, doc_ids in grouped.items() for doc_id in doc_ids}
+
+
 def test_rerun_leaves_no_report_of_a_query_set_it_no_longer_writes(
     tree_copy: Path, caplog: pytest.LogCaptureFixture
 ) -> None:
     out = tree_copy / "out"
-    partition_of = dict(
-        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
-    )
+    partition_of = zz_partitions(out)
     qrels = load_qrels(tree_copy / "real_qrels_zz.txt")
     kept = {qid for qid, doc_id in qrels.items() if partition_of[doc_id] == "bilingual"}
     assert 0 < len(kept) < len(qrels)
@@ -1379,9 +1450,7 @@ def test_correlate_slices_the_real_set_by_partition(
     config_path = tree_copy / "config.yaml"
     config_text = config_path.read_text(encoding="utf-8")
     config = load_config(config_path)
-    partition_of = dict(
-        line.split("\t") for line in (out / "partition" / "zz.tsv").read_text().splitlines()
-    )
+    partition_of = zz_partitions(out)
     real = load_qrels(tree_copy / "real_qrels_zz.txt")
     slices = {
         partition: [qid for qid, doc_id in real.items() if partition_of[doc_id] == partition]

@@ -183,11 +183,12 @@ def test_build_index_statistics() -> None:
     span = slice(index.offsets[fish], index.offsets[fish + 1])
     postings = zip(index.postings_docs[span].tolist(), index.postings_tfs[span].tolist())
     assert {index.doc_ids[doc]: tf for doc, tf in postings} == {"a": 2, "c": 1}
-    assert index.df("fish") == 2
-    assert index.ctf("fish") == 3
+    # each term's document frequency is the length of its postings slice
+    df = (index.offsets[1:] - index.offsets[:-1]).tolist()
+    assert dict(zip(index.terms, df)) == {"blue": 1, "car": 1, "fish": 2, "green": 1, "red": 2}
+    ctf = index.term_ctf.tolist()
+    assert dict(zip(index.terms, ctf)) == {"blue": 1, "car": 1, "fish": 3, "green": 1, "red": 2}
     assert index.term_id("absent") is None
-    assert index.df("absent") == 0
-    assert index.ctf("absent") == 0
 
 
 def test_build_index_ignores_titles_and_aliases() -> None:
