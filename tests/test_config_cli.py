@@ -589,6 +589,40 @@ def test_index_bytes_are_pinned(pipeline_tree: Path) -> None:
     assert digests == INDEX_DIGESTS
 
 
+# sha256 of the ingest manifest and of each file partition and evaluate write,
+# manifests included, taken while search still held a whole set's rankings
+# in memory before writing them.
+STAGE_DIGESTS = {
+    "evaluate/en/full-V1.ranks.tsv": "e0baf0c8f22f696d7a73889c5f005fb412cf480ea79dae440be5c6880628531f",
+    "evaluate/manifest.json": "056d2d8230e28a7d6a6a419e4af5690fa485d2c5997936ecdc54f42460c9cd8b",
+    "evaluate/zz/bilingual-V1.ranks.tsv": "4739873712934c3330662c968c39e1b9908329132173dd85710df7b973f415c1",
+    "evaluate/zz/bilingual-V2.ranks.tsv": "4e4f6def8a66f6f719619876ac5e0330bc658e1bda34a584f5492a4eb0daf9be",
+    "evaluate/zz/bilingual-V3.ranks.tsv": "3806245e797684f7c48a27b3f02023e4c43f37fc10501c056be52923f0c03ea5",
+    "evaluate/zz/bilingual-V4.ranks.tsv": "d2d1d98746adc958d1f1b3d83e8ae912592270d40a177832231aec90c92db44e",
+    "evaluate/zz/monolingual-V1.ranks.tsv": "9c594d3474a2042520566a77e41ed611166e53a6a0709f8e1ddd609786f1f40d",
+    "evaluate/zz/monolingual-V2.ranks.tsv": "18c8db43ef7c31280871fd57625955bb0783b9bb54a69b89eac7082299443eee",
+    "evaluate/zz/real.ranks.tsv": "5bd7e25b4d7384508830b982f7afa41e217651e79af641ddada0cc2d89f71fa9",
+    "ingest/manifest.json": "ae213ddd9fa00d66024462444246005058964ffb10c8e7eb2245a8a3135ffa33",
+    "partition/manifest.json": "805793ed82f5a3b53544a4b84dfbe08ecc6d93203dc1fd953b511b1fb8f153e0",
+    "partition/zz.json": "72e43f1532bf7fc044d6b31d6e07f81c54c8a4afd242ddb487ec6c98f8827d1a",
+}
+
+
+def test_ingest_partition_and_evaluate_bytes_are_pinned(pipeline_tree: Path) -> None:
+    out = pipeline_tree / "out"
+    files = [out / "ingest" / "manifest.json"] + [
+        path
+        for stage in ("partition", "evaluate")
+        for path in sorted((out / stage).rglob("*"))
+        if path.is_file()
+    ]
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in files
+    }
+    assert digests == STAGE_DIGESTS
+
+
 # sha256 of each file sample and assemble write, manifests included: the
 # candidates and the assembled collection, which is the pipeline's product.
 PRODUCT_DIGESTS = {
