@@ -76,7 +76,6 @@ from .retrieval import (
     run_search,
     save_index,
     tokenizer_for_language,
-    write_run_file,
 )
 from .sampling import (
     RNG_ALGORITHM,
@@ -357,10 +356,8 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
-            runs = run_search(pool, queries, index, depth=config.depth)
-            for run in runs:
-                write_run_file(run, _run_path(config, entry.code, set_name, run.system_id))
-            ranks = {run.system_id: run.target_ranks(qrels) for run in runs}
+            paths = [_run_path(config, entry.code, set_name, s.system_id) for s in pool]
+            ranks = run_search(pool, queries, index, qrels, paths, depth=config.depth)
             write_rank_file(ranks, _ranks_path(config, entry.code, set_name))
     return {}
 

@@ -57,6 +57,7 @@ API_KEY_ENV = "TOTSIM_API_KEY"
 # the call instead of stalling a worker for it.
 MAX_RETRY_AFTER_S = 60
 _NO_HTTP_CLIENT = "provider 'http' needs the 'requests' package, which is not installed"
+_NO_ENDPOINT = f"no endpoint given and {ENDPOINT_ENV} is unset"
 
 
 @runtime_checkable
@@ -82,9 +83,11 @@ def request_hash(prompt: str, temperature: float) -> str:
 
 
 def require_http_client() -> None:
-    """Fail unless ``requests`` is installed; finds the package without loading it."""
+    """Fail unless ``requests`` is installed (found, not loaded) and TOTSIM_ENDPOINT is set."""
     if importlib.util.find_spec("requests") is None:
         raise ConfigError(_NO_HTTP_CLIENT)
+    if not os.environ.get(ENDPOINT_ENV):
+        raise ConfigError(_NO_ENDPOINT)
 
 
 class HttpChatProvider:
@@ -122,7 +125,7 @@ class HttpChatProvider:
         self.name = model
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV)
         if not self.endpoint:
-            raise ConfigError(f"no endpoint given and {ENDPOINT_ENV} is unset")
+            raise ConfigError(_NO_ENDPOINT)
         self.api_key = api_key or os.environ.get(API_KEY_ENV)
         self.timeout = timeout
         self.max_retries = max_retries

@@ -48,6 +48,7 @@ import math
 import re
 import zipfile
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -72,9 +73,7 @@ __all__ = [
     "RetrievalSystem",
     "default_lexical_pool",
     "RunResult",
-    "SearchRun",
     "run_search",
-    "write_run_file",
     "load_external_run",
     "DEFAULT_DEPTH",
     "INDEX_FORMAT",
@@ -465,60 +464,64 @@ def score_ql_dirichlet(
     return _pairs(query, index, RetrievalSystem("qld", "ql-dirichlet", mu=mu), depth)
 
 
-class _Run:
-    """What both forms of a run share: the known-item rank rule, read through ``columns``."""
-
-    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
-        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
-        ranks = {}
-        for query_id, doc_id in qrels.items():
-            doc_ids = self.columns(query_id)[0] if query_id in self.rankings else []
-            ranks[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
-        return ranks
-
-
 @dataclass
-class RunResult(_Run):
+class RunResult:
     """Per-query rankings produced by one system, as (doc_id, score) pairs, best first."""
 
     system_id: str
     rankings: dict[str, list[tuple[str, float]]]
 
-    def columns(self, query_id: str) -> tuple[list[str], list[float]]:
-        ranking = self.rankings[query_id]
-        return [doc_id for doc_id, _ in ranking], [score for _, score in ranking]
-
-
-@dataclass
-class SearchRun(_Run):
-    """One lexical system's rankings: query id -> (doc numbers, scores) arrays, best first."""
-
-    system_id: str
-    doc_ids: list[str]
-    rankings: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-
-    def columns(self, query_id: str) -> tuple[list[str], np.ndarray]:
-        numbers, scores = self.rankings[query_id]
-        return list(map(self.doc_ids.__getitem__, numbers.tolist())), scores
+    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
+        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
+        ranks = {}
+        for query_id, doc_id in qrels.items():
+            doc_ids = [doc for doc, _ in self.rankings.get(query_id, ())]
+            ranks[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
+        return ranks
 
 
 def run_search(
     systems: Sequence[RetrievalSystem],
     queries: Mapping[str, str],
     index: InvertedIndex,
+    qrels: Mapping[str, str],
+    run_paths: Sequence[Path | str],
     depth: int = DEFAULT_DEPTH,
-) -> list[SearchRun]:
-    """Score every query against ``index`` with every system, one gather per query."""
-    runs = [SearchRun(system.system_id, index.doc_ids) for system in systems]
-    for query_id in sorted(queries):
-        for run, ranking in zip(runs, _rank_pool(queries[query_id], index, systems, depth)):
-            run.rankings[query_id] = ranking
-    return runs
+) -> dict[str, dict[str, int]]:
+    """Search every query with every system, writing each ranking as it is made.
+
+    Queries run in sorted id order, one :func:`_rank_pool` gather each, and
+    ``systems[i]``'s rankings go straight to ``run_paths[i]``, which is replaced
+    only once every query is written; nothing holds a whole set.  Returns
+    system id -> qrels query id -> the target's 1-based rank, or 0 when the
+    query was not searched or its target is not in the top ``depth``.
+    """
+    import numpy as np
+
+    ranks = {system.system_id: dict.fromkeys(qrels, 0) for system in systems}
+    rank_fields = [f" {rank} " for rank in range(1, min(depth, index.doc_count) + 1)]
+    with ExitStack() as stack:
+        handles = [stack.enter_context(atomic_output(path)) for path in run_paths]
+        for query_id in sorted(queries):
+            rankings = _rank_pool(queries[query_id], index, systems, depth)
+            target = _position(index.doc_ids, qrels[query_id]) if query_id in qrels else None
+            for system, handle, (numbers, scores) in zip(systems, handles, rankings, strict=True):
+                if target is not None and (hits := np.flatnonzero(numbers == target)).size:
+                    ranks[system.system_id][query_id] = int(hits[0]) + 1
+                if numbers.size:
+                    doc_ids = map(index.doc_ids.__getitem__, numbers.tolist())
+                    handle.write(
+                        _run_lines(query_id, system.system_id, doc_ids, rank_fields, scores)
+                    )
+    return ranks
 
 
-def write_run_file(run: RunResult | SearchRun, path: Path | str) -> None:
-    """Write the six-column run format: query_id Q0 doc_id rank score system_id.
+def _run_lines(
+    query_id: str, system_id: str, doc_ids: Iterable[str], ranks: Iterable[str], scores: np.ndarray
+) -> bytes:
+    """One ranking in the six-column run format: query_id Q0 doc_id rank score system_id.
 
+    ``ranks`` holds the rank column with its separators (" 1 ", " 2 ", ...).
     Scores get their ``repr`` text.  One ``orjson`` call formats a ranking's
     scores; its shortest round-trip text equals ``repr``'s for magnitudes in
     [1e-4, 1e16), and ``repr`` writes the rest (orjson writes ``1e+16`` as ``1e16``).
@@ -526,21 +529,14 @@ def write_run_file(run: RunResult | SearchRun, path: Path | str) -> None:
     import numpy as np
     import orjson
 
-    ranks: list[str] = []  # " 1 ", " 2 ", ...: the rank field with its separators
-    with atomic_output(path) as handle:
-        for query_id in sorted(run.rankings):
-            doc_ids, scores = run.columns(query_id)
-            if not doc_ids:
-                continue
-            ranks.extend(f" {rank} " for rank in range(len(ranks) + 1, len(doc_ids) + 1))
-            values = np.asarray(scores, dtype=np.float64).tolist()
-            texts = orjson.dumps(values).decode()[1:-1].split(",")
-            magnitudes = np.abs(values)
-            for i in np.flatnonzero((magnitudes < 1e-4) | ~(magnitudes < 1e16)).tolist():
-                texts[i] = repr(values[i])
-            head, tail = f"{query_id} Q0 ", f" {run.system_id}\n"
-            lines = map("".join, zip(doc_ids, ranks, texts))
-            handle.write((head + (tail + head).join(lines) + tail).encode("utf-8"))
+    values = scores.tolist()
+    texts = orjson.dumps(values).decode()[1:-1].split(",")
+    magnitudes = np.abs(scores)
+    for i in np.flatnonzero((magnitudes < 1e-4) | ~(magnitudes < 1e16)).tolist():
+        texts[i] = repr(values[i])
+    head, tail = f"{query_id} Q0 ", f" {system_id}\n"
+    lines = map("".join, zip(doc_ids, ranks, texts))
+    return (head + (tail + head).join(lines) + tail).encode("utf-8")
 
 
 def load_external_run(

@@ -6,6 +6,9 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from typing import Callable
@@ -37,11 +40,18 @@ from totsim.providers import (
     IdentityTranslator,
     MappingTranslator,
 )
-from totsim.retrieval import RunResult, default_lexical_pool, load_external_run
+from totsim.retrieval import (
+    RunResult,
+    default_lexical_pool,
+    load_external_run,
+    load_index,
+    run_search,
+)
 from totsim.sampling import read_candidate_manifest
 from totsim.util import dump_json, read_json, write_json, write_jsonl
 
 TOY_CONFIG = TOY_DIR / "config.yaml"
+SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -621,6 +631,56 @@ def test_ingest_partition_and_evaluate_bytes_are_pinned(pipeline_tree: Path) -> 
         for path in files
     }
     assert digests == STAGE_DIGESTS
+
+
+def test_search_memory_does_not_grow_with_the_query_set(
+    pipeline_tree: Path, tmp_path: Path
+) -> None:
+    out = pipeline_tree / "out"
+    index = load_index(out / "index" / "zz.npz")
+    records = read_query_manifest(out / "generate" / "zz" / "bilingual-V1.jsonl")
+    accepted = [record for record in records if not record.discarded]
+    pool = default_lexical_pool()
+    paths = [tmp_path / f"{system.system_id}.run" for system in pool]
+
+    def traced_peak(copies: int) -> int:
+        # each copy of the set under fresh query ids
+        copied = [(f"{r.query_id}-{copy}", r) for copy in range(copies) for r in accepted]
+        queries = {query_id: record.text for query_id, record in copied}
+        qrels = {query_id: record.target_doc_id for query_id, record in copied}
+        tracemalloc.start()
+        try:
+            run_search(pool, queries, index, qrels, paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(1)  # loads what the first search imports and caches
+    assert traced_peak(4) <= 1.25 * traced_peak(1)
+
+
+def test_a_tree_does_not_depend_on_workers_or_hash_seed(tmp_path: Path) -> None:
+    trees = []
+    for workers, hash_seed in ((1, "0"), (2, "1")):
+        toy = tmp_path / f"toy-{workers}"
+        shutil.copytree(TOY_DIR, toy)
+        subprocess.run(
+            [sys.executable, "-m", "totsim.cli", "pipeline", "--config", str(toy / "config.yaml")]
+            + ["--workers", str(workers)],
+            check=True,
+            capture_output=True,
+            env={"PYTHONPATH": str(SRC), "PYTHONHASHSEED": hash_seed},
+        )
+        out = toy / "out"
+        trees.append(
+            {
+                path.relative_to(out).as_posix(): path.read_bytes()
+                for path in sorted(out.rglob("*"))
+                if path.is_file()
+            }
+        )
+    assert len(trees[0]) > 100
+    assert trees[0] == trees[1]
 
 
 # sha256 of each file sample and assemble write, manifests included: the

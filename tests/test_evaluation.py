@@ -29,7 +29,14 @@ from totsim.evaluation import (
     write_rank_file,
 )
 from totsim.evaluation import _kendall_tau_values
-from totsim.retrieval import RetrievalSystem, RunResult, Tokenizer, build_index, run_search
+from totsim.retrieval import (
+    RetrievalSystem,
+    RunResult,
+    Tokenizer,
+    build_index,
+    load_external_run,
+    run_search,
+)
 
 
 def reference_tau_b(xs: list[float], ys: list[float]) -> float:
@@ -169,7 +176,7 @@ def test_evaluate_ranks_matches_per_query_formulas(ranks: list[int]) -> None:
         evaluate_ranks("s", {})
 
 
-def test_target_rank_is_zero_when_the_target_is_not_retrieved() -> None:
+def test_target_rank_is_zero_when_the_target_is_not_retrieved(tmp_path: Path) -> None:
     index = build_index(
         make_corpus(
             "en",
@@ -182,15 +189,16 @@ def test_target_rank_is_zero_when_the_target_is_not_retrieved() -> None:
     system = RetrievalSystem(system_id="bm25", kind="bm25", k1=1.2, b=0.75)
     queries = {"unindexed": "zebra", "top": "red fish", "deep": "red fish"}
     qrels = {"unindexed": "a", "top": "a", "deep": "b", "unasked": "c"}
-    [full] = run_search([system], queries, index)
-    assert full.columns("unindexed")[0] == []
-    assert full.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
+    path = tmp_path / "bm25.run"
+    full = run_search([system], queries, index, qrels, [path])["bm25"]
+    pairs = load_external_run(path, queries)
+    assert pairs.rankings["unindexed"] == []
+    assert full == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
     # the doc-number arrays give the rank the (doc_id, score) pairs give
-    pairs = RunResult("bm25", {q: list(zip(*full.columns(q))) for q in full.rankings})
-    assert pairs.target_ranks(qrels) == full.target_ranks(qrels)
+    assert pairs.target_ranks(qrels) == full
     # below the search depth the target counts as not retrieved
-    [shallow] = run_search([system], queries, index, depth=1)
-    assert shallow.target_ranks(qrels) == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}
+    shallow = run_search([system], queries, index, qrels, [path], depth=1)["bm25"]
+    assert shallow == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}
 
 
 def test_rank_file_round_trip(tmp_path: Path) -> None:

@@ -14,7 +14,7 @@ import requests
 import yaml
 
 import totsim.providers as providers_module
-from totsim.cli import run_stage
+from totsim.cli import main, run_stage
 from totsim.config import PipelineConfig, load_config
 from totsim.errors import ConfigError, ProviderError
 from totsim.providers import (
@@ -471,6 +471,20 @@ def test_a_missing_requests_package_fails_the_http_config_at_load(toy_copy: Path
     assert result.returncode == 1
     assert "Traceback" not in result.stderr
     assert "error: pipeline: provider 'http' needs the 'requests' package" in result.stderr
+    # it fails before any stage runs
+    assert not (toy_copy / "out").exists()
+
+
+def test_an_http_config_without_an_endpoint_fails_at_load(
+    toy_copy: Path, no_env: None, capsys: pytest.CaptureFixture[str]
+) -> None:
+    path = toy_copy / "config.yaml"
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    raw["generation"] = {"provider": "http", "model": "m"}
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path)]) == 1
+    message = f"error: pipeline: no endpoint given and {ENDPOINT_ENV} is unset"
+    assert message in capsys.readouterr().err
     # it fails before any stage runs
     assert not (toy_copy / "out").exists()
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import totsim.retrieval as retrieval
 from conftest import make_corpus, make_doc
 from totsim.errors import RunFileError, TotsimError
 from totsim.retrieval import (
@@ -34,8 +35,8 @@ from totsim.retrieval import (
     score_bm25,
     score_ql_dirichlet,
     tokenizer_for_language,
-    write_run_file,
 )
+from totsim.retrieval import _run_lines
 
 WS = Tokenizer(mode="whitespace")
 CJK = Tokenizer(mode="cjk-ngram")
@@ -402,35 +403,48 @@ def test_default_pool_has_seven_fixed_systems() -> None:
     ]
 
 
-def pairs(run, query_id: str) -> list[tuple[str, float]]:
-    doc_ids, scores = run.columns(query_id)
-    return list(zip(doc_ids, np.asarray(scores).tolist()))
+def search(
+    tmp_path: Path,
+    systems: list[RetrievalSystem],
+    queries: dict[str, str],
+    index: InvertedIndex,
+    qrels: dict[str, str] | None = None,
+    depth: int = DEFAULT_DEPTH,
+) -> tuple[dict[str, dict[str, int]], list[RunResult]]:
+    """``run_search`` into ``tmp_path``: the target ranks, and each run file parsed back."""
+    paths = [tmp_path / f"{system.system_id}.run" for system in systems]
+    ranks = run_search(systems, queries, index, qrels or {}, paths, depth=depth)
+    return ranks, [load_external_run(path, queries, depth) for path in paths]
 
 
-def test_run_search_and_write_run_file(tmp_path: Path) -> None:
+def test_run_search_writes_each_systems_run_file(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="bm25-test", kind="bm25", k1=1.2, b=0.75)
-    [run] = run_search([system], {"q2": "green", "q1": "red fish"}, index)
-    assert sorted(run.rankings) == ["q1", "q2"]
-    assert pairs(run, "q1") == score_bm25("red fish", index, k1=1.2, b=0.75)
     path = tmp_path / "out.run"
-    write_run_file(run, path)
+    assert run_search([system], {"q2": "green", "q1": "red fish"}, index, {}, [path]) == {
+        "bm25-test": {}
+    }
     lines = path.read_text(encoding="utf-8").splitlines()
-    top = pairs(run, "q1")[0][1]
+    assert [line.split()[0] for line in lines] == ["q1", "q1", "q1", "q2"]
+    run = load_external_run(path, ["q1", "q2"])
+    assert run.rankings["q1"] == score_bm25("red fish", index, k1=1.2, b=0.75)
+    top = run.rankings["q1"][0][1]
     assert lines[0].split() == ["q1", "Q0", "a", "1", repr(top), "bm25-test"]
     assert len(lines) == 4
     # repr round trips the float exactly
     assert float(lines[0].split()[4]) == top
 
 
-def test_a_pool_tokenizes_each_query_once(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_a_pool_tokenizes_each_query_once(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     queries = {"q1": "red fish", "q2": "green", "q3": "zebra", "q4": "Red  FISH"}
     pool = default_lexical_pool()
     # each system searching on its own is the reference
     expected = []
     for system in pool:
-        [run] = run_search([system], queries, fish_index())
-        expected.append({q: pairs(run, q) for q in queries})
+        _, [run] = search(tmp_path, [system], queries, fish_index())
+        expected.append(run.rankings)
     index = fish_index()
     calls: list[str] = []
     tokenize = Tokenizer.tokenize
@@ -440,21 +454,99 @@ def test_a_pool_tokenizes_each_query_once(monkeypatch: pytest.MonkeyPatch) -> No
         return tokenize(self, text)
 
     monkeypatch.setattr(Tokenizer, "tokenize", counting)
-    runs = run_search(pool, queries, index)
+    ranks, runs = search(tmp_path, pool, queries, index)
     assert sorted(calls) == sorted(queries.values())
-    assert [run.system_id for run in runs] == [system.system_id for system in pool]
-    assert [{q: pairs(run, q) for q in queries} for run in runs] == expected
+    assert list(ranks) == [run.system_id for run in runs] == [s.system_id for s in pool]
+    assert [run.rankings for run in runs] == expected
 
 
 def test_external_run_round_trip(tmp_path: Path) -> None:
     index = fish_index()
     system = RetrievalSystem(system_id="qld-mu500", kind="ql-dirichlet", mu=500.0)
-    [run] = run_search([system], {"q1": "red fish", "q2": "green"}, index)
+    queries = {"q1": "red fish", "q2": "green"}
     path = tmp_path / "out.run"
-    write_run_file(run, path)
+    run_search([system], queries, index, {}, [path])
     loaded = load_external_run(path, ["q1", "q2"])
     assert loaded.system_id == "qld-mu500"
-    assert loaded.rankings == {q: pairs(run, q) for q in ("q1", "q2")}
+    assert loaded.rankings == {q: score_ql_dirichlet(t, index, mu=500.0) for q, t in queries.items()}
+
+
+def test_a_failed_search_leaves_no_run_file(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+    rank_pool = retrieval._rank_pool
+
+    def failing(query: str, *args):
+        if query == "green":
+            raise TotsimError("scoring failed")
+        return rank_pool(query, *args)
+
+    monkeypatch.setattr(retrieval, "_rank_pool", failing)
+    pool = default_lexical_pool()
+    paths = [tmp_path / f"{system.system_id}.run" for system in pool]
+    # q1 is ranked and written before q2 fails
+    with pytest.raises(TotsimError, match="scoring failed"):
+        run_search(pool, {"q1": "red fish", "q2": "green"}, fish_index(), {}, paths)
+    assert list(tmp_path.iterdir()) == []
+
+
+WORDS = ("red", "fish", "blue", "car")
+
+
+@st.composite
+def search_cases(draw) -> tuple[list[str], dict[str, str], dict[str, str], int]:
+    """A corpus over a few words, so scores tie often, with queries, qrels and a depth."""
+    bodies = draw(
+        st.lists(st.lists(st.sampled_from(WORDS), max_size=5).map(" ".join), min_size=1, max_size=6)
+    )
+    # "zebra" matches no document
+    texts = st.lists(st.sampled_from(WORDS + ("zebra",)), max_size=3).map(" ".join)
+    queries = draw(st.dictionaries(st.sampled_from(["q0", "q1", "q2", "q3"]), texts, max_size=4))
+    # qrels may name queries that were not searched and documents the index lacks
+    targets = st.sampled_from([f"d{i}" for i in range(len(bodies))] + ["absent"])
+    qrels = draw(st.dictionaries(st.sampled_from(["q0", "q1", "q2", "q3", "q4"]), targets))
+    return bodies, queries, qrels, draw(st.integers(1, len(bodies)))
+
+
+# the target of q0 is second among two candidates: at the depth, then below it
+BOUNDARY = (["red fish", "red", "fish"], {"q0": "red", "q1": "zebra"}, {"q0": "d1", "q2": "d0"})
+
+
+@given(case=search_cases())
+@example(case=(*BOUNDARY, 1))
+@example(case=(*BOUNDARY, 2))
+@settings(max_examples=100, deadline=None)
+def test_run_search_writes_the_reference_rankings_and_their_target_ranks(
+    tmp_path_factory, case: tuple[list[str], dict[str, str], dict[str, str], int]
+) -> None:
+    bodies, queries, qrels, depth = case
+    docs = [make_doc(f"d{i}", body=body) for i, body in enumerate(bodies)]
+    index = build_index(make_corpus("en", *docs), WS)
+    pool = default_lexical_pool()
+    tmp = tmp_path_factory.mktemp("search")
+    paths = [tmp / f"{system.system_id}.run" for system in pool]
+    ranks = run_search(pool, queries, index, qrels, paths, depth=depth)
+    assert list(ranks) == [system.system_id for system in pool]
+    for system, path in zip(pool, paths):
+        if system.kind == "bm25":
+            expected = {
+                q: score_bm25(text, index, k1=system.k1, b=system.b, depth=depth)
+                for q, text in queries.items()
+            }
+        else:
+            expected = {
+                q: score_ql_dirichlet(text, index, mu=system.mu, depth=depth)
+                for q, text in queries.items()
+            }
+        assert load_external_run(path, queries, depth).rankings == expected
+        # queries are written in sorted order, and those without candidates not at all
+        written = [line.split()[0] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert written == sorted(written)
+        assert set(written) == {q for q, ranking in expected.items() if ranking}
+        # one rank row per qrels query: the target's position in the reference, or 0
+        rows = {}
+        for query_id, doc_id in qrels.items():
+            doc_ids = [doc for doc, _ in expected.get(query_id, [])]
+            rows[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
+        assert ranks[system.system_id] == rows
 
 
 def test_external_run_shares_repeated_doc_id_strings(tmp_path: Path) -> None:
@@ -569,7 +661,9 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
     rankings = {"q1": [(f"d{i}", s) for i, s in enumerate(ordered)]}
     run = RunResult(system_id="sys", rankings=rankings)
     path = tmp_path_factory.mktemp("runs") / "out.run"
-    write_run_file(run, path)
+    doc_ids, values = zip(*run.rankings["q1"])
+    ranks = [f" {rank} " for rank in range(1, len(values) + 1)]
+    path.write_bytes(_run_lines("q1", run.system_id, doc_ids, ranks, np.array(values)))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line.split()[4] for line in lines] == [repr(score) for score in ordered]
     loaded = load_external_run(path, ["q1"])
