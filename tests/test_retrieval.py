@@ -404,17 +404,12 @@ def test_default_pool_has_seven_fixed_systems() -> None:
 
 
 def search(
-    tmp_path: Path,
-    systems: list[RetrievalSystem],
-    queries: dict[str, str],
-    index: InvertedIndex,
-    qrels: dict[str, str] | None = None,
-    depth: int = DEFAULT_DEPTH,
+    tmp_path: Path, systems: list[RetrievalSystem], queries: dict[str, str], index: InvertedIndex
 ) -> tuple[dict[str, dict[str, int]], list[RunResult]]:
-    """``run_search`` into ``tmp_path``: the target ranks, and each run file parsed back."""
+    """``run_search`` into ``tmp_path`` without qrels: its ranks, and each run file parsed back."""
     paths = [tmp_path / f"{system.system_id}.run" for system in systems]
-    ranks = run_search(systems, queries, index, qrels or {}, paths, depth=depth)
-    return ranks, [load_external_run(path, queries, depth) for path in paths]
+    ranks = run_search(systems, queries, index, {}, paths)
+    return ranks, [load_external_run(path, queries) for path in paths]
 
 
 def test_run_search_writes_each_systems_run_file(tmp_path: Path) -> None:
@@ -468,10 +463,13 @@ def test_external_run_round_trip(tmp_path: Path) -> None:
     run_search([system], queries, index, {}, [path])
     loaded = load_external_run(path, ["q1", "q2"])
     assert loaded.system_id == "qld-mu500"
-    assert loaded.rankings == {q: score_ql_dirichlet(t, index, mu=500.0) for q, t in queries.items()}
+    expected = {q: score_ql_dirichlet(text, index, mu=500.0) for q, text in queries.items()}
+    assert loaded.rankings == expected
 
 
-def test_a_failed_search_leaves_no_run_file(tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+def test_a_failed_search_leaves_no_run_file(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
     rank_pool = retrieval._rank_pool
 
     def failing(query: str, *args):
@@ -506,8 +504,8 @@ def search_cases(draw) -> tuple[list[str], dict[str, str], dict[str, str], int]:
     return bodies, queries, qrels, draw(st.integers(1, len(bodies)))
 
 
-# the target of q0 is second among two candidates: at the depth, then below it
-BOUNDARY = (["red fish", "red", "fish"], {"q0": "red", "q1": "zebra"}, {"q0": "d1", "q2": "d0"})
+# q0's target d0 is second after the shorter d1: at the depth, then below it
+BOUNDARY = (["red fish", "red", "fish"], {"q0": "red", "q1": "zebra"}, {"q0": "d0", "q2": "d1"})
 
 
 @given(case=search_cases())
