@@ -1178,6 +1178,19 @@ def test_a_missing_nested_output_reruns_only_its_stage(
     assert skipped == [stage for stage in STAGES if stage != "search"]
 
 
+@pytest.mark.parametrize("corrupt", [b'{"stage": "sel', b'{"stage": "\xff"}\n'])
+def test_a_stage_whose_manifest_cannot_be_read_reruns(
+    tree_copy: Path, corrupt: bytes, caplog: pytest.LogCaptureFixture
+) -> None:
+    select = tree_copy / "out" / "select"
+    written = {path: path.read_bytes() for path in select.iterdir()}
+    (select / "manifest.json").write_bytes(corrupt)
+    with caplog.at_level("INFO", logger="totsim.cli"):
+        assert main(["select", "--config", str(tree_copy / "config.yaml")]) == 0
+    assert not [r for r in caplog.records if "skipping" in r.message]
+    assert {path: path.read_bytes() for path in select.iterdir()} == written
+
+
 def stage_files(stage_dir: Path) -> list[str]:
     return sorted(
         str(path.relative_to(stage_dir))
