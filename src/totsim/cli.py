@@ -185,8 +185,8 @@ def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str
 
 def _read_partition_map(config: PipelineConfig, code: str) -> dict[str, Partition]:
     """Each document's partition, from the doc ids ``partition`` grouped by partition."""
-    grouped = read_json(_existing(config, _partition_map_path(config, code)))
-    return {doc_id: Partition(name) for name, doc_ids in grouped.items() for doc_id in doc_ids}
+    path = _existing(config, _partition_map_path(config, code))
+    return read_json(path, lambda raw: {d: Partition(p) for p, ds in raw.items() for d in ds})
 
 
 def _accepted_queries(records) -> tuple[dict[str, str], dict[str, str]]:
@@ -451,8 +451,12 @@ def _correlation_row(
     return row
 
 
-def _result_from_row(row: Mapping) -> CorrelationResult:
-    return CorrelationResult.from_per_metric(
+def _result_from_row(row: Mapping) -> tuple[tuple[Partition, str], CorrelationResult | None]:
+    """A correlation row as ((partition, variation), result); no result when undefined."""
+    key = (Partition(row["partition"]), row["variation"])
+    if row["mean_tau"] is None:
+        return key, None
+    return key, CorrelationResult.from_per_metric(
         {
             metric: MetricCorrelation(
                 tau=row[f"{metric}_tau"], pearson=row[f"{metric}_pearson"]
@@ -516,12 +520,9 @@ def _select(config: PipelineConfig, stage_dir: Path) -> dict:
         correlated = code != "en" and entry.real_qrels is not None
         if code != "en" and not correlated:
             logger.warning("%s has no correlations; defaulting every partition to V1", code)
-        rows = read_jsonl(_existing(config, _correlations_path(config, code))) if correlated else ()
-        results = {
-            (Partition(row["partition"]), row["variation"]): _result_from_row(row)
-            for row in rows
-            if row["mean_tau"] is not None
-        }
+        path = _correlations_path(config, code)
+        rows = read_jsonl(_existing(config, path), _result_from_row) if correlated else ()
+        results = {key: result for key, result in rows if result is not None}
         selected = select_best_strategy(results) if results else {}
         strategy = {}
         for partition in _partitions_for(code):
@@ -546,11 +547,10 @@ def _select(config: PipelineConfig, stage_dir: Path) -> dict:
 def _assemble(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        strategy_raw = read_json(_existing(config, _strategy_path(config, entry.code)))
-        strategy_map = {
-            Partition(partition): PromptVariation(variation)
-            for partition, variation in strategy_raw.items()
-        }
+        strategy_map = read_json(
+            _existing(config, _strategy_path(config, entry.code)),
+            lambda raw: {Partition(p): PromptVariation(v) for p, v in raw.items()},
+        )
         candidates = {
             candidate.doc_id: candidate
             for partition in _partitions_for(entry.code)
@@ -611,8 +611,9 @@ def _manifest_matches(stage_dir: Path, key: Mapping[str, object]) -> bool:
     # One read and one ``stat`` per listed output: it runs for every stage of a resume.
     directory = os.fspath(stage_dir)
     try:
-        manifest = read_json(os.path.join(directory, "manifest.json"))
-    except (OSError, ValueError):
+        # a manifest that is not a JSON object cannot be read either
+        manifest = read_json(os.path.join(directory, "manifest.json"), lambda m: dict(m.items()))
+    except (OSError, TotsimError):
         return False
     if any(manifest.get(field) != value for field, value in key.items()):
         return False

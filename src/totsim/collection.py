@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -31,7 +31,7 @@ from .generation import (
     anonymity_check,
 )
 from .sampling import DEFAULT_DOMAIN_RATIO, EntityCandidate, RNG_ALGORITHM, domain_targets
-from .util import atomic_write_text, read_json, stable_hash, write_json
+from .util import TextLines, atomic_write_text, read_json, stable_hash, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -82,15 +82,9 @@ class CollectionSpec:
             raise CollectionError("strategy_map must name a variation per partition")
 
     def content_hash(self) -> str:
-        return stable_hash(
-            {
-                "language": self.language,
-                "strategy_map": {p.value: v.value for p, v in self.strategy_map.items()},
-                "seed": self.seed,
-                "split_ratio": list(self.split_ratio),
-                "domain_ratio": {d.value: r for d, r in self.domain_ratio.items()},
-            }
-        )
+        # Every field, so none can be left out: str-valued enums encode as
+        # their values and the ratio tuple as a list.
+        return stable_hash(asdict(self))
 
 
 @dataclass
@@ -243,41 +237,35 @@ def write_bundle(bundle: CollectionBundle, directory: Path | str) -> None:
 
 
 def load_queries(path: Path | str) -> dict[str, str]:
-    """Read ``query_id<TAB>text`` lines, skipping blank ones.
+    """Read ``query_id<TAB>text`` lines, skipping whitespace-only ones.
 
     Raises:
-        CollectionError: a line without a tab, or a repeated query id.
+        CollectionError: a byte that is not UTF-8, a line without a tab,
+            or a repeated query id; it names the line.
     """
-    path = Path(path)
     queries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CollectionError(f"{path.name} line {line_no}: expected two columns")
-            if parts[0] in queries:
-                raise CollectionError(f"{path.name} line {line_no}: duplicate query id {parts[0]}")
-            queries[parts[0]] = parts[1]
+    lines = TextLines(path, CollectionError)
+    for line_no, line in lines:
+        parts = line.rstrip("\n").split("\t", 1)
+        if len(parts) != 2:
+            raise lines.error(line_no, "expected two columns")
+        if parts[0] in queries:
+            raise lines.error(line_no, f"duplicate query id {parts[0]}")
+        queries[parts[0]] = parts[1]
     return queries
 
 
 def load_bundle(directory: Path | str) -> CollectionBundle:
     directory = Path(directory)
-    manifest = read_json(directory / MANIFEST_NAME)
+    manifest = read_json(directory / MANIFEST_NAME, lambda m: dict(m.items()), CollectionError)
     queries = load_queries(directory / "queries.tsv")
     splits: dict[str, str] = {}
-    with open(directory / "splits.tsv", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in SPLITS:
-                raise CollectionError(f"splits.tsv line {line_no}: expected 'query_id<TAB>split'")
-            splits[parts[0]] = parts[1]
+    lines = TextLines(directory / "splits.tsv", CollectionError)
+    for line_no, line in lines:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2 or parts[1] not in SPLITS:
+            raise lines.error(line_no, "expected 'query_id<TAB>split'")
+        splits[parts[0]] = parts[1]
     qrels = load_qrels(directory / "qrels.txt")
     return CollectionBundle(
         language=manifest.get("language", ""),

@@ -26,7 +26,7 @@ from .errors import CollectionError, ConfigError, SamplingError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
 from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE, default_lexical_pool
 from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO, check_domain_ratio
-from .util import stable_hash
+from .util import open_text, stable_hash
 
 __all__ = ["KEYS", "LANGUAGE_KEYS", "Kind", "LanguageConfig", "PipelineConfig", "load_config"]
 
@@ -313,7 +313,7 @@ _LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 def _parse(path: Path) -> Any:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, ConfigError) as handle:
         try:
             return yaml.load(handle, Loader=_LOADER)
         except yaml.YAMLError:

@@ -12,7 +12,6 @@ domain derived from ``instance_of`` metadata.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import CorpusError
+from .util import TextLines, read_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -114,29 +114,32 @@ class Corpus:
             raise CorpusError(f"unknown document id {doc_id!r} in {self.language} corpus") from None
 
 
-def _parse_record(raw: dict, language: str, where: str) -> Document:
+def _parse_record(raw: object, language: str) -> Document:
+    # A ValueError here is a bad article: read_jsonl names its line in a CorpusError.
+    if not isinstance(raw, dict):
+        raise ValueError("expected a JSON object")
     for key in ("id", "title", "text"):
         if key not in raw:
-            raise CorpusError(f"{where}: missing required key {key!r}")
+            raise ValueError(f"missing required key {key!r}")
     doc_id = raw["id"]
     if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusError(f"{where}: document id must be a non-empty string")
+        raise ValueError("document id must be a non-empty string")
     if not isinstance(raw["title"], str):
-        raise CorpusError(f"{where}: title must be a string")
+        raise ValueError("title must be a string")
     if not isinstance(raw["text"], str):
-        raise CorpusError(f"{where}: text must be a string")
+        raise ValueError("text must be a string")
     views = raw.get("views", 0)
     if not isinstance(views, int) or isinstance(views, bool) or views < 0:
-        raise CorpusError(f"{where}: views must be a non-negative integer")
+        raise ValueError("views must be a non-negative integer")
     aliases = raw.get("aliases", [])
     if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
-        raise CorpusError(f"{where}: aliases must be a list of strings")
+        raise ValueError("aliases must be a list of strings")
     en_link = raw.get("en_id")
     if en_link is not None and not isinstance(en_link, str):
-        raise CorpusError(f"{where}: en_id must be a string")
+        raise ValueError("en_id must be a string")
     instance_of = raw.get("instance_of", [])
     if not isinstance(instance_of, list) or not all(isinstance(c, str) for c in instance_of):
-        raise CorpusError(f"{where}: instance_of must be a list of strings")
+        raise ValueError("instance_of must be a list of strings")
     return Document(
         doc_id=doc_id,
         title=raw["title"],
@@ -157,24 +160,11 @@ def ingest_corpus(path: Path | str, language: str) -> Corpus:
         language: language code the articles are written in.
 
     Raises:
-        CorpusError: on unreadable JSON, missing or mistyped fields, or a
-            duplicate document id.  Parse diagnostics name the line number.
+        CorpusError: on a byte that is not UTF-8, unreadable JSON, missing
+            or mistyped fields, or a duplicate document id.  Parse
+            diagnostics name the line number.
     """
-    path = Path(path)
-    documents: list[Document] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path.name} line {line_no}"
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(raw, dict):
-                raise CorpusError(f"{where}: expected a JSON object")
-            documents.append(_parse_record(raw, language, where))
+    documents = read_jsonl(path, lambda raw: _parse_record(raw, language), CorpusError)
     corpus = Corpus(language, documents)
     logger.info("ingested %d documents for language %s", len(corpus), language)
     return corpus
@@ -246,23 +236,20 @@ def filter_by_length(pool: Iterable[Document], min_chars: int = DEFAULT_MIN_CHAR
 
 
 def load_domain_mapping(path: Path | str) -> dict[str, DomainLabel]:
-    """Read a two-column TSV mapping metadata class ids to domain labels."""
+    """Read a two-column TSV mapping metadata class ids to labels; ``#`` lines are skipped."""
     mapping: dict[str, DomainLabel] = {}
     labels = {label.value: label for label in DomainLabel}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise CorpusError(f"domain mapping line {line_no}: expected two tab-separated columns")
-            class_id, label = parts
-            if label not in labels:
-                raise CorpusError(
-                    f"domain mapping line {line_no}: unknown domain label {label!r}"
-                )
-            mapping[class_id] = labels[label]
+    lines = TextLines(path, CorpusError)
+    for line_no, line in lines:
+        if line.startswith("#"):
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise lines.error(line_no, "expected two tab-separated columns")
+        class_id, label = parts
+        if label not in labels:
+            raise lines.error(line_no, f"unknown domain label {label!r}")
+        mapping[class_id] = labels[label]
     return mapping
 
 

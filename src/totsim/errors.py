@@ -2,7 +2,8 @@
 
 Every error raised on a contract violation derives from :class:`TotsimError`
 so the command line layer can catch one type, print a single diagnostic
-line, and exit non-zero.
+line, and exit non-zero.  That covers input that cannot be decoded: a byte
+that is not UTF-8, or JSON that does not parse, raised by ``util``'s readers.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConstantVectorError, EvaluationError
 from .retrieval import RunResult
-from .util import atomic_write_text
+from .util import TextLines, atomic_write_text
 
 logger = logging.getLogger(__name__)
 
@@ -50,24 +50,16 @@ METRICS = ("ndcg_100", "ndcg_1000", "mrr")
 
 def load_qrels(path: Path | str) -> dict[str, str]:
     """Read ``query_id 0 doc_id 1`` lines into a query to document map."""
-    path = Path(path)
     qrels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "0" or parts[3] != "1":
-                raise EvaluationError(
-                    f"{path.name} line {line_no}: expected 'query_id 0 doc_id 1'"
-                )
-            query_id, _, doc_id, _ = parts
-            if query_id in qrels and qrels[query_id] != doc_id:
-                raise EvaluationError(
-                    f"{path.name} line {line_no}: query {query_id} has more than one relevant document"
-                )
-            qrels[query_id] = doc_id
+    lines = TextLines(path, EvaluationError)
+    for line_no, line in lines:
+        parts = line.split()
+        if len(parts) != 4 or parts[1] != "0" or parts[3] != "1":
+            raise lines.error(line_no, "expected 'query_id 0 doc_id 1'")
+        query_id, _, doc_id, _ = parts
+        if query_id in qrels and qrels[query_id] != doc_id:
+            raise lines.error(line_no, f"query {query_id} has more than one relevant document")
+        qrels[query_id] = doc_id
     return qrels
 
 
@@ -97,25 +89,21 @@ def read_rank_file(path: Path | str) -> dict[str, dict[str, int]]:
     """Read a file written by :func:`write_rank_file` as system -> query -> rank.
 
     Raises:
-        EvaluationError: a line without three fields, a rank that is not a
-            non-negative integer, or a repeated (query, system) pair.
+        EvaluationError: a byte that is not UTF-8, a line without three
+            fields, a rank that is not a non-negative integer, or a
+            repeated (query, system) pair; it names the line.
     """
-    path = Path(path)
     ranks: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3 or not parts[2].isdecimal():
-                raise EvaluationError(
-                    f"{path.name} line {line_no}: expected 'query_id<TAB>system_id<TAB>rank'"
-                )
-            query_id, system_id, rank = parts
-            per_query = ranks.setdefault(system_id, {})
-            if query_id in per_query:
-                raise EvaluationError(
-                    f"{path.name} line {line_no}: query {query_id} repeats for system {system_id}"
-                )
-            per_query[query_id] = int(rank)
+    lines = TextLines(path, EvaluationError)
+    for line_no, line in lines:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 3 or not parts[2].isdecimal():
+            raise lines.error(line_no, "expected 'query_id<TAB>system_id<TAB>rank'")
+        query_id, system_id, rank = parts
+        per_query = ranks.setdefault(system_id, {})
+        if query_id in per_query:
+            raise lines.error(line_no, f"query {query_id} repeats for system {system_id}")
+        per_query[query_id] = int(rank)
     return ranks
 
 

@@ -41,7 +41,7 @@ from .corpus import Corpus, Document, Partition
 from .errors import GenerationError, TemplateError
 from .providers import ChatProvider, Translator, request_hash
 from .sampling import EntityCandidate
-from .util import read_jsonl, write_jsonl
+from .util import open_text, read_jsonl, write_jsonl
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,8 @@ class TemplateSet:
                 name = entry.name
                 if not name.endswith(".txt"):
                     continue
-                text = entry.read_text(encoding="utf-8")
+                with open_text(entry, TemplateError) as handle:
+                    text = handle.read()
                 if name == "output_language_instruction.txt":
                     instruction = text.strip()
                     continue
@@ -518,19 +519,18 @@ def write_query_manifest(
     )
 
 
+def _record_from_row(row: Mapping) -> SyntheticQuery | DiscardRecord:
+    shared = {
+        "query_id": row["query_id"],
+        "target_doc_id": row["doc_id"],
+        "language": row["language"],
+        "variation": PromptVariation(row["variation"]),
+        "attempts": row["attempts"],
+        "summary": row["summary"],
+        "provider_fingerprint": row["provider_fingerprint"],
+    }
+    return DiscardRecord(**shared) if row["discarded"] else SyntheticQuery(text=row["text"], **shared)
+
+
 def read_query_manifest(path: Path | str) -> list[SyntheticQuery | DiscardRecord]:
-    records: list[SyntheticQuery | DiscardRecord] = []
-    for row in read_jsonl(path):
-        shared = {
-            "query_id": row["query_id"],
-            "target_doc_id": row["doc_id"],
-            "language": row["language"],
-            "variation": PromptVariation(row["variation"]),
-            "attempts": row["attempts"],
-            "summary": row["summary"],
-            "provider_fingerprint": row["provider_fingerprint"],
-        }
-        records.append(
-            DiscardRecord(**shared) if row["discarded"] else SyntheticQuery(text=row["text"], **shared)
-        )
-    return records
+    return list(read_jsonl(path, _record_from_row))

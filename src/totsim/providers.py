@@ -208,7 +208,7 @@ class HttpChatProvider:
 
 def read_text_table(path: Path | str) -> dict[str, str]:
     """The JSON object at ``path``, which must map each key to a string."""
-    table = read_json(path)
+    table = read_json(path, error=ProviderError)
     if not isinstance(table, dict):
         raise ProviderError(f"{path}: expected a JSON object of strings")
     bad = next((key for key, value in table.items() if not isinstance(value, str)), None)

@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import RunFileError, TotsimError
-from .util import atomic_output, dump_json
+from .util import TextLines, atomic_output, dump_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -560,12 +560,13 @@ def load_external_run(
             itself must still be uniform across the file.
 
     Raises:
-        RunFileError: malformed lines, NaN scores, duplicate documents
-            within a query, non-increasing ranks, or scores increasing
-            with rank.
+        RunFileError: a byte that is not UTF-8, malformed lines, NaN
+            scores, duplicate documents within a query, non-increasing
+            ranks, or scores increasing with rank.
             Diagnostics name the offending line number.
     """
     path = Path(path)
+    lines = TextLines(path, RunFileError)
     expected = set(expected_queries)
     per_query: dict[str, list[tuple[int, float, str, int]]] = {}
     seen_docs: dict[str, set[str]] = {}
@@ -573,40 +574,30 @@ def load_external_run(
     # across many queries, and evaluate holds a whole pool of runs.
     doc_names: dict[str, str] = {}
     file_tag: str | None = None
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise RunFileError(f"{path.name} line {line_no}: expected 6 columns, got {len(parts)}")
-            query_id, _q0, doc_id, rank_str, score_str, tag = parts
-            doc_id = doc_names.setdefault(doc_id, doc_id)
-            try:
-                rank = int(rank_str)
-                score = float(score_str)
-            except ValueError:
-                raise RunFileError(
-                    f"{path.name} line {line_no}: rank must be an integer and score a number"
-                ) from None
-            if math.isnan(score):
-                # NaN compares false with everything, so the order check
-                # below would pass it and whatever follows it
-                raise RunFileError(f"{path.name} line {line_no}: score is NaN")
-            if file_tag is None:
-                file_tag = tag
-            elif tag != file_tag:
-                raise RunFileError(
-                    f"{path.name} line {line_no}: mixed system tags {file_tag!r} and {tag!r}"
-                )
-            docs = seen_docs.setdefault(query_id, set())
-            if doc_id in docs:
-                raise RunFileError(
-                    f"{path.name} line {line_no}: duplicate document {doc_id} for query {query_id}"
-                )
-            docs.add(doc_id)
-            per_query.setdefault(query_id, []).append((rank, score, doc_id, line_no))
+    for line_no, line in lines:
+        parts = line.split()
+        if len(parts) != 6:
+            raise lines.error(line_no, f"expected 6 columns, got {len(parts)}")
+        query_id, _q0, doc_id, rank_str, score_str, tag = parts
+        doc_id = doc_names.setdefault(doc_id, doc_id)
+        try:
+            rank = int(rank_str)
+            score = float(score_str)
+        except ValueError:
+            raise lines.error(line_no, "rank must be an integer and score a number") from None
+        if math.isnan(score):
+            # NaN compares false with everything, so the order check
+            # below would pass it and whatever follows it
+            raise lines.error(line_no, "score is NaN")
+        if file_tag is None:
+            file_tag = tag
+        elif tag != file_tag:
+            raise lines.error(line_no, f"mixed system tags {file_tag!r} and {tag!r}")
+        docs = seen_docs.setdefault(query_id, set())
+        if doc_id in docs:
+            raise lines.error(line_no, f"duplicate document {doc_id} for query {query_id}")
+        docs.add(doc_id)
+        per_query.setdefault(query_id, []).append((rank, score, doc_id, line_no))
     rankings: dict[str, list[tuple[str, float]]] = {}
     for query_id, entries in per_query.items():
         entries.sort(key=lambda e: e[0])
@@ -614,13 +605,9 @@ def load_external_run(
         previous_score: float | None = None
         for rank, score, doc_id, line_no in entries:
             if previous_rank is not None and rank <= previous_rank:
-                raise RunFileError(
-                    f"{path.name} line {line_no}: rank {rank} does not increase for query {query_id}"
-                )
+                raise lines.error(line_no, f"rank {rank} does not increase for query {query_id}")
             if previous_score is not None and score > previous_score:
-                raise RunFileError(
-                    f"{path.name} line {line_no}: score increases with rank for query {query_id}"
-                )
+                raise lines.error(line_no, f"score increases with rank for query {query_id}")
             previous_rank = rank
             previous_score = score
         rankings[query_id] = [(doc_id, score) for _, score, doc_id, _ in entries[:depth]]

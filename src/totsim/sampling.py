@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -82,14 +82,9 @@ class SamplingConfig:
         check_domain_ratio(self.domain_ratio)
 
     def content_hash(self) -> str:
-        return stable_hash(
-            {
-                "target_count": self.target_count,
-                "bucket_count": self.bucket_count,
-                "domain_ratio": {d.value: r for d, r in self.domain_ratio.items()},
-                "seed": self.seed,
-            }
-        )
+        # Every field, so none can be left out: str-valued enum keys encode
+        # as their values.
+        return stable_hash(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -222,15 +217,14 @@ def write_candidate_manifest(
     )
 
 
+def _candidate_from_row(row: Mapping) -> EntityCandidate:
+    return EntityCandidate(
+        doc_id=row["doc_id"],
+        partition=Partition(row["partition"]),
+        domain=DomainLabel(row["domain"]),
+        popularity_bucket=row["bucket"],
+    )
+
+
 def read_candidate_manifest(path: Path | str) -> list[EntityCandidate]:
-    candidates = []
-    for row in read_jsonl(path):
-        candidates.append(
-            EntityCandidate(
-                doc_id=row["doc_id"],
-                partition=Partition(row["partition"]),
-                domain=DomainLabel(row["domain"]),
-                popularity_bucket=row["bucket"],
-            )
-        )
-    return candidates
+    return list(read_jsonl(path, _candidate_from_row))

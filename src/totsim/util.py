@@ -1,4 +1,4 @@
-"""Small helpers for deterministic file IO and content hashing."""
+"""Small helpers for deterministic file IO and content hashing; every text file is read here."""
 
 from __future__ import annotations
 
@@ -8,7 +8,12 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TextIO
+
+from .errors import TotsimError
+
+if TYPE_CHECKING:
+    from importlib.abc import Traversable
 
 __all__ = [
     "stable_hash",
@@ -16,6 +21,8 @@ __all__ = [
     "atomic_output",
     "atomic_write_text",
     "write_json",
+    "open_text",
+    "TextLines",
     "read_json",
     "write_jsonl",
     "read_jsonl",
@@ -67,18 +74,64 @@ def write_json(path: Path | str, obj: Any) -> None:
     atomic_write_text(path, dump_json(obj) + "\n")
 
 
-def read_json(path: Path | str) -> Any:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def write_jsonl(path: Path | str, rows: Iterable[dict[str, Any]]) -> None:
     atomic_write_text(path, "".join(dump_json(row) + "\n" for row in rows))
 
 
-def read_jsonl(path: Path | str) -> Iterator[dict[str, Any]]:
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+@contextmanager
+def open_text(path: Path | str | Traversable, error: type = TotsimError) -> Iterator[TextIO]:
+    """Yield ``path`` as UTF-8 text, a leading BOM dropped; a non-UTF-8 byte raises ``error``."""
+    source = Path(path) if isinstance(path, str) else path
+    try:
+        with source.open(encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise error(f"{source.name}: not UTF-8 text ({exc.reason})") from None
+
+
+class TextLines:
+    """``(line_no, line)`` for each line of a text file that is not whitespace-only."""
+
+    def __init__(self, path: Path | str, error: type = TotsimError):
+        self.path = Path(path)
+        self._error = error
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        with open_text(self.path, self._error) as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.isspace():
+                    yield line_no, line
+
+    def error(self, line_no: int, message: str) -> TotsimError:
+        return self._error(f"{self.path.name} line {line_no}: {message}")
+
+
+# What converting a decoded value of the wrong shape raises: a missing key, a bad enum name.
+_BAD_VALUE = (KeyError, ValueError, TypeError, AttributeError)
+
+
+def _problem(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON ({exc.msg})"
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def read_json(path: Path | str, convert: Callable = lambda x: x, error=TotsimError) -> Any:
+    """``convert`` of the JSON in ``path``; a bad file or value raises ``error`` naming it."""
+    with open_text(path, error) as handle:
+        text = handle.read()
+    try:
+        return convert(json.loads(text))
+    except _BAD_VALUE as exc:
+        raise error(f"{Path(path).name}: {_problem(exc)}") from exc
+
+
+def read_jsonl(path: Path | str, convert: Callable = lambda x: x, error=TotsimError) -> Iterator:
+    """``convert`` of each JSON line of ``path``, as :func:`read_json`, naming the line."""
+    lines = TextLines(path, error)
+    for line_no, line in lines:
+        try:
+            row = convert(json.loads(line.strip()))
+        except _BAD_VALUE as exc:
+            raise lines.error(line_no, _problem(exc)) from exc
+        yield row

@@ -273,6 +273,12 @@ def test_load_bundle_rejects_malformed_files(tmp_path: Path) -> None:
     (tmp_path / "splits.tsv").write_text("a\tvalidation\n", encoding="utf-8")
     with pytest.raises(CollectionError, match="expected 'query_id<TAB>split'"):
         load_bundle(tmp_path)
+    (tmp_path / "splits.tsv").write_bytes(b"a\ttrain\n\xff\n")
+    with pytest.raises(CollectionError, match=r"^splits\.tsv: not UTF-8 text"):
+        load_bundle(tmp_path)
+    (tmp_path / "manifest.json").write_text("[]\n", encoding="utf-8")
+    with pytest.raises(CollectionError, match=r"^manifest\.json: "):
+        load_bundle(tmp_path)
 
 
 def test_validate_accepts_clean_bundle() -> None:

@@ -1028,6 +1028,117 @@ def test_malformed_config_value_reports_error(
     assert "Traceback" not in err
 
 
+BAD_BYTE = b"\xff\n"
+CANNED = {"generation": {"provider": "canned", "canned_path": "canned.json"}}
+MAPPING = {"translation": {"provider": "mapping", "mapping_path": "mapping.json"}}
+
+# (command, input file, config keys that name it, bytes appended to it)
+OUTSIDE_INPUTS = [
+    pytest.param("ingest", "config.yaml", {}, b"# \xff\n", id="config"),
+    pytest.param("ingest", "corpus_zz.jsonl", {}, BAD_BYTE, id="corpus-byte"),
+    pytest.param("ingest", "corpus_zz.jsonl", {}, b'{"id": "zz9999",\n', id="corpus-json"),
+    pytest.param("ingest", "corpus_en.jsonl", {}, BAD_BYTE, id="english-corpus-byte"),
+    pytest.param("ingest", "corpus_en.jsonl", {}, b'{"id"\n', id="english-corpus-json"),
+    pytest.param("search", "real_queries_zz.tsv", {}, BAD_BYTE, id="real-queries"),
+    pytest.param("search", "real_qrels_zz.txt", {}, BAD_BYTE, id="real-qrels"),
+    pytest.param("evaluate", "dense-a.run", {}, BAD_BYTE, id="external-run"),
+    pytest.param(
+        "sample", "domains.tsv", {"domain_mapping": "domains.tsv"}, BAD_BYTE, id="domain-mapping"
+    ),
+    pytest.param("generate", "canned.json", CANNED, b'{"a": "\xff"}\n', id="canned-byte"),
+    pytest.param("generate", "canned.json", CANNED, b'{"a": \n', id="canned-json"),
+    pytest.param("generate", "mapping.json", MAPPING, b'{"a": "\xff"}\n', id="mapping-byte"),
+    pytest.param("generate", "mapping.json", MAPPING, b'{"a": \n', id="mapping-json"),
+    pytest.param("generate", "templates/generate_zz.txt", {}, BAD_BYTE, id="template"),
+]
+
+
+def assert_one_error_line(err: str, command: str, *named: str) -> None:
+    """``err`` ends in one ``error: <command>:`` line naming each of ``named``."""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.splitlines()[-1]
+    ]
+    assert err.splitlines()[-1].startswith(f"error: {command}: ")
+    assert all(name in err.splitlines()[-1] for name in named), err
+
+
+@pytest.mark.parametrize(("command", "name", "keys", "tail"), OUTSIDE_INPUTS)
+def test_a_malformed_outside_input_fails_with_one_error_line(
+    tree_copy: Path,
+    capsys: pytest.CaptureFixture[str],
+    command: str,
+    name: str,
+    keys: dict,
+    tail: bytes,
+) -> None:
+    config_arg = edit_toy_config(tree_copy, lambda raw: raw.update(keys))
+    path = tree_copy / name
+    path.write_bytes((path.read_bytes() if path.exists() else b"") + tail)
+    capsys.readouterr()
+    assert main([command, "--config", config_arg, "--force"]) == 1
+    assert_one_error_line(capsys.readouterr().err, command, Path(name).name)
+
+
+def cut_first_row(path: Path) -> None:
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: text.index("\n") // 2] + text[text.index("\n") :], encoding="utf-8")
+
+
+def drop_mean_tau(path: Path) -> None:
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    del rows[0]["mean_tau"]
+    write_jsonl(path, rows)
+
+
+# (command, file an earlier stage wrote, how it is spoiled, what the error names)
+PROGRAM_FILES = [
+    pytest.param(
+        "sample",
+        "partition/zz.json",
+        lambda path: path.write_text("[zz0001\n", encoding="utf-8"),
+        ("zz.json", "invalid JSON"),
+        id="partition-map",
+    ),
+    pytest.param(
+        "generate",
+        "sample/zz-monolingual.jsonl",
+        cut_first_row,
+        ("zz-monolingual.jsonl line 1", "invalid JSON"),
+        id="sample-row",
+    ),
+    pytest.param(
+        "select",
+        "correlate/zz.jsonl",
+        drop_mean_tau,
+        ("zz.jsonl line 1", "missing key 'mean_tau'"),
+        id="correlation-row",
+    ),
+    pytest.param(
+        "assemble",
+        "select/zz.json",
+        lambda path: write_json(path, {"monolingual": "V9", "bilingual": "V1"}),
+        ("zz.json", "'V9'"),
+        id="strategy",
+    ),
+]
+
+
+@pytest.mark.parametrize(("command", "name", "spoil", "named"), PROGRAM_FILES)
+def test_a_spoiled_stage_file_fails_with_one_error_line(
+    tree_copy: Path,
+    capsys: pytest.CaptureFixture[str],
+    command: str,
+    name: str,
+    spoil: Callable[[Path], None],
+    named: tuple[str, ...],
+) -> None:
+    spoil(tree_copy / "out" / name)
+    capsys.readouterr()
+    assert main([command, "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    assert_one_error_line(capsys.readouterr().err, command, *named)
+
+
 def test_a_worker_count_below_one_is_refused(
     tmp_path: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
@@ -1178,7 +1289,7 @@ def test_a_missing_nested_output_reruns_only_its_stage(
     assert skipped == [stage for stage in STAGES if stage != "search"]
 
 
-@pytest.mark.parametrize("corrupt", [b'{"stage": "sel', b'{"stage": "\xff"}\n'])
+@pytest.mark.parametrize("corrupt", [b'{"stage": "sel', b'{"stage": "\xff"}\n', b"[]\n"])
 def test_a_stage_whose_manifest_cannot_be_read_reruns(
     tree_copy: Path, corrupt: bytes, caplog: pytest.LogCaptureFixture
 ) -> None:

@@ -14,7 +14,10 @@ import pytest
 
 import totsim
 from totsim.config import KEYS, LANGUAGE_KEYS
+from totsim.corpus import Partition
+from totsim.errors import CorpusError, TotsimError
 from totsim.util import (
+    TextLines,
     atomic_output,
     atomic_write_text,
     dump_json,
@@ -105,6 +108,69 @@ def test_write_json_reproducible_bytes(tmp_path: Path) -> None:
 def test_read_json_parses_what_dump_wrote() -> None:
     blob = dump_json({"nested": {"values": [1.5, None, True]}})
     assert json.loads(blob) == {"nested": {"values": [1.5, None, True]}}
+
+
+def test_text_lines_skip_whitespace_only_lines_but_count_them(tmp_path: Path) -> None:
+    path = tmp_path / "rows.tsv"
+    path.write_bytes("a\tb\r\n\r\n \t \nc\n\n\u3000\nd\te".encode("utf-8"))
+    assert list(TextLines(path)) == [(1, "a\tb\n"), (4, "c\n"), (7, "d\te")]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_text(tmp_path: Path) -> None:
+    # editors on some systems start a UTF-8 file with one; kept, it would
+    # become part of the first query id or fail the first JSON line
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" + dump_json({"id": 1}).encode("utf-8") + b"\n")
+    assert list(TextLines(path)) == [(1, '{"id":1}\n')]
+    assert list(read_jsonl(path)) == [{"id": 1}]
+    assert read_json(path) == {"id": 1}
+
+
+def test_text_lines_name_the_file_of_a_byte_that_is_not_utf8(tmp_path: Path) -> None:
+    path = tmp_path / "rows.tsv"
+    path.write_bytes(b"a\n" * 10_000 + b"\xff\n")
+    with pytest.raises(CorpusError, match=r"^rows\.tsv: not UTF-8 text \(invalid start byte\)$"):
+        list(TextLines(path, CorpusError))
+
+
+def test_text_lines_format_the_location_of_an_error(tmp_path: Path) -> None:
+    lines = TextLines(str(tmp_path / "rows.tsv"), CorpusError)
+    error = lines.error(12, "expected two columns")
+    assert isinstance(error, CorpusError)
+    assert str(error) == "rows.tsv line 12: expected two columns"
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"p": "full"}\n\n{"p": \n', "rows.jsonl line 3: invalid JSON (Expecting value)"),
+        ('{"p": "full"}\n{"q": "full"}\n', "rows.jsonl line 2: missing key 'p'"),
+        ('{"p": "half"}\n', "rows.jsonl line 1: 'half' is not a valid Partition"),
+        ('["full"]\n', "rows.jsonl line 1: list indices must be integers or slices, not str"),
+    ],
+)
+def test_read_jsonl_names_the_line_of_a_bad_row(tmp_path: Path, text: str, message: str) -> None:
+    path = tmp_path / "rows.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(TotsimError) as caught:
+        list(read_jsonl(path, lambda row: Partition(row["p"])))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ('{"p": ', "table.json: invalid JSON (Expecting value)"),
+        ('{"p": "half"}', "table.json: 'half' is not a valid Partition"),
+        ("[]", "table.json: list indices must be integers or slices, not str"),
+    ],
+)
+def test_read_json_names_the_file_of_a_bad_value(tmp_path: Path, text: str, message: str) -> None:
+    path = tmp_path / "table.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorpusError) as caught:
+        read_json(path, lambda table: Partition(table["p"]), CorpusError)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
@@ -242,3 +308,50 @@ def test_every_private_module_name_is_read() -> None:
                 if private and not any(name in names_read(other, node) for other in trees.values()):
                     unread.append(f"{module}:{name}")
     assert unread == []
+
+
+def reads_text(call: ast.Call) -> bool:
+    """Whether ``call`` reads a file as text: ``.read_text()``, or an ``open`` not in binary mode."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+    if name == "read_text":
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = [
+        arg.value
+        for arg in [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+    ]
+    # a zip member, named by its ZipInfo, opens as bytes in every mode
+    zip_member = bool(call.args) and "ZipInfo(" in ast.unparse(call.args[0])
+    return not zip_member and not any("b" in mode for mode in modes)
+
+
+@pytest.mark.parametrize(
+    ("source", "text"),
+    [
+        ('open(path, encoding="utf-8")', True),
+        ("open(path)", True),
+        ('path.open("r")', True),
+        ('path.read_text(encoding="utf-8")', True),
+        ('open(path, "rb")', False),
+        ('os.fdopen(fd, "wb")', False),
+        ('archive.open(zipfile.ZipInfo(name), "w")', False),
+        ('resources.files("totsim")', False),
+    ],
+)
+def test_reads_text_finds_text_mode_reads(source: str, text: bool) -> None:
+    assert reads_text(ast.parse(source, mode="eval").body) is text
+
+
+def test_only_util_reads_text_files() -> None:
+    # One reader decides how text is decoded and how a bad line is named.
+    found = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(Path(totsim.__file__).parent.glob("*.py"))
+        if path.name != "util.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and reads_text(node)
+    ]
+    assert found == []
