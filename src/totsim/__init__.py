@@ -41,6 +41,7 @@ from .errors import (
 from .evaluation import (
     CorrelationResult,
     MetricReport,
+    RunResult,
     SystemRanking,
     correlate,
     evaluate_pool,
@@ -71,7 +72,6 @@ from .providers import (
 from .retrieval import (
     InvertedIndex,
     RetrievalSystem,
-    RunResult,
     Tokenizer,
     build_index,
     default_lexical_pool,

@@ -368,10 +368,9 @@ def _lexical_ranks(
     """The lexical pool's target rank per query of one set, as ``search`` recorded it."""
     path = _existing(config, _ranks_path(config, code, set_name))
     ranks = read_rank_file(path)
-    expected = sorted(qrels)
     # the file of a set without queries is empty, so it names no system
     lexical = sorted(system.system_id for system in default_lexical_pool()) if qrels else []
-    if sorted(ranks) != lexical or any(sorted(by_query) != expected for by_query in ranks.values()):
+    if sorted(ranks) != lexical or any(rows.keys() != qrels.keys() for rows in ranks.values()):
         raise ConfigError(
             f"{path} does not cover this query set and system pool; run 'totsim search --force'"
         )
@@ -383,17 +382,17 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
         sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
         # One parse per external run and language, over every set's queries:
         # its checks run once, and the queries it lacks give one warning.
-        expected = set().union(*sets.values())
-        external = {
-            system_id: load_external_run(
-                entry.external_runs[system_id], expected, depth=config.depth, system_id=system_id
-            )
-            for system_id in sorted(entry.external_runs)
-        }
+        # A run ranks each query id once, so that id may not have two targets.
+        targets = {query: doc for qrels in sets.values() for query, doc in qrels.items()}
+        clash = [q for qrels in sets.values() for q, doc in qrels.items() if targets[q] != doc]
+        if clash and entry.external_runs:
+            raise ConfigError(f"query {clash[0]} has two targets; an external run needs one")
+        runs = sorted(entry.external_runs.items())
+        external = {system: load_external_run(path, targets, config.depth) for system, path in runs}
         for set_name, qrels in sorted(sets.items()):
             ranks = _lexical_ranks(config, entry.code, set_name, qrels)
-            for system_id, run in external.items():
-                ranks[system_id] = run.target_ranks(qrels)
+            for system_id, by_query in external.items():
+                ranks[system_id] = {query_id: by_query[query_id] for query_id in qrels}
             write_rank_file(ranks, _pool_ranks_path(config, entry.code, set_name))
     return {}
 
@@ -401,6 +400,20 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
 def _pool_reports(ranks: Mapping[str, Mapping[str, int]]) -> list[MetricReport]:
     """Each system's metric means over the queries of a rank table."""
     return [evaluate_ranks(system_id, by_query) for system_id, by_query in sorted(ranks.items())]
+
+
+def _pool_ranks(
+    config: PipelineConfig, code: str, set_name: str, qrels: Mapping[str, str]
+) -> dict[str, dict[str, int]]:
+    """The pool's target rank per query of one set, as ``evaluate`` recorded it."""
+    path = _existing(config, _pool_ranks_path(config, code, set_name))
+    ranks = read_rank_file(path)
+    # only the table of a set without queries names no system
+    if bool(ranks) != bool(qrels) or any(rows.keys() != qrels.keys() for rows in ranks.values()):
+        raise ConfigError(
+            f"{path} does not cover the {set_name} qrels; run 'totsim evaluate --force'"
+        )
+    return ranks
 
 
 def _real_slices(
@@ -411,10 +424,7 @@ def _real_slices(
     With ``slice_real_by_partition``, a partition gets the real queries whose
     target lies in it, or all of them where none does.
     """
-    path = _existing(config, _pool_ranks_path(config, code, "real"))
-    ranks = read_rank_file(path)
-    if any(by_query.keys() != qrels.keys() for by_query in ranks.values()):
-        raise ConfigError(f"{path} does not cover the real qrels; run 'totsim evaluate --force'")
+    ranks = _pool_ranks(config, code, "real", qrels)
     if code == "en" or not config.slice_real_by_partition:
         return dict.fromkeys(_partitions_for(code), ranks)
     partition_of = _read_partition_map(config, code)
@@ -485,13 +495,12 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
                 "%s has no real query set; skipping correlation", entry.code
             )
             continue
-        slices = _real_slices(config, entry.code, load_qrels(entry.real_qrels))
+        sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
+        slices = _real_slices(config, entry.code, sets["real"])
         real = {partition: _pool_reports(ranks) for partition, ranks in slices.items()}
         rows: list[dict] = []
         for partition, variation, set_name in _synthetic_sets(entry.code):
-            synthetic = _pool_reports(
-                read_rank_file(_existing(config, _pool_ranks_path(config, entry.code, set_name)))
-            )
+            synthetic = _pool_reports(_pool_ranks(config, entry.code, set_name, sets[set_name]))
             where = f"{entry.code}/{partition.value}/{variation.value}"
             result = None
             if not real[partition] or not synthetic:

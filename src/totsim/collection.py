@@ -37,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "SPLITS",
+    "DEFAULT_SPLIT_RATIO",
     "MANIFEST_NAME",
     "check_split_ratio",
     "CollectionSpec",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 SPLITS = ("train", "dev", "test")
+DEFAULT_SPLIT_RATIO = (0.8, 0.1, 0.1)
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -71,7 +73,7 @@ class CollectionSpec:
     language: str
     strategy_map: Mapping[Partition, PromptVariation]
     seed: int
-    split_ratio: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratio: tuple[float, float, float] = DEFAULT_SPLIT_RATIO
     domain_ratio: Mapping[DomainLabel, float] = field(
         default_factory=lambda: dict(DEFAULT_DOMAIN_RATIO)
     )

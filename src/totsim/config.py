@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 import yaml
 
 from . import providers
-from .collection import check_split_ratio
+from .collection import DEFAULT_SPLIT_RATIO, check_split_ratio
 from .corpus import DEFAULT_MIN_CHARS, DEFAULT_TOP_FRACTION, DomainLabel
 from .errors import CollectionError, ConfigError, SamplingError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
@@ -70,7 +70,7 @@ class PipelineConfig:
     translation_provider: str = "identity"
     translation_mapping_path: Path | None = None
     depth: int = DEFAULT_DEPTH
-    split_ratio: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratio: tuple[float, float, float] = DEFAULT_SPLIT_RATIO
     templates_dir: Path | None = None
     slice_real_by_partition: bool = True
     base_dir: Path = Path(".")

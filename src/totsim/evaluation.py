@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConstantVectorError, EvaluationError
-from .retrieval import RunResult
 from .util import TextLines, atomic_write_text
 
 logger = logging.getLogger(__name__)
@@ -35,6 +34,7 @@ __all__ = [
     "read_rank_file",
     "MetricReport",
     "evaluate_ranks",
+    "RunResult",
     "evaluate_pool",
     "SystemRanking",
     "kendall_tau",
@@ -149,6 +149,22 @@ def evaluate_ranks(system_id: str, ranks: Mapping[str, int]) -> MetricReport:
         mrr=math.fsum(_reciprocal(rank, 1000) for rank in ordered) / n,
         query_count=n,
     )
+
+
+@dataclass
+class RunResult:
+    """Per-query rankings produced by one system, as (doc_id, score) pairs, best first."""
+
+    system_id: str
+    rankings: dict[str, list[tuple[str, float]]]
+
+    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
+        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
+        ranks = {}
+        for query_id, doc_id in qrels.items():
+            doc_ids = [doc for doc, _ in self.rankings.get(query_id, ())]
+            ranks[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
+        return ranks
 
 
 def evaluate_pool(runs: Sequence[RunResult], qrels: Mapping[str, str]) -> list[MetricReport]:

@@ -23,7 +23,7 @@ import random
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Mapping, Protocol, Sequence
 
 from .errors import ConfigError, ProviderError
 from .util import read_json
@@ -60,14 +60,12 @@ _NO_HTTP_CLIENT = "provider 'http' needs the 'requests' package, which is not in
 _NO_ENDPOINT = f"no endpoint given and {ENDPOINT_ENV} is unset"
 
 
-@runtime_checkable
 class ChatProvider(Protocol):
     name: str
 
     def complete(self, prompt: str, temperature: float) -> str: ...
 
 
-@runtime_checkable
 class Translator(Protocol):
     name: str
 
@@ -224,8 +222,9 @@ class CannedResponseProvider:
     response text, so recorded sessions replay offline and byte-for-byte.
     """
 
-    def __init__(self, path: Path | str, name: str = "canned"):
-        self.name = name
+    name = "canned"
+
+    def __init__(self, path: Path | str):
         self._responses = read_text_table(path)
 
     def complete(self, prompt: str, temperature: float) -> str:
@@ -249,10 +248,11 @@ class DeterministicMockProvider:
     is safe and every run is reproducible.
     """
 
-    def __init__(self, name: str = "mock-chat", slice_length: int = 24, slices: int = 6):
+    SLICE_LENGTH = 24
+    SLICES = 6
+
+    def __init__(self, name: str = "mock-chat"):
         self.name = name
-        self.slice_length = slice_length
-        self.slices = slices
 
     def complete(self, prompt: str, temperature: float) -> str:
         digest = hashlib.sha256(
@@ -260,14 +260,14 @@ class DeterministicMockProvider:
         ).digest()
         rng = random.Random(digest)
         pieces: list[str] = []
-        span = max(len(prompt) - self.slice_length, 1)
-        for _ in range(self.slices):
+        span = max(len(prompt) - self.SLICE_LENGTH, 1)
+        for _ in range(self.SLICES):
             start = rng.randrange(span)
-            piece = prompt[start : start + self.slice_length]
+            piece = prompt[start : start + self.SLICE_LENGTH]
             pieces.append(" ".join(piece.split()))
         token = digest.hex()[:10]
-        first = " ".join(pieces[: self.slices // 2])
-        second = " ".join(pieces[self.slices // 2 :])
+        first = " ".join(pieces[: self.SLICES // 2])
+        second = " ".join(pieces[self.SLICES // 2 :])
         return f"{first}\n\n{second} {token}"
 
 
@@ -277,10 +277,11 @@ class ScriptedProvider:
     For exercising retry paths in tests.  Not thread safe.
     """
 
-    def __init__(self, responses: Sequence[str], name: str = "scripted"):
+    name = "scripted"
+
+    def __init__(self, responses: Sequence[str]):
         if not responses:
             raise ProviderError("scripted provider needs at least one response")
-        self.name = name
         self._responses = list(responses)
         self.calls = 0
 
@@ -302,8 +303,9 @@ class IdentityTranslator:
 class MappingTranslator:
     """Dictionary lookup translator for tests; unknown text passes through."""
 
-    def __init__(self, mapping: Mapping[str, str], name: str = "mapping-mt"):
-        self.name = name
+    name = "mapping-mt"
+
+    def __init__(self, mapping: Mapping[str, str]):
         self._mapping = dict(mapping)
 
     def translate(self, text: str, target_language: str) -> str:

@@ -33,7 +33,7 @@ usually indexed without language-specific segmenters.
 A :class:`RetrievalSystem` is one of the two scorers with its
 hyperparameters, so every system this module runs is lexical.  Systems
 outside the module (dense retrievers, say) join a pool only as run files,
-which :func:`load_external_run` parses and checks.
+which :func:`load_external_run` checks and reduces to target ranks.
 
 numpy and orjson are imported inside the functions that use them: importing
 this module, and with it the command line, loads neither.
@@ -72,7 +72,6 @@ __all__ = [
     "score_ql_dirichlet",
     "RetrievalSystem",
     "default_lexical_pool",
-    "RunResult",
     "run_search",
     "load_external_run",
     "DEFAULT_DEPTH",
@@ -464,22 +463,6 @@ def score_ql_dirichlet(
     return _pairs(query, index, RetrievalSystem("qld", "ql-dirichlet", mu=mu), depth)
 
 
-@dataclass
-class RunResult:
-    """Per-query rankings produced by one system, as (doc_id, score) pairs, best first."""
-
-    system_id: str
-    rankings: dict[str, list[tuple[str, float]]]
-
-    def target_ranks(self, qrels: Mapping[str, str]) -> dict[str, int]:
-        """Each qrels query's 1-based target rank; 0 when the target is not retrieved."""
-        ranks = {}
-        for query_id, doc_id in qrels.items():
-            doc_ids = [doc for doc, _ in self.rankings.get(query_id, ())]
-            ranks[query_id] = doc_ids.index(doc_id) + 1 if doc_id in doc_ids else 0
-        return ranks
-
-
 def run_search(
     systems: Sequence[RetrievalSystem],
     queries: Mapping[str, str],
@@ -540,38 +523,32 @@ def _run_lines(
 
 
 def load_external_run(
-    path: Path | str,
-    expected_queries: Iterable[str],
-    depth: int = DEFAULT_DEPTH,
-    system_id: str | None = None,
-) -> RunResult:
-    """Parse and validate a six-column run file.
+    path: Path | str, targets: Mapping[str, str], depth: int = DEFAULT_DEPTH
+) -> dict[str, int]:
+    """Check a six-column run file and return each target's 1-based rank, or 0.
 
     Args:
         path: run file location.
-        expected_queries: query ids the evaluation will ask about.  The
-            returned result covers exactly these ids: queries absent
-            from the file yield empty rankings and a single warning
-            naming the count, while file queries outside the set are
-            dropped (external systems often cover only the real query
-            set and score zero elsewhere).
-        depth: rankings are truncated to this many entries.
-        system_id: overrides the file's system tag when given; the tag
-            itself must still be uniform across the file.
+        targets: query id -> target doc id for the queries the evaluation
+            asks about.  The result covers exactly these ids: queries
+            absent from the file rank 0 and give a single warning naming
+            the count, while file queries outside the map are dropped
+            (external systems often cover only the real query set and
+            score zero elsewhere).
+        depth: a target below a query's first ``depth`` documents ranks 0.
 
     Raises:
         RunFileError: a byte that is not UTF-8, malformed lines, NaN
-            scores, duplicate documents within a query, non-increasing
-            ranks, or scores increasing with rank.
+            scores, mixed system tags, duplicate documents within a query,
+            non-increasing ranks, or scores increasing with rank.
             Diagnostics name the offending line number.
     """
     path = Path(path)
     lines = TextLines(path, RunFileError)
-    expected = set(expected_queries)
-    per_query: dict[str, list[tuple[int, float, str, int]]] = {}
+    per_query: dict[str, list[tuple[int, float, int, bool]]] = {}
     seen_docs: dict[str, set[str]] = {}
     # One string object per distinct doc id: a run repeats each document
-    # across many queries, and evaluate holds a whole pool of runs.
+    # across many queries, and every query keeps the ids it has seen.
     doc_names: dict[str, str] = {}
     file_tag: str | None = None
     for line_no, line in lines:
@@ -597,32 +574,25 @@ def load_external_run(
         if doc_id in docs:
             raise lines.error(line_no, f"duplicate document {doc_id} for query {query_id}")
         docs.add(doc_id)
-        per_query.setdefault(query_id, []).append((rank, score, doc_id, line_no))
-    rankings: dict[str, list[tuple[str, float]]] = {}
+        is_target = doc_id == targets.get(query_id)
+        per_query.setdefault(query_id, []).append((rank, score, line_no, is_target))
+    ranks: dict[str, int] = {}
     for query_id, entries in per_query.items():
         entries.sort(key=lambda e: e[0])
-        previous_rank: int | None = None
-        previous_score: float | None = None
-        for rank, score, doc_id, line_no in entries:
-            if previous_rank is not None and rank <= previous_rank:
+        for (last_rank, last_score, *_), (rank, score, line_no, _) in zip(entries, entries[1:]):
+            if rank <= last_rank:
                 raise lines.error(line_no, f"rank {rank} does not increase for query {query_id}")
-            if previous_score is not None and score > previous_score:
+            if score > last_score:
                 raise lines.error(line_no, f"score increases with rank for query {query_id}")
-            previous_rank = rank
-            previous_score = score
-        rankings[query_id] = [(doc_id, score) for _, score, doc_id, _ in entries[:depth]]
-    extra = set(rankings) - expected
+        ranks[query_id] = next((i for i, entry in enumerate(entries[:depth], 1) if entry[3]), 0)
+    extra = ranks.keys() - targets.keys()
     if extra:
         logger.info(
             "%s: dropping %d queries outside the expected set", path.name, len(extra)
         )
-        for query_id in extra:
-            del rankings[query_id]
-    missing = expected - set(rankings)
+    missing = targets.keys() - ranks.keys()
     if missing:
         logger.warning(
             "%s: %d expected queries missing from run; they will score zero", path.name, len(missing)
         )
-        for query_id in missing:
-            rankings[query_id] = []
-    return RunResult(system_id=system_id or file_tag or path.stem, rankings=rankings)
+    return {query_id: ranks.get(query_id, 0) for query_id in targets}

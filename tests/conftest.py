@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import shutil
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
 from totsim.corpus import Corpus, Document
+from totsim.evaluation import RunResult
+from totsim.retrieval import DEFAULT_DEPTH, load_external_run
 
 DATA_DIR = Path(__file__).parent / "data"
 TOY_DIR = DATA_DIR / "toy"
@@ -37,6 +40,30 @@ def make_doc(
 
 def make_corpus(language: str = "en", *docs: Document) -> Corpus:
     return Corpus(language, docs)
+
+
+def read_run(path: Path, queries: Iterable[str], depth: int = DEFAULT_DEPTH) -> RunResult:
+    """The rankings of ``queries`` in a run file, read without checks, best first.
+
+    Each ranking is cut at ``depth``; a query the file lacks gets an empty one,
+    and file queries outside ``queries`` are dropped.  The result is named by
+    the file's tag.  The file also goes through ``load_external_run``: its
+    checks must pass, and the rank it gives each query's last-listed document
+    must be that document's position in the ranking, or 0 below the cut.
+    """
+    tag = path.stem
+    lines: dict[str, list[tuple[int, str, float]]] = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        query_id, _q0, doc_id, rank, score, tag = line.split()
+        lines.setdefault(query_id, []).append((int(rank), doc_id, float(score)))
+    rankings = {
+        query_id: [(doc_id, score) for _, doc_id, score in sorted(lines.get(query_id, []))[:depth]]
+        for query_id in queries
+    }
+    run = RunResult(system_id=tag, rankings=rankings)
+    targets = {query_id: max(lines.get(query_id, [(0, "")]))[1] for query_id in rankings}
+    assert load_external_run(path, targets, depth) == run.target_ranks(targets)
+    return run
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from typing import Callable
 import pytest
 import yaml
 
-from conftest import TOY_DIR
+from conftest import TOY_DIR, read_run
 import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
@@ -24,6 +24,7 @@ from totsim.corpus import DomainLabel, ingest_corpus
 from totsim.errors import ConfigError, ConstantVectorError, ProviderError
 from totsim.evaluation import (
     METRICS,
+    RunResult,
     correlate,
     evaluate_pool,
     evaluate_ranks,
@@ -41,7 +42,6 @@ from totsim.providers import (
     MappingTranslator,
 )
 from totsim.retrieval import (
-    RunResult,
     default_lexical_pool,
     load_external_run,
     load_index,
@@ -1401,10 +1401,10 @@ def test_reports_from_target_ranks_match_reports_from_run_files(pipeline_tree: P
         expected = sorted(qrels)
         paths = sorted((out / "search" / code / set_name).glob("*.run"))
         assert len(paths) == len(default_lexical_pool())
-        runs = [load_external_run(path, expected, depth=config.depth) for path in paths]
+        runs = [read_run(path, expected, depth=config.depth) for path in paths]
         external = config.language(code).external_runs
         return runs + [
-            load_external_run(external[system_id], expected, config.depth, system_id)
+            RunResult(system_id, read_run(external[system_id], expected, config.depth).rankings)
             for system_id in sorted(external)
         ]
 
@@ -1488,6 +1488,31 @@ def test_evaluate_refuses_ranks_that_miss_a_query(
     assert "run 'totsim search --force'" in err
 
 
+def test_evaluate_refuses_a_query_id_with_two_targets_only_for_external_runs(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # the first real query takes the id of a synthetic query with another target
+    manifest = tree_copy / "out" / "generate" / "zz" / "monolingual-V1.jsonl"
+    taken = next(record for record in read_query_manifest(manifest) if not record.discarded)
+    qrels = tree_copy / "real_qrels_zz.txt"
+    lines = qrels.read_text(encoding="utf-8").splitlines(keepends=True)
+    real_id, _, doc_id, _ = lines[0].split()
+    assert doc_id != taken.target_doc_id
+    lines[0] = lines[0].replace(real_id, taken.query_id)
+    qrels.write_text("".join(lines), encoding="utf-8")
+    config_path = tree_copy / "config.yaml"
+    config_arg = str(config_path)
+    assert main(["search", "--config", config_arg, "--force"]) == 0
+    assert main(["evaluate", "--config", config_arg, "--force"]) == 1
+    assert f"query {taken.query_id} has two targets" in capsys.readouterr().err
+    # a lexical system ranks each set's queries on their own, so each keeps its target
+    text = config_path.read_text(encoding="utf-8")
+    runs = "    external_runs:\n      dense-a: dense-a.run\n      dense-b: dense-b.run\n"
+    assert runs in text
+    config_path.write_text(text.replace(runs, ""), encoding="utf-8")
+    assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+
+
 def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:
     toy = tmp_path / "toy"
     shutil.copytree(TOY_DIR, toy)
@@ -1513,23 +1538,23 @@ def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:
 def write_pool_ranks(toy: Path, set_name: str, system_ranks: list[int]) -> None:
     """An ``evaluate`` rank table in which system ``s<i>`` puts every target at ``system_ranks[i]``.
 
-    The real set's table covers the real qrels; a synthetic one, two queries.
+    The table covers the set's queries: the real qrels, or the accepted
+    queries ``generate`` wrote.
     """
     if set_name == "real":
         query_ids = list(load_qrels(toy / "real_qrels_zz.txt"))
     else:
-        query_ids = ["q1", "q2"]
+        records = read_query_manifest(toy / "out" / "generate" / "zz" / f"{set_name}.jsonl")
+        query_ids = [record.query_id for record in records if not record.discarded]
     ranks = {f"s{i}": dict.fromkeys(query_ids, rank) for i, rank in enumerate(system_ranks)}
     write_rank_file(ranks, toy / "out" / "evaluate" / "zz" / f"{set_name}.ranks.tsv")
 
 
 def test_constant_metric_vector_leaves_its_row_undefined(
-    tmp_path: Path, caplog: pytest.LogCaptureFixture
+    tree_copy: Path, caplog: pytest.LogCaptureFixture
 ) -> None:
-    toy = tmp_path / "toy"
-    shutil.copytree(TOY_DIR, toy)
+    toy = tree_copy
     config_arg = str(toy / "config.yaml")
-    assert main(["partition", "--config", config_arg]) == 0
     rising = [3, 2, 1]
     write_pool_ranks(toy, "real", rising)
     # every monolingual variation and bilingual-V1 rank the pool as one tie on
@@ -1539,7 +1564,7 @@ def test_constant_metric_vector_leaves_its_row_undefined(
     write_pool_ranks(toy, "bilingual-V2", rising)
     for name in ("bilingual-V3", "bilingual-V4"):
         write_pool_ranks(toy, name, rising[::-1])
-    assert main(["correlate", "--config", config_arg]) == 0
+    assert main(["correlate", "--config", config_arg, "--force"]) == 0
     correlations = toy / "out" / "correlate" / "zz.jsonl"
     rows = [json.loads(line) for line in correlations.read_text(encoding="utf-8").splitlines()]
     undefined = [
@@ -1555,7 +1580,7 @@ def test_constant_metric_vector_leaves_its_row_undefined(
     table = (toy / "out" / "correlate" / "zz.txt").read_text(encoding="utf-8").splitlines()
     assert table[1].split("\t")[2:] == ["nan"] * 8
     caplog.clear()
-    assert main(["select", "--config", config_arg]) == 0
+    assert main(["select", "--config", config_arg, "--force"]) == 0
     choice = json.loads((toy / "out" / "select" / "zz.json").read_text(encoding="utf-8"))
     assert choice == {"monolingual": "V1", "bilingual": "V2"}
     assert "no defined correlation in the monolingual partition" in caplog.text
@@ -1589,16 +1614,14 @@ def test_select_warns_when_it_breaks_a_tie(
 
 
 def test_correlate_still_fails_on_mismatched_pools(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    toy = tmp_path / "toy"
-    shutil.copytree(TOY_DIR, toy)
-    assert main(["partition", "--config", str(toy / "config.yaml")]) == 0
+    toy = tree_copy
     write_pool_ranks(toy, "real", [3, 2, 1])
     for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1", "bilingual-V2",
                  "bilingual-V3", "bilingual-V4"):
         write_pool_ranks(toy, name, [2, 1])
-    assert main(["correlate", "--config", str(toy / "config.yaml")]) == 1
+    assert main(["correlate", "--config", str(toy / "config.yaml"), "--force"]) == 1
     assert "different systems" in capsys.readouterr().err
 
 
@@ -1695,8 +1718,7 @@ def test_correlate_slices_the_real_set_by_partition(
     def pool_reports(set_name: str, qrels: dict[str, str], query_ids: list[str]) -> list:
         ranks = read_rank_file(out / "search" / "zz" / set_name / "ranks.tsv")
         for system_id, path in config.language("zz").external_runs.items():
-            run = load_external_run(path, qrels, config.depth, system_id)
-            ranks[system_id] = run.target_ranks(qrels)
+            ranks[system_id] = load_external_run(path, qrels, config.depth)
         return [
             evaluate_ranks(system_id, {qid: by_query[qid] for qid in query_ids})
             for system_id, by_query in sorted(ranks.items())
@@ -1749,6 +1771,22 @@ def test_correlate_slices_the_real_set_by_partition(
     assert 1 in codes
     err = capsys.readouterr().err
     assert f"real query {query_id} targets zz9999, which is not in the partition map" in err
+
+
+@pytest.mark.parametrize(
+    "set_name, kept", [("real", 0.0), ("monolingual-V1", 0.0), ("monolingual-V2", 0.5)]
+)
+def test_correlate_refuses_a_table_that_does_not_cover_its_set(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str], set_name: str, kept: float
+) -> None:
+    # an emptied table, or one cut off halfway
+    path = tree_copy / "out" / "evaluate" / "zz" / f"{set_name}.ranks.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[: int(len(lines) * kept)]), encoding="utf-8")
+    assert main(["correlate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert f"{set_name}.ranks.tsv does not cover the {set_name} qrels" in err
+    assert "run 'totsim evaluate --force'" in err
 
 
 def test_correlate_refuses_a_real_table_built_from_other_qrels(

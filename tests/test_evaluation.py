@@ -9,13 +9,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus, make_doc
+from conftest import make_corpus, make_doc, read_run
 from totsim.errors import ConstantVectorError, EvaluationError
 from totsim.evaluation import (
     METRICS,
     CorrelationResult,
     MetricCorrelation,
     MetricReport,
+    RunResult,
     SystemRanking,
     correlate,
     evaluate_pool,
@@ -31,7 +32,6 @@ from totsim.evaluation import (
 from totsim.evaluation import _kendall_tau_values
 from totsim.retrieval import (
     RetrievalSystem,
-    RunResult,
     Tokenizer,
     build_index,
     load_external_run,
@@ -191,11 +191,13 @@ def test_target_rank_is_zero_when_the_target_is_not_retrieved(tmp_path: Path) ->
     qrels = {"unindexed": "a", "top": "a", "deep": "b", "unasked": "c"}
     path = tmp_path / "bm25.run"
     full = run_search([system], queries, index, qrels, [path])["bm25"]
-    pairs = load_external_run(path, queries)
+    pairs = read_run(path, queries)
     assert pairs.rankings["unindexed"] == []
     assert full == {"unindexed": 0, "top": 1, "deep": 2, "unasked": 0}
     # the doc-number arrays give the rank the (doc_id, score) pairs give
     assert pairs.target_ranks(qrels) == full
+    # and so does the run file, read back as target ranks
+    assert load_external_run(path, qrels) == full
     # below the search depth the target counts as not retrieved
     shallow = run_search([system], queries, index, qrels, [path], depth=1)["bm25"]
     assert shallow == {"unindexed": 0, "top": 1, "deep": 0, "unasked": 0}

@@ -17,14 +17,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import totsim.retrieval as retrieval
-from conftest import make_corpus, make_doc
+from conftest import make_corpus, make_doc, read_run
 from totsim.errors import RunFileError, TotsimError
+from totsim.evaluation import RunResult
 from totsim.retrieval import (
     DEFAULT_DEPTH,
     INDEX_FORMAT,
     InvertedIndex,
     RetrievalSystem,
-    RunResult,
     Tokenizer,
     build_index,
     default_lexical_pool,
@@ -406,10 +406,10 @@ def test_default_pool_has_seven_fixed_systems() -> None:
 def search(
     tmp_path: Path, systems: list[RetrievalSystem], queries: dict[str, str], index: InvertedIndex
 ) -> tuple[dict[str, dict[str, int]], list[RunResult]]:
-    """``run_search`` into ``tmp_path`` without qrels: its ranks, and each run file parsed back."""
+    """``run_search`` into ``tmp_path`` without qrels: its ranks, and each run file read back."""
     paths = [tmp_path / f"{system.system_id}.run" for system in systems]
     ranks = run_search(systems, queries, index, {}, paths)
-    return ranks, [load_external_run(path, queries) for path in paths]
+    return ranks, [read_run(path, queries) for path in paths]
 
 
 def test_run_search_writes_each_systems_run_file(tmp_path: Path) -> None:
@@ -421,7 +421,7 @@ def test_run_search_writes_each_systems_run_file(tmp_path: Path) -> None:
     }
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line.split()[0] for line in lines] == ["q1", "q1", "q1", "q2"]
-    run = load_external_run(path, ["q1", "q2"])
+    run = read_run(path, ["q1", "q2"])
     assert run.rankings["q1"] == score_bm25("red fish", index, k1=1.2, b=0.75)
     top = run.rankings["q1"][0][1]
     assert lines[0].split() == ["q1", "Q0", "a", "1", repr(top), "bm25-test"]
@@ -461,7 +461,7 @@ def test_external_run_round_trip(tmp_path: Path) -> None:
     queries = {"q1": "red fish", "q2": "green"}
     path = tmp_path / "out.run"
     run_search([system], queries, index, {}, [path])
-    loaded = load_external_run(path, ["q1", "q2"])
+    loaded = read_run(path, ["q1", "q2"])
     assert loaded.system_id == "qld-mu500"
     expected = {q: score_ql_dirichlet(text, index, mu=500.0) for q, text in queries.items()}
     assert loaded.rankings == expected
@@ -534,7 +534,7 @@ def test_run_search_writes_the_reference_rankings_and_their_target_ranks(
                 q: score_ql_dirichlet(text, index, mu=system.mu, depth=depth)
                 for q, text in queries.items()
             }
-        assert load_external_run(path, queries, depth).rankings == expected
+        assert read_run(path, queries, depth).rankings == expected
         # queries are written in sorted order, and those without candidates not at all
         written = [line.split()[0] for line in path.read_text(encoding="utf-8").splitlines()]
         assert written == sorted(written)
@@ -547,17 +547,6 @@ def test_run_search_writes_the_reference_rankings_and_their_target_ranks(
         assert ranks[system.system_id] == rows
 
 
-def test_external_run_shares_repeated_doc_id_strings(tmp_path: Path) -> None:
-    path = write_lines(
-        tmp_path / "run.run",
-        [f"q{q} Q0 doc{d} {d + 1} {1.0 - d / 10} sys" for q in range(3) for d in range(3)],
-    )
-    run = load_external_run(path, ["q0", "q1", "q2"])
-    for rank in range(3):
-        first = run.rankings["q0"][rank][0]
-        assert all(run.rankings[q][rank][0] is first for q in ("q1", "q2"))
-
-
 def write_lines(path: Path, lines: list[str]) -> Path:
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
@@ -567,22 +556,22 @@ def test_external_run_validates_format(tmp_path: Path) -> None:
     path = tmp_path / "bad.run"
     write_lines(path, ["q1 Q0 d1 1 0.5"])
     with pytest.raises(RunFileError, match="6 columns"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 one 0.5 sys"])
     with pytest.raises(RunFileError, match="line 1"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d2 2 0.4 other"])
     with pytest.raises(RunFileError, match="mixed system tags"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d1 2 0.4 sys"])
     with pytest.raises(RunFileError, match="duplicate document"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d2 1 0.4 sys"])
     with pytest.raises(RunFileError, match="does not increase"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d2 2 0.9 sys"])
     with pytest.raises(RunFileError, match="score increases"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
 
 
 def test_external_run_rejects_nan_scores(tmp_path: Path) -> None:
@@ -590,10 +579,10 @@ def test_external_run_rejects_nan_scores(tmp_path: Path) -> None:
     path = tmp_path / "nan.run"
     write_lines(path, ["q1 Q0 d1 1 0.5 sys", "q1 Q0 d2 2 nan sys", "q1 Q0 d3 3 0.9 sys"])
     with pytest.raises(RunFileError, match="line 2: score is NaN"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
     write_lines(path, ["q1 Q0 d1 1 NaN sys", "q1 Q0 d2 2 0.5 sys"])
     with pytest.raises(RunFileError, match="line 1: score is NaN"):
-        load_external_run(path, ["q1"])
+        load_external_run(path, {"q1": "d1"})
 
 
 def test_external_run_fills_missing_queries(
@@ -601,8 +590,8 @@ def test_external_run_fills_missing_queries(
 ) -> None:
     path = write_lines(tmp_path / "run.run", ["q1 Q0 d1 1 0.5 sys"])
     with caplog.at_level("WARNING"):
-        run = load_external_run(path, ["q1", "q2"])
-    assert run.rankings["q2"] == []
+        ranks = load_external_run(path, {"q1": "d1", "q2": "d1"})
+    assert ranks == {"q1": 1, "q2": 0}
     assert any("1 expected queries missing" in r.message for r in caplog.records)
 
 
@@ -613,19 +602,67 @@ def test_external_run_drops_queries_outside_expected_set(
         tmp_path / "run.run", ["q1 Q0 d1 1 0.5 sys", "stray Q0 d2 1 0.7 sys"]
     )
     with caplog.at_level("INFO"):
-        run = load_external_run(path, ["q1"])
-    assert set(run.rankings) == {"q1"}
+        ranks = load_external_run(path, {"q1": "d1"})
+    assert ranks == {"q1": 1}
     assert any("dropping 1 queries" in r.message for r in caplog.records)
 
 
-def test_external_run_truncates_and_overrides_id(tmp_path: Path) -> None:
+def test_external_run_ranks_only_the_first_depth_documents(tmp_path: Path) -> None:
     path = write_lines(
         tmp_path / "run.run",
         ["q1 Q0 d1 1 0.9 sys", "q1 Q0 d2 2 0.8 sys", "q1 Q0 d3 3 0.7 sys"],
     )
-    run = load_external_run(path, ["q1"], depth=2, system_id="renamed")
-    assert run.system_id == "renamed"
-    assert run.rankings["q1"] == [("d1", 0.9), ("d2", 0.8)]
+    assert read_run(path, ["q1"], depth=2).rankings["q1"] == [("d1", 0.9), ("d2", 0.8)]
+    assert load_external_run(path, {"q1": "d2"}, depth=2) == {"q1": 2}
+    assert load_external_run(path, {"q1": "d3"}, depth=2) == {"q1": 0}
+    assert load_external_run(path, {"q1": "d3"}, depth=3) == {"q1": 3}
+
+
+@st.composite
+def run_files(draw) -> tuple[list[str], dict[str, str], int]:
+    """Shuffled run-file lines with tied scores and gaps between ranks, targets and a depth.
+
+    Targets name file queries and queries the file lacks; some file queries
+    have no target, and a target may sit at the depth, one below it, or
+    nowhere in its query's ranking.
+    """
+    lines = []
+    counts = draw(st.dictionaries(st.sampled_from(["q0", "q1", "q2", "q3"]), st.integers(1, 5)))
+    for query_id, count in counts.items():
+        ranks = sorted(draw(st.sets(st.integers(1, 20), min_size=count, max_size=count)))
+        # scores drawn from few values, so neighbours often tie
+        scores = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=count, max_size=count))
+        scores.sort(reverse=True)
+        for rank, score in zip(ranks, scores):
+            lines.append(f"{query_id} Q0 d{rank} {rank} {score!r} sys")
+    lines = draw(st.permutations(lines))
+    doc_ids = st.sampled_from([f"d{rank}" for rank in range(1, 21)])
+    targets = draw(st.dictionaries(st.sampled_from(["q0", "q1", "q2", "q3", "q4"]), doc_ids))
+    return lines, targets, draw(st.integers(1, 6))
+
+
+# q0 ranks d1, d2, d3: its target d3 is at depth 3, then one below depth 2;
+# q1 is not in the file, and q2 in the file has no target
+AT_DEPTH = (
+    ["q0 Q0 d3 3 0.5 sys", "q2 Q0 d9 1 0.1 sys", "q0 Q0 d1 1 0.5 sys", "q0 Q0 d2 2 0.5 sys"],
+    {"q0": "d3", "q1": "d1"},
+)
+
+
+@given(case=run_files())
+@example(case=(*AT_DEPTH, 3))
+@example(case=(*AT_DEPTH, 2))
+@settings(max_examples=150, deadline=None)
+def test_external_run_ranks_match_a_reference_read_of_the_file(
+    tmp_path_factory, case: tuple[list[str], dict[str, str], int]
+) -> None:
+    lines, targets, depth = case
+    path = write_lines(tmp_path_factory.mktemp("runs") / "sys.run", lines)
+    # the reference sorts each query's lines by rank, cuts them at the depth
+    # and takes the target's position
+    reference = read_run(path, targets, depth).target_ranks(targets)
+    assert load_external_run(path, targets, depth) == reference
+    assert list(reference) == list(targets)
 
 
 def test_default_depth() -> None:
@@ -664,7 +701,7 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
     path.write_bytes(_run_lines("q1", run.system_id, doc_ids, ranks, np.array(values)))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line.split()[4] for line in lines] == [repr(score) for score in ordered]
-    loaded = load_external_run(path, ["q1"])
+    loaded = read_run(path, ["q1"])
     assert loaded.rankings == rankings
 
 

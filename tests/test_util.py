@@ -265,6 +265,61 @@ def test_no_heavy_package_is_imported_at_load(path: Path) -> None:
     assert sorted(load_time_imports(tree.body) & HEAVY_MODULES) == []
 
 
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules ``tree`` imports anywhere, relatively or by ``totsim.`` name."""
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("totsim."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("totsim.")}
+    return found
+
+
+def reachable(graph: dict[str, set[str]], start: str) -> set[str]:
+    """Every module that ``start``'s imports lead to, directly or through others."""
+    seen: set[str] = set()
+    stack = list(graph[start])
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(graph.get(name, ()))
+    return seen
+
+
+def test_package_imports_and_reachable_find_every_form_and_a_cycle() -> None:
+    tree = ast.parse(
+        "from . import providers\n"
+        "from .errors import TotsimError\n"
+        "import totsim.util\n"
+        "from totsim.corpus import Corpus\n"
+        "import numpy\n"
+        "def f():\n    from .retrieval import load_index\n"
+    )
+    assert package_imports(tree) == {"providers", "errors", "util", "corpus", "retrieval"}
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
+    assert reachable(graph, "a") == {"a", "b", "c"}
+    assert "d" not in reachable(graph, "d")
+
+
+def test_the_package_import_graph_is_layered() -> None:
+    # Evaluation works on target ranks and retrieval makes them: neither
+    # needs any other layer, and no chain of imports leads back to its start.
+    graph = {
+        path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(totsim.__file__).parent.glob("*.py"))
+    }
+    leaves = {"errors", "util"}
+    assert {name: graph[name] - leaves for name in ("evaluation", "retrieval")} == {
+        "evaluation": set(),
+        "retrieval": set(),
+    }
+    assert [name for name in graph if name in reachable(graph, name)] == []
+
+
 def names_read(node: ast.AST, skip: ast.AST) -> set[str]:
     """Every name ``node`` loads or reads as an attribute, outside ``skip``."""
     read: set[str] = set()
