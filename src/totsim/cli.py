@@ -25,6 +25,7 @@ import logging
 import os
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -88,6 +89,8 @@ from .sampling import (
 from .util import atomic_write_text, read_json, read_jsonl, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
+# The lexical systems every query set is searched with, by id.
+LEXICAL_IDS = [system.system_id for system in default_lexical_pool()]
 
 
 class Stage(NamedTuple):
@@ -145,12 +148,16 @@ def _strategy_path(config: PipelineConfig, code: str) -> Path:
     return _artifact(config, "select", f"{code}.json")
 
 
+def _producer(config: PipelineConfig, path: Path) -> str:
+    """The stage that writes ``path``, from the stage directory it lies in."""
+    directory = path.relative_to(config.output_dir).parts[0]
+    return next(name for name, stage in STAGES.items() if stage.directory == directory)
+
+
 def _existing(config: PipelineConfig, path: Path) -> Path:
     """``path``, which an earlier stage wrote; if it is missing, name that stage."""
     if not path.exists():
-        directory = path.relative_to(config.output_dir).parts[0]
-        producer = next(name for name, stage in STAGES.items() if stage.directory == directory)
-        raise ConfigError(f"missing {path}; run 'totsim {producer}' first")
+        raise ConfigError(f"missing {path}; run 'totsim {_producer(config, path)}' first")
     return path
 
 
@@ -173,12 +180,11 @@ def _partitions_for(code: str) -> tuple[Partition, ...]:
 def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str]]:
     """A language's synthetic query sets as (partition, variation, set name)."""
     for partition in _partitions_for(code):
-        # English is its own source language, so the translated-prompt and
-        # English-article axes collapse to plain V1.
-        if code == "en":
-            variations: tuple[PromptVariation, ...] = (PromptVariation.V1,)
-        else:
-            variations = PromptVariation.for_partition(partition)
+        variations = PromptVariation.for_partition(partition)
+        # The full partition is English's, its own source language, so the
+        # translated-prompt and English-article axes collapse to plain V1.
+        if partition is Partition.FULL:
+            variations = (PromptVariation.V1,)
         for variation in variations:
             yield partition, variation, f"{partition.value}-{variation.value}"
 
@@ -226,7 +232,7 @@ def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
     english = _load_english(config)
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
-        if entry.code == "en":
+        if len(_partitions_for(entry.code)) == 1:  # nothing to map
             continue
         corpus = _load_corpus(config, entry.code)
         mapping = partition_corpus(corpus, english)
@@ -246,11 +252,19 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        if entry.code == "en":
-            partition_of = {doc.doc_id: Partition.FULL for doc in corpus}
+        partitions = _partitions_for(entry.code)
+        if len(partitions) == 1:
+            partition_of = dict.fromkeys((doc.doc_id for doc in corpus), partitions[0])
         else:
             partition_of = _read_partition_map(config, entry.code)
-        for partition in _partitions_for(entry.code):
+            path = _partition_map_path(config, entry.code)
+            for doc in corpus:
+                if doc.doc_id not in partition_of:
+                    raise ConfigError(
+                        f"{path} has no partition for document {doc.doc_id}; "
+                        f"run 'totsim {_producer(config, path)} --force'"
+                    )
+        for partition in partitions:
             pool = [doc for doc in corpus if partition_of[doc.doc_id] is partition]
             pool = filter_by_popularity(pool, config.popularity_top_fraction)
             pool = filter_by_length(pool, config.min_chars)
@@ -355,24 +369,33 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
     pool = default_lexical_pool()
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
+        indexed = set(index.doc_ids)
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
+            # a target outside the index would rank 0 for every system, unseen
+            for query_id, doc_id in sorted(qrels.items()):
+                if doc_id not in indexed:
+                    source = entry.real_qrels if set_name == "real" else entry.code
+                    raise EvaluationError(
+                        f"{source}: {set_name} query {query_id} targets {doc_id}, "
+                        "which is not an indexed document"
+                    )
             paths = [_run_path(config, entry.code, set_name, s.system_id) for s in pool]
             ranks = run_search(pool, queries, index, qrels, paths, depth=config.depth)
             write_rank_file(ranks, _ranks_path(config, entry.code, set_name))
     return {}
 
 
-def _lexical_ranks(
-    config: PipelineConfig, code: str, set_name: str, qrels: Mapping[str, str]
+def _read_ranks(
+    config: PipelineConfig, path: Path, set_name: str, qrels: Mapping[str, str], systems: list[str]
 ) -> dict[str, dict[str, int]]:
-    """The lexical pool's target rank per query of one set, as ``search`` recorded it."""
-    path = _existing(config, _ranks_path(config, code, set_name))
-    ranks = read_rank_file(path)
-    # the file of a set without queries is empty, so it names no system
-    lexical = sorted(system.system_id for system in default_lexical_pool()) if qrels else []
-    if sorted(ranks) != lexical or any(rows.keys() != qrels.keys() for rows in ranks.values()):
+    """The rank table at ``path``; it must rank every ``qrels`` query for exactly ``systems``."""
+    ranks = read_rank_file(_existing(config, path))
+    # the table of a set without queries is empty, so it names no system
+    named = sorted(systems) if qrels else []
+    if sorted(ranks) != named or any(rows.keys() != qrels.keys() for rows in ranks.values()):
         raise ConfigError(
-            f"{path} does not cover this query set and system pool; run 'totsim search --force'"
+            f"{path} does not cover the {set_name} qrels for exactly the configured systems; "
+            f"run 'totsim {_producer(config, path)} --force'"
         )
     return ranks
 
@@ -390,7 +413,8 @@ def _evaluate(config: PipelineConfig, stage_dir: Path) -> dict:
         runs = sorted(entry.external_runs.items())
         external = {system: load_external_run(path, targets, config.depth) for system, path in runs}
         for set_name, qrels in sorted(sets.items()):
-            ranks = _lexical_ranks(config, entry.code, set_name, qrels)
+            path = _ranks_path(config, entry.code, set_name)
+            ranks = _read_ranks(config, path, set_name, qrels, LEXICAL_IDS)
             for system_id, by_query in external.items():
                 ranks[system_id] = {query_id: by_query[query_id] for query_id in qrels}
             write_rank_file(ranks, _pool_ranks_path(config, entry.code, set_name))
@@ -402,20 +426,6 @@ def _pool_reports(ranks: Mapping[str, Mapping[str, int]]) -> list[MetricReport]:
     return [evaluate_ranks(system_id, by_query) for system_id, by_query in sorted(ranks.items())]
 
 
-def _pool_ranks(
-    config: PipelineConfig, code: str, set_name: str, qrels: Mapping[str, str]
-) -> dict[str, dict[str, int]]:
-    """The pool's target rank per query of one set, as ``evaluate`` recorded it."""
-    path = _existing(config, _pool_ranks_path(config, code, set_name))
-    ranks = read_rank_file(path)
-    # only the table of a set without queries names no system
-    if bool(ranks) != bool(qrels) or any(rows.keys() != qrels.keys() for rows in ranks.values()):
-        raise ConfigError(
-            f"{path} does not cover the {set_name} qrels; run 'totsim evaluate --force'"
-        )
-    return ranks
-
-
 def _real_slices(
     config: PipelineConfig, code: str, qrels: Mapping[str, str]
 ) -> dict[Partition, dict[str, dict[str, int]]]:
@@ -424,8 +434,9 @@ def _real_slices(
     With ``slice_real_by_partition``, a partition gets the real queries whose
     target lies in it, or all of them where none does.
     """
-    ranks = _pool_ranks(config, code, "real", qrels)
-    if code == "en" or not config.slice_real_by_partition:
+    pool = [*LEXICAL_IDS, *config.language(code).external_runs]
+    ranks = _read_ranks(config, _pool_ranks_path(config, code, "real"), "real", qrels, pool)
+    if len(_partitions_for(code)) == 1 or not config.slice_real_by_partition:
         return dict.fromkeys(_partitions_for(code), ranks)
     partition_of = _read_partition_map(config, code)
     for query_id, doc_id in qrels.items():
@@ -498,9 +509,11 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
         sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
         slices = _real_slices(config, entry.code, sets["real"])
         real = {partition: _pool_reports(ranks) for partition, ranks in slices.items()}
+        pool = [*LEXICAL_IDS, *entry.external_runs]
         rows: list[dict] = []
         for partition, variation, set_name in _synthetic_sets(entry.code):
-            synthetic = _pool_reports(_pool_ranks(config, entry.code, set_name, sets[set_name]))
+            path = _pool_ranks_path(config, entry.code, set_name)
+            synthetic = _pool_reports(_read_ranks(config, path, set_name, sets[set_name], pool))
             where = f"{entry.code}/{partition.value}/{variation.value}"
             result = None
             if not real[partition] or not synthetic:
@@ -525,16 +538,18 @@ def _select(config: PipelineConfig, stage_dir: Path) -> dict:
     """The best variation per partition among defined correlations; V1 where none is."""
     for entry in config.languages:
         code = entry.code
-        # English has only V1, so nothing is chosen and its correlations are not read.
-        correlated = code != "en" and entry.real_qrels is not None
-        if code != "en" and not correlated:
+        count = Counter(partition for partition, _, _ in _synthetic_sets(code))
+        # a partition with one variation takes it; only a choice reads correlations
+        strategy = {p.value: v.value for p, v, _ in _synthetic_sets(code) if count[p] == 1}
+        choices = [partition for partition in count if count[partition] > 1]
+        correlated = bool(choices) and entry.real_qrels is not None
+        if choices and not correlated:
             logger.warning("%s has no correlations; defaulting every partition to V1", code)
         path = _correlations_path(config, code)
         rows = read_jsonl(_existing(config, path), _result_from_row) if correlated else ()
         results = {key: result for key, result in rows if result is not None}
         selected = select_best_strategy(results) if results else {}
-        strategy = {}
-        for partition in _partitions_for(code):
+        for partition in choices:
             winner = strategy[partition.value] = selected.get(partition, PromptVariation.V1.value)
             means = {v: r.mean_tau for (p, v), r in results.items() if p is partition}
             tied = sorted(v for v, mean in means.items() if mean == means.get(winner))
@@ -556,10 +571,18 @@ def _select(config: PipelineConfig, stage_dir: Path) -> dict:
 def _assemble(config: PipelineConfig, stage_dir: Path) -> dict:
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
+        path = _existing(config, _strategy_path(config, entry.code))
         strategy_map = read_json(
-            _existing(config, _strategy_path(config, entry.code)),
-            lambda raw: {Partition(p): PromptVariation(v) for p, v in raw.items()},
+            path, lambda raw: {Partition(p): PromptVariation(v) for p, v in raw.items()}
         )
+        # a partition left out, or given a variation it lacks, would add no queries
+        sets = {(partition, variation) for partition, variation, _ in _synthetic_sets(entry.code)}
+        for partition in _partitions_for(entry.code):
+            if (partition, strategy_map.get(partition)) not in sets:
+                raise ConfigError(
+                    f"{path} names no variation of the {partition.value} partition; "
+                    f"run 'totsim {_producer(config, path)} --force'"
+                )
         candidates = {
             candidate.doc_id: candidate
             for partition in _partitions_for(entry.code)

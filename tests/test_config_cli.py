@@ -1091,6 +1091,12 @@ def drop_mean_tau(path: Path) -> None:
     write_jsonl(path, rows)
 
 
+def drop_zz0001(path: Path) -> None:
+    """Leave a corpus document out of the partition map, as if the corpus grew since."""
+    grouped = read_json(path)
+    write_json(path, {name: [d for d in ids if d != "zz0001"] for name, ids in grouped.items()})
+
+
 # (command, file an earlier stage wrote, how it is spoiled, what the error names)
 PROGRAM_FILES = [
     pytest.param(
@@ -1099,6 +1105,13 @@ PROGRAM_FILES = [
         lambda path: path.write_text("[zz0001\n", encoding="utf-8"),
         ("zz.json", "invalid JSON"),
         id="partition-map",
+    ),
+    pytest.param(
+        "sample",
+        "partition/zz.json",
+        drop_zz0001,
+        ("zz.json", "document zz0001", "run 'totsim partition --force'"),
+        id="stale-partition-map",
     ),
     pytest.param(
         "generate",
@@ -1120,6 +1133,20 @@ PROGRAM_FILES = [
         lambda path: write_json(path, {"monolingual": "V9", "bilingual": "V1"}),
         ("zz.json", "'V9'"),
         id="strategy",
+    ),
+    pytest.param(
+        "assemble",
+        "select/zz.json",
+        lambda path: write_json(path, {"monolingual": "V1"}),
+        ("zz.json", "bilingual partition", "run 'totsim select --force'"),
+        id="strategy-without-a-partition",
+    ),
+    pytest.param(
+        "assemble",
+        "select/zz.json",
+        lambda path: write_json(path, {"monolingual": "V3", "bilingual": "V1"}),
+        ("zz.json", "monolingual partition", "run 'totsim select --force'"),
+        id="strategy-with-another-partitions-variation",
     ),
 ]
 
@@ -1484,7 +1511,7 @@ def test_evaluate_refuses_ranks_that_miss_a_query(
     )
     assert main(["evaluate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
     err = capsys.readouterr().err
-    assert "ranks.tsv does not cover this query set" in err
+    assert "real/ranks.tsv does not cover the real qrels" in err
     assert "run 'totsim search --force'" in err
 
 
@@ -1535,18 +1562,31 @@ def test_configured_temperatures_reach_the_provider(tmp_path: Path) -> None:
         assert "summarize_temperature=0.9;generate_temperature=0.7" in row["provider_fingerprint"]
 
 
-def write_pool_ranks(toy: Path, set_name: str, system_ranks: list[int]) -> None:
-    """An ``evaluate`` rank table in which system ``s<i>`` puts every target at ``system_ranks[i]``.
+def toy_pool(toy: Path) -> list[str]:
+    """The system ids ``evaluate`` ranks for zz, in id order: lexical and external."""
+    external = load_config(toy / "config.yaml").language("zz").external_runs
+    return sorted([system.system_id for system in default_lexical_pool()] + list(external))
 
+
+def write_pool_ranks(
+    toy: Path, set_name: str, system_ranks: list[int], systems: list[str] | None = None
+) -> None:
+    """An ``evaluate`` rank table in which system ``i`` puts every target at ``system_ranks[i]``.
+
+    The systems are ``systems``, by default the configured pool in id order.
     The table covers the set's queries: the real qrels, or the accepted
     queries ``generate`` wrote.
     """
+    systems = toy_pool(toy) if systems is None else systems
     if set_name == "real":
         query_ids = list(load_qrels(toy / "real_qrels_zz.txt"))
     else:
         records = read_query_manifest(toy / "out" / "generate" / "zz" / f"{set_name}.jsonl")
         query_ids = [record.query_id for record in records if not record.discarded]
-    ranks = {f"s{i}": dict.fromkeys(query_ids, rank) for i, rank in enumerate(system_ranks)}
+    ranks = {
+        system_id: dict.fromkeys(query_ids, rank)
+        for system_id, rank in zip(systems, system_ranks, strict=True)
+    }
     write_rank_file(ranks, toy / "out" / "evaluate" / "zz" / f"{set_name}.ranks.tsv")
 
 
@@ -1555,12 +1595,12 @@ def test_constant_metric_vector_leaves_its_row_undefined(
 ) -> None:
     toy = tree_copy
     config_arg = str(toy / "config.yaml")
-    rising = [3, 2, 1]
+    rising = list(range(len(toy_pool(toy)), 0, -1))
     write_pool_ranks(toy, "real", rising)
     # every monolingual variation and bilingual-V1 rank the pool as one tie on
     # NDCG@100: no target is in the top 100
     for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1"):
-        write_pool_ranks(toy, name, [400, 300, 200])
+        write_pool_ranks(toy, name, [200 + rank for rank in rising])
     write_pool_ranks(toy, "bilingual-V2", rising)
     for name in ("bilingual-V3", "bilingual-V4"):
         write_pool_ranks(toy, name, rising[::-1])
@@ -1617,12 +1657,17 @@ def test_correlate_still_fails_on_mismatched_pools(
     tree_copy: Path, capsys: pytest.CaptureFixture[str]
 ) -> None:
     toy = tree_copy
-    write_pool_ranks(toy, "real", [3, 2, 1])
+    pool = toy_pool(toy)
+    write_pool_ranks(toy, "real", list(range(len(pool), 0, -1)))
+    # the synthetic tables rank a pool other than the configured one, so the
+    # first of them read stops correlate before any pools are compared
     for name in ("monolingual-V1", "monolingual-V2", "bilingual-V1", "bilingual-V2",
                  "bilingual-V3", "bilingual-V4"):
-        write_pool_ranks(toy, name, [2, 1])
+        write_pool_ranks(toy, name, [2, 1], systems=pool[:2])
     assert main(["correlate", "--config", str(toy / "config.yaml"), "--force"]) == 1
-    assert "different systems" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "monolingual-V1.ranks.tsv does not cover the monolingual-V1 qrels" in err
+    assert "run 'totsim evaluate --force'" in err
 
 
 @pytest.mark.parametrize("emptied", ["bilingual-V4", "real"])
@@ -1787,6 +1832,43 @@ def test_correlate_refuses_a_table_that_does_not_cover_its_set(
     err = capsys.readouterr().err
     assert f"{set_name}.ranks.tsv does not cover the {set_name} qrels" in err
     assert "run 'totsim evaluate --force'" in err
+
+
+def test_correlate_refuses_tables_without_a_configured_system(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # every table loses the same external run, so they still agree with each other
+    for path in sorted((tree_copy / "out" / "evaluate" / "zz").glob("*.ranks.tsv")):
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if line.split("\t")[1] != "dense-a"]
+        assert len(kept) < len(lines)
+        path.write_text("".join(kept), encoding="utf-8")
+    assert main(["correlate", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    err = capsys.readouterr().err
+    assert "real.ranks.tsv does not cover the real qrels" in err
+    assert "run 'totsim evaluate --force'" in err
+
+
+def test_search_refuses_a_qrels_target_outside_the_corpus(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # without slicing no partition map is read, so only search sees the target
+    config_arg = edit_toy_config(tree_copy, lambda raw: raw.update(slice_real_by_partition=False))
+    qrels = tree_copy / "real_qrels_zz.txt"
+    lines = qrels.read_text(encoding="utf-8").splitlines(keepends=True)
+    query_id = lines[0].split()[0]
+    lines[0] = f"{query_id} 0 zz9999 1\n"
+    qrels.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pipeline", "--config", config_arg]) == 1
+    assert_one_error_line(
+        capsys.readouterr().err,
+        "pipeline",
+        "real_qrels_zz.txt",
+        f"real query {query_id} targets zz9999, which is not an indexed document",
+    )
+    # search failed, so it left no manifest
+    assert not (tree_copy / "out" / "search" / "manifest.json").exists()
 
 
 def test_correlate_refuses_a_real_table_built_from_other_qrels(

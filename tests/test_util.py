@@ -410,3 +410,22 @@ def test_only_util_reads_text_files() -> None:
         if isinstance(node, ast.Call) and reads_text(node)
     ]
     assert found == []
+
+
+def test_only_partitions_for_sets_english_apart() -> None:
+    # English's layout follows from the one partition _partitions_for gives it;
+    # _generate asks only which parsed file is English's corpus.
+    cli = Path(totsim.__file__).parent / "cli.py"
+    module = ast.parse(cli.read_text(encoding="utf-8"))
+    found = [
+        f"{getattr(statement, 'name', '<module>')}: {ast.unparse(node)}"
+        for statement in module.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(
+            isinstance(operand, ast.Constant) and operand.value == "en"
+            for operand in (node.left, *node.comparators)
+        )
+    ]
+    assert found == ["_partitions_for: code == 'en'", "_generate: entry.code == 'en'"]
