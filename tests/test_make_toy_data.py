@@ -2,15 +2,31 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import TOY_DIR
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "make_toy_data.py"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "make_toy_data.py"
+
+# sha256 of every file the benchmark's long-articles set-up writes
+LONG_ARTICLES_DIGESTS = {
+    "config.yaml": "13ecae2e94c2fa826b9f48b11cd14aa8d629518cdb551b8e3a8fc21cb0ac0afe",
+    "corpus_en.jsonl": "bb06dcf16fc7a84b3ce89d227eecaed8e93ca6b71282be6e19b06cc576d5722a",
+    "corpus_zz.jsonl": "8fb91e9a52cff3893cbf94b1466d4ff6b402fd2a890e2fd23343ff307d0475b1",
+    "dense-a.run": "0ceeca9dd1701db1f37938aaeb23b52aa4b6643d2b30c02792710a802642af19",
+    "dense-b.run": "319e2f0d3b8f334a5bce9ece9bd78e0ac62320d1f5c7f14ec841346d129b763d",
+    "real_qrels_zz.txt": "850aa02179614a356d6529aa83ad4de95d034e35605ee5c45ac451b8f6c0f8a5",
+    "real_queries_zz.tsv": "bb1a14931166dfa754b76e3e629b6cec9ab336dab5712d74142b6e090f51dbfc",
+    "templates/generate_zz.txt": "2f6b4e116d8387dd89a5e435d83965b5393a49d069d3269543a3e370647c78e9",
+    "templates/summarize_zz.txt": "b143ba8118e7140d37021aa59488d541b193bb06a0691261fdc596a03ab6e43c",
+}
 
 
 def load_script():
@@ -48,3 +64,24 @@ def test_main_regenerates_the_committed_fixture_byte_for_byte(
     assert sorted(regenerated) == sorted(committed)
     for name, data in committed.items():
         assert regenerated[name] == data, name
+
+
+def test_the_benchmark_long_articles_input_is_pinned(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The benchmark builds it by replacing the generator's OUT, zz_body and
+    # en_body from outside and calling main(); those names are its interface.
+    spec = importlib.util.spec_from_file_location(
+        "_test_perfbench_workloads", REPO / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the module runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    workloads._generate_long_fixture(SCRIPT, tmp_path)
+    digests = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.rglob("*"))
+        if path.is_file()
+    }
+    assert digests == LONG_ARTICLES_DIGESTS
