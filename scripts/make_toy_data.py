@@ -14,31 +14,26 @@ Two pseudo-languages keep the fixture self-contained:
 Roughly half the zz articles link to an en article (plus a few dangling
 links to exercise demotion).  The script also emits real-query fixtures
 with qrels, two external run files covering them, zz prompt templates,
-and a reference pipeline config.  Everything is deterministic; rerunning
-the script must reproduce the committed files byte for byte.
+and a reference pipeline config, then runs the pipeline's ``ingest``,
+``partition`` and ``sample`` stages on that config in a temporary directory
+to check that the corpora cover its sampling targets.  Everything is
+deterministic; rerunning the script must reproduce the committed files
+byte for byte.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from totsim.corpus import (  # noqa: E402
-    DomainLabel,
-    Partition,
-    assign_domain,
-    default_domain_mapping,
-    filter_by_length,
-    filter_by_popularity,
-    ingest_corpus,
-    partition_corpus,
-)
-from totsim.sampling import domain_targets  # noqa: E402
-from totsim.util import dump_json  # noqa: E402
+from totsim.cli import COMMANDS, load_config  # noqa: E402
+from totsim.errors import TotsimError  # noqa: E402
+from totsim.util import dump_json, read_json  # noqa: E402
 
 OUT = REPO / "tests" / "data" / "toy"
 
@@ -109,14 +104,15 @@ def make_zz_titles(rng: random.Random, count: int) -> list[str]:
 
 
 def make_en_titles(rng: random.Random, count: int) -> list[str]:
-    limit = len(EN_TITLE_POOL) ** 2
-    if count > limit:
-        raise ValueError(f"at most {limit} distinct en titles can be made, asked for {count}")
+    """Distinct titles of two pool words until every pair is used, then of three, and so on."""
     titles: list[str] = []
     seen: set[str] = set()
+    words, limit = 2, len(EN_TITLE_POOL) ** 2
     while len(titles) < count:
-        pair = (rng.choice(EN_TITLE_POOL), rng.choice(EN_TITLE_POOL))
-        title = f"{pair[0].capitalize()} {pair[1].capitalize()}"
+        if len(titles) == limit:
+            words += 1
+            limit += len(EN_TITLE_POOL) ** words
+        title = " ".join(rng.choice(EN_TITLE_POOL).capitalize() for _ in range(words))
         if title not in seen:
             seen.add(title)
             titles.append(title)
@@ -336,39 +332,21 @@ templates_dir: templates
 
 
 def verify() -> None:
-    """Fail loudly if the fixture cannot cover the reference config targets."""
-    zz = ingest_corpus(OUT / "corpus_zz.jsonl", "zz")
-    en = ingest_corpus(OUT / "corpus_en.jsonl", "en")
-    partitions = partition_corpus(zz, en)
-    mapping = default_domain_mapping()
-    checks = [
-        (zz, Partition.MONOLINGUAL, 40),
-        (zz, Partition.BILINGUAL, 40),
-        (en, Partition.FULL, 80),
-    ]
-    for corpus, partition, target in checks:
-        if partition is Partition.FULL:
-            pool = list(corpus)
-        else:
-            pool = [d for d in corpus if partitions[d.doc_id] is partition]
-        pool = filter_by_length(filter_by_popularity(pool, 0.5), 200)
-        by_domain: dict[DomainLabel, int] = {}
-        for doc in pool:
-            domain = assign_domain(doc, mapping)
-            by_domain[domain] = by_domain.get(domain, 0) + 1
-        targets = domain_targets(target, {d: r for d, r in
-                                          ((DomainLabel.GENERAL, 0.8),
-                                           (DomainLabel.MOVIES, 0.1),
-                                           (DomainLabel.PEOPLE, 0.1))})
-        for domain, needed in targets.items():
-            have = by_domain.get(domain, 0)
-            if have < needed:
-                raise SystemExit(
-                    f"{corpus.language}/{partition.value}/{domain.value}: pool {have} "
-                    f"cannot cover target {needed}; adjust generator constants"
-                )
-        print(f"{corpus.language}/{partition.value}: pool {len(pool)} covers {target} "
-              f"({ {d.value: n for d, n in sorted(by_domain.items())} })")
+    """Run ``ingest``, ``partition`` and ``sample`` on the written config, outside ``OUT``.
+
+    A pool that cannot cover the config's targets stops the script with the
+    ``sample`` stage's own error.
+    """
+    with tempfile.TemporaryDirectory() as scratch:
+        config = load_config(OUT / "config.yaml", overrides={"output_dir": scratch})
+        try:
+            for stage in ("ingest", "partition", "sample"):
+                COMMANDS[stage](config, False)
+        except TotsimError as exc:
+            raise SystemExit(f"{stage}: {exc}; adjust generator constants") from exc
+        counts = read_json(config.output_dir / "sample" / "manifest.json")["sample_counts"]
+    for name, count in counts.items():
+        print(f"{name}: pool {count['pool']} covers {count['sampled']}")
     print(f"wrote fixture data to {OUT}")
 
 

@@ -371,7 +371,21 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
         index = load_index(_existing(config, _index_path(config, entry.code)))
         indexed = set(index.doc_ids)
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
-            # a target outside the index would rank 0 for every system, unseen
+            # A qrels query without a text, or a target outside the index,
+            # would rank 0 for every system, unseen.  Only the real set reads
+            # its texts and qrels from two files, so only it can miss one.
+            unasked = sorted(qrels.keys() - queries.keys())
+            if unasked:
+                raise EvaluationError(
+                    f"{entry.real_queries}: {set_name} qrels query {unasked[0]} has no text "
+                    f"({len(unasked)} such queries)"
+                )
+            unjudged = len(queries.keys() - qrels.keys())
+            if unjudged:
+                logger.warning(
+                    "%s: %d %s queries have no qrels line; they are searched but not evaluated",
+                    entry.real_qrels, unjudged, set_name,
+                )
             for query_id, doc_id in sorted(qrels.items()):
                 if doc_id not in indexed:
                     source = entry.real_qrels if set_name == "real" else entry.code

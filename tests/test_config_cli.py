@@ -1483,21 +1483,39 @@ def test_evaluate_reads_no_lexical_run_file(
     assert sorted(message.split(":")[0] for message in missing) == external
 
 
-def test_real_query_missing_from_the_queries_file_ranks_zero(tree_copy: Path) -> None:
+def test_search_refuses_a_real_qrels_query_without_a_text(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # every lexical system would rank these queries 0 while the external runs rank them
     queries = tree_copy / "real_queries_zz.tsv"
     lines = queries.read_text(encoding="utf-8").splitlines(keepends=True)
-    missing = lines[0].split("\t")[0]
-    queries.write_text("".join(lines[1:]), encoding="utf-8")
-    config_arg = str(tree_copy / "config.yaml")
-    assert main(["search", "--config", config_arg, "--force"]) == 0
-    ranks_path = tree_copy / "out" / "search" / "zz" / "real" / "ranks.tsv"
-    rows = [line.split("\t") for line in ranks_path.read_text(encoding="utf-8").splitlines()]
-    systems = sorted(system.system_id for system in default_lexical_pool())
-    assert len(rows) == len(lines) * len(systems)
-    assert [row for row in rows if row[0] == missing] == [
-        [missing, system_id, "0"] for system_id in systems
-    ]
-    assert main(["evaluate", "--config", config_arg, "--force"]) == 0
+    queries.write_text("".join(lines[:-4]), encoding="utf-8")
+    first = lines[-4].split("\t")[0]
+    capsys.readouterr()
+    assert main(["search", "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    assert_one_error_line(
+        capsys.readouterr().err,
+        "search",
+        "real_queries_zz.tsv",
+        f"real qrels query {first} has no text (4 such queries)",
+    )
+    assert not (tree_copy / "out" / "search" / "manifest.json").exists()
+
+
+def test_search_warns_about_real_texts_without_a_qrels_line(
+    tree_copy: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    qrels = tree_copy / "real_qrels_zz.txt"
+    lines = qrels.read_text(encoding="utf-8").splitlines(keepends=True)
+    qrels.write_text("".join(lines[3:]), encoding="utf-8")
+    with caplog.at_level("WARNING", logger="totsim.cli"):
+        assert main(["search", "--config", str(tree_copy / "config.yaml"), "--force"]) == 0
+    warned = [r.getMessage() for r in caplog.records if "no qrels line" in r.getMessage()]
+    assert len(warned) == 1
+    assert warned[0].startswith(f"{qrels}: 3 real queries have no qrels line")
+    ranks = tree_copy / "out" / "search" / "zz" / "real" / "ranks.tsv"
+    ranked = {line.split("\t")[0] for line in ranks.read_text(encoding="utf-8").splitlines()}
+    assert ranked == {line.split()[0] for line in lines[3:]}
 
 
 def test_evaluate_refuses_ranks_that_miss_a_query(
@@ -1527,6 +1545,12 @@ def test_evaluate_refuses_a_query_id_with_two_targets_only_for_external_runs(
     assert doc_id != taken.target_doc_id
     lines[0] = lines[0].replace(real_id, taken.query_id)
     qrels.write_text("".join(lines), encoding="utf-8")
+    # the real query keeps its text under the new id
+    queries = tree_copy / "real_queries_zz.tsv"
+    text_lines = queries.read_text(encoding="utf-8").splitlines(keepends=True)
+    renamed = [line.replace(real_id + "\t", taken.query_id + "\t") for line in text_lines]
+    assert renamed != text_lines
+    queries.write_text("".join(renamed), encoding="utf-8")
     config_path = tree_copy / "config.yaml"
     config_arg = str(config_path)
     assert main(["search", "--config", config_arg, "--force"]) == 0

@@ -114,6 +114,15 @@ def test_reciprocal_rank_oracle() -> None:
     assert single(1001).mrr == 0.0
 
 
+def test_each_cutoff_counts_its_own_rank_and_not_the_next() -> None:
+    result = evaluate_ranks("s", {"q1": 100, "q2": 101, "q3": 1000, "q4": 1001, "q5": 0})
+    assert result.ndcg_100 == pytest.approx((1 / math.log2(101)) / 5, rel=1e-12)
+    assert result.ndcg_1000 == pytest.approx(
+        (1 / math.log2(101) + 1 / math.log2(102) + 1 / math.log2(1001)) / 5, rel=1e-12
+    )
+    assert result.mrr == pytest.approx((1 / 100 + 1 / 101 + 1 / 1000) / 5, rel=1e-12)
+
+
 def test_metric_report_accessors() -> None:
     r = report("s", 0.1, 0.2, 0.3)
     assert r.value("ndcg_100") == 0.1

@@ -1,9 +1,10 @@
-"""The fixture generator: the committed fixture it writes, and the sizes it refuses."""
+"""The fixture generator: the committed fixture it writes, the sizes it grows to and its check."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -36,12 +37,43 @@ def load_script():
     return module
 
 
-def test_en_titles_fail_fast_above_the_distinct_limit() -> None:
+def test_en_titles_grow_past_every_pair_without_changing_the_first_pairs() -> None:
     script = load_script()
-    limit = len(script.EN_TITLE_POOL) ** 2
-    assert len(set(script.make_en_titles(random.Random(0), limit))) == limit
-    with pytest.raises(ValueError, match=str(limit)):
-        script.make_en_titles(random.Random(0), limit + 1)
+    pairs = len(script.EN_TITLE_POOL) ** 2
+    titles = script.make_en_titles(random.Random(0), 2 * pairs)
+    assert titles[:pairs] == script.make_en_titles(random.Random(0), pairs)
+    assert len(set(titles)) == len(titles)
+    assert {len(title.split()) for title in titles[:pairs]} == {2}
+    assert {len(title.split()) for title in titles[pairs:]} == {3}
+
+
+def test_verify_fails_with_the_sample_stage_shortfall(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    script = load_script()
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    script.main()
+    written = sorted(tmp_path.rglob("*"))
+    config = tmp_path / "config.yaml"
+    text = config.read_text(encoding="utf-8")
+    assert "  target_count: 40\n" in text
+    config.write_text(text.replace("  target_count: 40\n", "  target_count: 400\n"), "utf-8")
+    with pytest.raises(SystemExit, match=r"^sample: .*\(short by \d+\)"):
+        script.verify()
+    # the stages ran outside the fixture directory
+    assert sorted(tmp_path.rglob("*")) == written
+
+
+def test_main_builds_more_english_articles_than_title_pairs(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    script = load_script()
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    monkeypatch.setattr(script, "EN_DOCS", 2000)
+    script.main()
+    lines = (tmp_path / "corpus_en.jsonl").read_text(encoding="utf-8").splitlines()
+    titles = [json.loads(line)["title"] for line in lines]
+    assert len(titles) == len(set(titles)) == 2000
 
 
 def test_main_regenerates_the_committed_fixture_byte_for_byte(
