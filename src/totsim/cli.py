@@ -25,7 +25,6 @@ import logging
 import os
 import shutil
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -69,6 +68,7 @@ from .generation import (
     write_query_manifest,
 )
 from .retrieval import (
+    LEXICAL_IDS,
     Tokenizer,
     build_index,
     default_lexical_pool,
@@ -89,8 +89,6 @@ from .sampling import (
 from .util import atomic_write_text, read_json, read_jsonl, write_json, write_jsonl
 
 logger = logging.getLogger(__name__)
-# The lexical systems every query set is searched with, by id.
-LEXICAL_IDS = [system.system_id for system in default_lexical_pool()]
 
 
 class Stage(NamedTuple):
@@ -154,6 +152,11 @@ def _producer(config: PipelineConfig, path: Path) -> str:
     return next(name for name, stage in STAGES.items() if stage.directory == directory)
 
 
+def _rerun(config: PipelineConfig, path: Path, problem: str) -> ConfigError:
+    """The refusal of ``path``, an earlier stage's output, which that stage must redo."""
+    return ConfigError(f"{path} {problem}; run 'totsim {_producer(config, path)} --force'")
+
+
 def _existing(config: PipelineConfig, path: Path) -> Path:
     """``path``, which an earlier stage wrote; if it is missing, name that stage."""
     if not path.exists():
@@ -162,29 +165,22 @@ def _existing(config: PipelineConfig, path: Path) -> Path:
 
 
 def _load_corpus(config: PipelineConfig, code: str) -> Corpus:
-    return ingest_corpus(config.language(code).corpus, code)
+    return ingest_corpus(config.corpora[code], code)
 
 
-def _load_english(config: PipelineConfig) -> Corpus | None:
-    if config.english_corpus is None:
-        return None
-    return ingest_corpus(config.english_corpus, "en")
-
-
-def _partitions_for(code: str) -> tuple[Partition, ...]:
+def _partitions_for(code: str) -> dict[Partition, tuple[PromptVariation, ...]]:
+    """A language's partitions, in order, each with the variations it is simulated with."""
+    V1, V2, V3, V4 = PromptVariation
+    # English is its own source language, so the translated-prompt and
+    # English-article axes collapse to plain V1; V3 and V4 need a linked page.
     if code == "en":
-        return (Partition.FULL,)
-    return (Partition.MONOLINGUAL, Partition.BILINGUAL)
+        return {Partition.FULL: (V1,)}
+    return {Partition.MONOLINGUAL: (V1, V2), Partition.BILINGUAL: (V1, V2, V3, V4)}
 
 
 def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str]]:
     """A language's synthetic query sets as (partition, variation, set name)."""
-    for partition in _partitions_for(code):
-        variations = PromptVariation.for_partition(partition)
-        # The full partition is English's, its own source language, so the
-        # translated-prompt and English-article axes collapse to plain V1.
-        if partition is Partition.FULL:
-            variations = (PromptVariation.V1,)
+    for partition, variations in _partitions_for(code).items():
         for variation in variations:
             yield partition, variation, f"{partition.value}-{variation.value}"
 
@@ -222,25 +218,21 @@ def _query_sets(
 
 
 def _ingest(config: PipelineConfig, stage_dir: Path) -> dict:
-    counts = {entry.code: len(_load_corpus(config, entry.code)) for entry in config.languages}
-    if config.english_corpus is not None and "en" not in counts:
-        counts["en"] = len(_load_english(config))
-    return {"document_counts": counts}
+    return {"document_counts": {code: len(_load_corpus(config, code)) for code in config.corpora}}
 
 
 def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
-    english = _load_english(config)
+    # a language with one partition has nothing to map
+    mapped = [entry.code for entry in config.languages if len(_partitions_for(entry.code)) > 1]
+    english = _load_corpus(config, "en") if mapped else None
     counts: dict[str, dict[str, int]] = {}
-    for entry in config.languages:
-        if len(_partitions_for(entry.code)) == 1:  # nothing to map
-            continue
-        corpus = _load_corpus(config, entry.code)
-        mapping = partition_corpus(corpus, english)
-        grouped = {partition.value: [] for partition in _partitions_for(entry.code)}
+    for code in mapped:
+        mapping = partition_corpus(_load_corpus(config, code), english)
+        grouped = {partition.value: [] for partition in _partitions_for(code)}
         for doc_id in sorted(mapping):
             grouped[mapping[doc_id].value].append(doc_id)
-        write_json(_partition_map_path(config, entry.code), grouped)
-        counts[entry.code] = {name: len(doc_ids) for name, doc_ids in grouped.items()}
+        write_json(_partition_map_path(config, code), grouped)
+        counts[code] = {name: len(doc_ids) for name, doc_ids in grouped.items()}
     return {"partition_counts": counts}
 
 
@@ -254,27 +246,14 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
         corpus = _load_corpus(config, entry.code)
         partitions = _partitions_for(entry.code)
         if len(partitions) == 1:
-            partition_of = dict.fromkeys((doc.doc_id for doc in corpus), partitions[0])
+            partition_of = dict.fromkeys((doc.doc_id for doc in corpus), next(iter(partitions)))
         else:
             partition_of = _read_partition_map(config, entry.code)
             path = _partition_map_path(config, entry.code)
             for doc in corpus:
                 if doc.doc_id not in partition_of:
-                    raise ConfigError(
-                        f"{path} has no partition for document {doc.doc_id}; "
-                        f"run 'totsim {_producer(config, path)} --force'"
-                    )
+                    raise _rerun(config, path, f"has no partition for document {doc.doc_id}")
         for partition in partitions:
-            pool = [doc for doc in corpus if partition_of[doc.doc_id] is partition]
-            pool = filter_by_popularity(pool, config.popularity_top_fraction)
-            pool = filter_by_length(pool, config.min_chars)
-            by_domain: dict = {}
-            for doc in pool:
-                by_domain.setdefault(assign_domain(doc, mapping), []).append(doc)
-            stratified = {
-                domain: stratify(docs, config.bucket_count)
-                for domain, docs in by_domain.items()
-            }
             target = (
                 config.effective_full_target()
                 if partition is Partition.FULL
@@ -286,7 +265,21 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
                 domain_ratio=dict(config.domain_ratio),
                 seed=config.seed,
             )
-            candidates = sample_candidates(stratified, sampling_config, partition)
+            pool = [doc for doc in corpus if partition_of[doc.doc_id] is partition]
+            try:
+                pool = filter_by_popularity(pool, config.popularity_top_fraction)
+                pool = filter_by_length(pool, config.min_chars)
+                by_domain: dict = {}
+                for doc in pool:
+                    by_domain.setdefault(assign_domain(doc, mapping), []).append(doc)
+                stratified = {
+                    domain: stratify(docs, config.bucket_count)
+                    for domain, docs in by_domain.items()
+                }
+                candidates = sample_candidates(stratified, sampling_config, partition)
+            except TotsimError as exc:
+                # the same error and text, naming the language and partition it stopped on
+                raise type(exc)(f"{entry.code}/{partition.value}: {exc}") from exc
             path = _sample_path(config, entry.code, partition)
             write_candidate_manifest(path, candidates, sampling_config)
             counts[f"{entry.code}-{partition.value}"] = {
@@ -301,14 +294,14 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
     generator = config.make_generator()
     translator = config.make_translator()
     try:
-        english = _load_english(config)
+        english = _load_corpus(config, "en")
         counts: dict[str, dict[str, int]] = {}
         # one memo for the whole run: V1/V2 (and V3/V4, and English full-V1)
         # ask for the same summaries
         summaries: dict[str, str] = {}
         for entry in config.languages:
-            reuse = entry.code == "en" and english is not None  # the same file, parsed once
-            corpus = english if reuse else _load_corpus(config, entry.code)
+            # English's corpus is one file, parsed once
+            corpus = english if entry.code == "en" else _load_corpus(config, entry.code)
             candidates = {
                 partition: read_candidate_manifest(
                     _existing(config, _sample_path(config, entry.code, partition))
@@ -400,17 +393,16 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
 
 
 def _read_ranks(
-    config: PipelineConfig, path: Path, set_name: str, qrels: Mapping[str, str], systems: list[str]
+    config: PipelineConfig, path: Path, set_name: str, qrels: Mapping[str, str],
+    systems: Sequence[str],
 ) -> dict[str, dict[str, int]]:
     """The rank table at ``path``; it must rank every ``qrels`` query for exactly ``systems``."""
     ranks = read_rank_file(_existing(config, path))
     # the table of a set without queries is empty, so it names no system
     named = sorted(systems) if qrels else []
     if sorted(ranks) != named or any(rows.keys() != qrels.keys() for rows in ranks.values()):
-        raise ConfigError(
-            f"{path} does not cover the {set_name} qrels for exactly the configured systems; "
-            f"run 'totsim {_producer(config, path)} --force'"
-        )
+        problem = f"does not cover the {set_name} qrels for exactly the configured systems"
+        raise _rerun(config, path, problem)
     return ranks
 
 
@@ -448,7 +440,7 @@ def _real_slices(
     With ``slice_real_by_partition``, a partition gets the real queries whose
     target lies in it, or all of them where none does.
     """
-    pool = [*LEXICAL_IDS, *config.language(code).external_runs]
+    pool = config.language(code).pool
     ranks = _read_ranks(config, _pool_ranks_path(config, code, "real"), "real", qrels, pool)
     if len(_partitions_for(code)) == 1 or not config.slice_real_by_partition:
         return dict.fromkeys(_partitions_for(code), ranks)
@@ -523,11 +515,11 @@ def _correlate(config: PipelineConfig, stage_dir: Path) -> dict:
         sets = {name: qrels for name, (_, qrels) in _query_sets(config, entry.code).items()}
         slices = _real_slices(config, entry.code, sets["real"])
         real = {partition: _pool_reports(ranks) for partition, ranks in slices.items()}
-        pool = [*LEXICAL_IDS, *entry.external_runs]
         rows: list[dict] = []
         for partition, variation, set_name in _synthetic_sets(entry.code):
             path = _pool_ranks_path(config, entry.code, set_name)
-            synthetic = _pool_reports(_read_ranks(config, path, set_name, sets[set_name], pool))
+            ranks = _read_ranks(config, path, set_name, sets[set_name], entry.pool)
+            synthetic = _pool_reports(ranks)
             where = f"{entry.code}/{partition.value}/{variation.value}"
             result = None
             if not real[partition] or not synthetic:
@@ -552,10 +544,10 @@ def _select(config: PipelineConfig, stage_dir: Path) -> dict:
     """The best variation per partition among defined correlations; V1 where none is."""
     for entry in config.languages:
         code = entry.code
-        count = Counter(partition for partition, _, _ in _synthetic_sets(code))
+        layout = _partitions_for(code)
         # a partition with one variation takes it; only a choice reads correlations
-        strategy = {p.value: v.value for p, v, _ in _synthetic_sets(code) if count[p] == 1}
-        choices = [partition for partition in count if count[partition] > 1]
+        strategy = {p.value: vs[0].value for p, vs in layout.items() if len(vs) == 1}
+        choices = [partition for partition, variations in layout.items() if len(variations) > 1]
         correlated = bool(choices) and entry.real_qrels is not None
         if choices and not correlated:
             logger.warning("%s has no correlations; defaulting every partition to V1", code)
@@ -590,13 +582,10 @@ def _assemble(config: PipelineConfig, stage_dir: Path) -> dict:
             path, lambda raw: {Partition(p): PromptVariation(v) for p, v in raw.items()}
         )
         # a partition left out, or given a variation it lacks, would add no queries
-        sets = {(partition, variation) for partition, variation, _ in _synthetic_sets(entry.code)}
-        for partition in _partitions_for(entry.code):
-            if (partition, strategy_map.get(partition)) not in sets:
-                raise ConfigError(
-                    f"{path} names no variation of the {partition.value} partition; "
-                    f"run 'totsim {_producer(config, path)} --force'"
-                )
+        for partition, variations in _partitions_for(entry.code).items():
+            if strategy_map.get(partition) not in variations:
+                problem = f"names no variation of the {partition.value} partition"
+                raise _rerun(config, path, problem)
         candidates = {
             candidate.doc_id: candidate
             for partition in _partitions_for(entry.code)
@@ -663,7 +652,11 @@ def _manifest_matches(stage_dir: Path, key: Mapping[str, object]) -> bool:
         return False
     if any(manifest.get(field) != value for field, value in key.items()):
         return False
-    return all(os.path.exists(os.path.join(directory, rel)) for rel in manifest.get("outputs", []))
+    outputs = manifest.get("outputs")
+    # outputs that are missing or not a list of file names cannot be checked either
+    return isinstance(outputs, list) and all(
+        isinstance(rel, str) and os.path.exists(os.path.join(directory, rel)) for rel in outputs
+    )
 
 
 def _clear(stage_dir: Path, config: PipelineConfig) -> None:

@@ -24,7 +24,7 @@ from .collection import DEFAULT_SPLIT_RATIO, check_split_ratio
 from .corpus import DEFAULT_MIN_CHARS, DEFAULT_TOP_FRACTION, DomainLabel
 from .errors import CollectionError, ConfigError, SamplingError
 from .generation import DEFAULT_CHAR_BUDGET, GENERATE_TEMPERATURE, SUMMARIZE_TEMPERATURE
-from .retrieval import DEFAULT_DEPTH, MODE_CJK_NGRAM, MODE_WHITESPACE, default_lexical_pool
+from .retrieval import DEFAULT_DEPTH, LEXICAL_IDS, MODE_CJK_NGRAM, MODE_WHITESPACE
 from .sampling import DEFAULT_BUCKET_COUNT, DEFAULT_DOMAIN_RATIO, check_domain_ratio
 from .util import open_text, stable_hash
 
@@ -41,6 +41,11 @@ class LanguageConfig:
     real_queries: Path | None = None
     real_qrels: Path | None = None
     external_runs: Mapping[str, Path] = field(default_factory=dict)
+
+    @property
+    def pool(self) -> list[str]:
+        """The ids of the systems this language is evaluated with: lexical, then external."""
+        return [*LEXICAL_IDS, *self.external_runs]
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,14 @@ class PipelineConfig:
             if entry.code == code:
                 return entry
         raise ConfigError(f"language {code!r} is not configured")
+
+    @property
+    def corpora(self) -> dict[str, Path]:
+        """Each language's corpus file by code, English's listed once even if not a target."""
+        corpora = {entry.code: entry.corpus for entry in self.languages}
+        if self.english_corpus is not None:
+            corpora.setdefault("en", self.english_corpus)
+        return corpora
 
     def effective_full_target(self) -> int:
         # English full-set collections match the combined size of the two
@@ -175,7 +188,8 @@ def _relative(path: Path | None, base: Path) -> str | None:
 def _runs(key: str, value: Any, base: Path) -> dict[str, Path]:
     if not isinstance(value, dict) or not all(isinstance(name, str) for name in value):
         raise ConfigError(f"{key} must map system id strings to run files")
-    taken = sorted(_LEXICAL_IDS.intersection(value))
+    # a language's pool names the lexical systems by id: those ids are taken
+    taken = sorted(value.keys() & LEXICAL_IDS)
     if taken:
         raise ConfigError(f"{key}.{taken[0]}: {taken[0]!r} is the id of a lexical system")
     return {name: _path(f"{key}.{name}", run, base) for name, run in sorted(value.items())}
@@ -224,8 +238,6 @@ _NUMBER = Kind(_scalar(float, "a number"))
 _FRACTION = _checked(_NUMBER, lambda f: 0 < f <= 1, "in (0, 1]")
 _TEXT = Kind(_scalar(str, "a string"))
 _INPUT = Kind(_path, _relative, lambda path: [path])
-# ``evaluate`` pools external runs with the lexical systems by id: those ids are taken.
-_LEXICAL_IDS = frozenset(system.system_id for system in default_lexical_pool())
 _RUNS = Kind(
     _runs, lambda runs, base: {name: _relative(p, base) for name, p in runs.items()}, dict.values
 )

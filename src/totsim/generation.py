@@ -21,8 +21,9 @@ Four prompt variations cover the language axes for bilingual entities:
 * V3: target-language prompt, linked English article.
 * V4: English prompt, English article, query translated afterwards.
 
-Monolingual and full pools support V1 and V2 only, since V3 and V4 need
-the linked English page.
+Monolingual entities take only V1 and V2, since V3 and V4 need the
+linked English page, and English's full pool takes V1 alone;
+``cli._partitions_for`` declares which partition gets which.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .corpus import Corpus, Document, Partition
 from .errors import GenerationError, TemplateError
@@ -197,46 +198,33 @@ class PromptVariation(str, Enum):
     def post_translate(self) -> bool:
         return self is PromptVariation.V4
 
-    @classmethod
-    def for_partition(cls, partition: Partition) -> tuple["PromptVariation", ...]:
-        if partition is Partition.BILINGUAL:
-            return (cls.V1, cls.V2, cls.V3, cls.V4)
-        return (cls.V1, cls.V2)
+
+@dataclass(frozen=True)
+class _Record:
+    """What every generation result records of its entity and how it was asked."""
+
+    query_id: str
+    target_doc_id: str
+    language: str
+    variation: PromptVariation
+    attempts: int
+    summary: str
+    provider_fingerprint: str
 
 
 @dataclass(frozen=True)
-class SyntheticQuery:
+class SyntheticQuery(_Record):
     """An accepted generated query with its provenance."""
 
-    query_id: str
     text: str
-    target_doc_id: str
-    language: str
-    variation: PromptVariation
-    attempts: int
-    summary: str
-    provider_fingerprint: str
-
-    @property
-    def discarded(self) -> bool:
-        return False
+    discarded: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
-class DiscardRecord:
+class DiscardRecord(_Record):
     """An entity dropped after every generation attempt failed anonymity."""
 
-    query_id: str
-    target_doc_id: str
-    language: str
-    variation: PromptVariation
-    attempts: int
-    summary: str
-    provider_fingerprint: str
-
-    @property
-    def discarded(self) -> bool:
-        return True
+    discarded: ClassVar[bool] = True
 
 
 def make_query_id(language: str, partition: Partition, doc_id: str) -> str:

@@ -72,6 +72,7 @@ __all__ = [
     "score_ql_dirichlet",
     "RetrievalSystem",
     "default_lexical_pool",
+    "LEXICAL_IDS",
     "run_search",
     "load_external_run",
     "DEFAULT_DEPTH",
@@ -376,6 +377,10 @@ def default_lexical_pool() -> list[RetrievalSystem]:
             RetrievalSystem(system_id=f"qld-mu{mu}", kind="ql-dirichlet", mu=float(mu))
         )
     return systems
+
+
+# The lexical systems' ids, which every language's pool starts with.
+LEXICAL_IDS = tuple(system.system_id for system in default_lexical_pool())
 
 
 def _rank_pool(

@@ -960,6 +960,34 @@ def test_ingest_counts_an_english_corpus_that_is_not_a_target(toy_copy: Path) ->
     assert manifest["document_counts"] == {"zz": 320, "en": 260}
 
 
+def test_a_sample_shortfall_names_the_language_and_partition(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    config_arg = edit_toy_config(toy_copy, lambda raw: raw["sampling"].update(target_count=400))
+    capsys.readouterr()
+    assert main(["pipeline", "--config", config_arg]) == 1
+    message = "en/full: domain General has 88 candidates for a target of 640 (short by 552)"
+    assert capsys.readouterr().err == f"error: pipeline: {message}\n"
+
+
+def test_an_empty_partition_names_the_language_and_partition(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # no zz document links to the one English article, so no zz entity is bilingual
+    article = {"id": "en9999", "instance_of": [], "text": "x" * 300, "title": "T", "views": 1}
+    (toy_copy / "one_en.jsonl").write_text(json.dumps(article) + "\n", encoding="utf-8")
+
+    def edit(raw: dict) -> None:
+        raw["languages"].pop("en")
+        raw["english_corpus"] = "one_en.jsonl"
+
+    config_arg = edit_toy_config(toy_copy, edit)
+    capsys.readouterr()
+    assert main(["pipeline", "--config", config_arg]) == 1
+    message = "zz/bilingual: popularity filter received an empty pool"
+    assert capsys.readouterr().err == f"error: pipeline: {message}\n"
+
+
 def test_sample_labels_domains_by_the_configured_mapping(toy_copy: Path) -> None:
     # Q5 is People in the packaged mapping, Q999999 in none of it
     (toy_copy / "domains.tsv").write_text("Q5\tMovies\nQ999999\tPeople\n", encoding="utf-8")
@@ -1316,12 +1344,25 @@ def test_a_missing_nested_output_reruns_only_its_stage(
     assert skipped == [stage for stage in STAGES if stage != "search"]
 
 
-@pytest.mark.parametrize("corrupt", [b'{"stage": "sel', b'{"stage": "\xff"}\n', b"[]\n"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        b'{"stage": "sel',
+        b'{"stage": "\xff"}\n',
+        b"[]\n",
+        {"outputs": 5},
+        {"outputs": ["zz.json", 5]},
+        {"outputs": None},
+    ],
+)
 def test_a_stage_whose_manifest_cannot_be_read_reruns(
-    tree_copy: Path, corrupt: bytes, caplog: pytest.LogCaptureFixture
+    tree_copy: Path, corrupt: bytes | dict, caplog: pytest.LogCaptureFixture
 ) -> None:
     select = tree_copy / "out" / "select"
     written = {path: path.read_bytes() for path in select.iterdir()}
+    if isinstance(corrupt, dict):
+        # the manifest's own key, with outputs that are not a list of file names
+        corrupt = json.dumps({**json.loads(written[select / "manifest.json"]), **corrupt}).encode()
     (select / "manifest.json").write_bytes(corrupt)
     with caplog.at_level("INFO", logger="totsim.cli"):
         assert main(["select", "--config", str(tree_copy / "config.yaml")]) == 0

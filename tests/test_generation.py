@@ -131,20 +131,6 @@ def test_variation_properties() -> None:
     assert not PromptVariation.V2.uses_english_article
     assert PromptVariation.V4.post_translate
     assert not PromptVariation.V3.post_translate
-    assert PromptVariation.for_partition(Partition.BILINGUAL) == (
-        PromptVariation.V1,
-        PromptVariation.V2,
-        PromptVariation.V3,
-        PromptVariation.V4,
-    )
-    assert PromptVariation.for_partition(Partition.MONOLINGUAL) == (
-        PromptVariation.V1,
-        PromptVariation.V2,
-    )
-    assert PromptVariation.for_partition(Partition.FULL) == (
-        PromptVariation.V1,
-        PromptVariation.V2,
-    )
 
 
 def test_make_query_id_format() -> None:

@@ -58,7 +58,7 @@ def test_verify_fails_with_the_sample_stage_shortfall(
     text = config.read_text(encoding="utf-8")
     assert "  target_count: 40\n" in text
     config.write_text(text.replace("  target_count: 40\n", "  target_count: 400\n"), "utf-8")
-    with pytest.raises(SystemExit, match=r"^sample: .*\(short by \d+\)"):
+    with pytest.raises(SystemExit, match=r"^sample: en/full: .*\(short by \d+\)"):
         script.verify()
     # the stages ran outside the fixture directory
     assert sorted(tmp_path.rglob("*")) == written

@@ -429,3 +429,26 @@ def test_only_partitions_for_sets_english_apart() -> None:
         )
     ]
     assert found == ["_partitions_for: code == 'en'", "_generate: entry.code == 'en'"]
+
+
+def callers(name: str) -> list[str]:
+    """``<module>.<top-level statement>`` of every call of ``name`` in the package."""
+    return sorted(
+        f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+        for path in Path(totsim.__file__).parent.glob("*.py")
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name
+    )
+
+
+def test_only_load_corpus_parses_a_corpus_in_cli() -> None:
+    # every stage finds a language's corpus file, English's included, in one place
+    found = [caller for caller in callers("ingest_corpus") if caller.startswith("cli.")]
+    assert found == ["cli._load_corpus"]
+
+
+def test_only_retrieval_and_search_build_the_lexical_pool() -> None:
+    # everything else names the lexical systems by ``retrieval.LEXICAL_IDS``
+    found = [c for c in callers("default_lexical_pool") if not c.startswith("retrieval.")]
+    assert found == ["cli._search"]
