@@ -25,8 +25,9 @@ import logging
 import os
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .collection import (
     CollectionSpec,
@@ -185,10 +186,22 @@ def _synthetic_sets(code: str) -> Iterator[tuple[Partition, PromptVariation, str
             yield partition, variation, f"{partition.value}-{variation.value}"
 
 
-def _read_partition_map(config: PipelineConfig, code: str) -> dict[str, Partition]:
-    """Each document's partition, from the doc ids ``partition`` grouped by partition."""
+def _partition_of(config: PipelineConfig, code: str, doc_ids: Iterable) -> dict[str, Partition]:
+    """Each document's partition: the map ``partition`` wrote, or ``doc_ids`` in a lone one."""
+    partitions = {partition.value: partition for partition in _partitions_for(code)}
+    if len(partitions) == 1:
+        return dict.fromkeys(doc_ids, *partitions.values())
     path = _existing(config, _partition_map_path(config, code))
-    return read_json(path, lambda raw: {d: Partition(p) for p, ds in raw.items() for d in ds})
+    grouped = read_json(path, lambda raw: {name: Counter(ds) for name, ds in raw.items()})
+    partition_of: dict[str, Partition] = {}
+    for name, listed in grouped.items():
+        if name not in partitions:
+            raise _rerun(config, path, f"names partition {name!r}, which {code} does not have")
+        for doc_id, count in listed.items():
+            if count > 1 or doc_id in partition_of:
+                raise _rerun(config, path, f"lists document {doc_id} twice")
+            partition_of[doc_id] = partitions[name]
+    return partition_of
 
 
 def _accepted_queries(records) -> tuple[dict[str, str], dict[str, str]]:
@@ -244,16 +257,12 @@ def _sample(config: PipelineConfig, stage_dir: Path) -> dict:
     counts: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        partitions = _partitions_for(entry.code)
-        if len(partitions) == 1:
-            partition_of = dict.fromkeys((doc.doc_id for doc in corpus), next(iter(partitions)))
-        else:
-            partition_of = _read_partition_map(config, entry.code)
-            path = _partition_map_path(config, entry.code)
-            for doc in corpus:
-                if doc.doc_id not in partition_of:
-                    raise _rerun(config, path, f"has no partition for document {doc.doc_id}")
-        for partition in partitions:
+        partition_of = _partition_of(config, entry.code, (doc.doc_id for doc in corpus))
+        for doc in corpus:
+            if doc.doc_id not in partition_of:
+                path = _partition_map_path(config, entry.code)
+                raise _rerun(config, path, f"has no partition for document {doc.doc_id}")
+        for partition in _partitions_for(entry.code):
             target = (
                 config.effective_full_target()
                 if partition is Partition.FULL
@@ -442,9 +451,9 @@ def _real_slices(
     """
     pool = config.language(code).pool
     ranks = _read_ranks(config, _pool_ranks_path(config, code, "real"), "real", qrels, pool)
-    if len(_partitions_for(code)) == 1 or not config.slice_real_by_partition:
+    if not config.slice_real_by_partition:
         return dict.fromkeys(_partitions_for(code), ranks)
-    partition_of = _read_partition_map(config, code)
+    partition_of = _partition_of(config, code, qrels.values())
     for query_id, doc_id in qrels.items():
         if doc_id not in partition_of:
             raise EvaluationError(

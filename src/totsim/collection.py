@@ -267,6 +267,8 @@ def load_bundle(directory: Path | str) -> CollectionBundle:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 2 or parts[1] not in SPLITS:
             raise lines.error(line_no, "expected 'query_id<TAB>split'")
+        if parts[0] in splits:
+            raise lines.error(line_no, f"duplicate query id {parts[0]}")
         splits[parts[0]] = parts[1]
     qrels = load_qrels(directory / "qrels.txt")
     return CollectionBundle(

@@ -174,8 +174,8 @@ def partition_corpus(corpus: Corpus, english_corpus: Corpus) -> dict[str, Partit
     """Assign every document in ``corpus`` to monolingual or bilingual.
 
     A document is bilingual when its ``en_link`` resolves to a document in
-    ``english_corpus``.  Dangling links are demoted to monolingual with a
-    warning rather than failing the run.
+    ``english_corpus``.  Dangling links are demoted to monolingual with one
+    warning for them all rather than failing the run.
     """
     if corpus.language == "en":
         raise CorpusError("partitioning applies to non-English corpora only")
@@ -183,23 +183,16 @@ def partition_corpus(corpus: Corpus, english_corpus: Corpus) -> dict[str, Partit
         raise CorpusError(
             f"expected an English reference corpus, got language {english_corpus.language!r}"
         )
-    partitions: dict[str, Partition] = {}
-    demoted = 0
-    for doc in corpus:
-        if doc.en_link is None:
-            partitions[doc.doc_id] = Partition.MONOLINGUAL
-        elif doc.en_link in english_corpus:
-            partitions[doc.doc_id] = Partition.BILINGUAL
-        else:
-            demoted += 1
-            logger.warning(
-                "document %s links to missing English page %s; treating as monolingual",
-                doc.doc_id,
-                doc.en_link,
-            )
-            partitions[doc.doc_id] = Partition.MONOLINGUAL
-    if demoted:
-        logger.warning("%d dangling English links demoted to monolingual", demoted)
+    partitions = {
+        doc.doc_id: Partition.BILINGUAL if doc.en_link in english_corpus else Partition.MONOLINGUAL
+        for doc in corpus
+    }
+    dangling = [d for d in corpus if d.en_link is not None and d.en_link not in english_corpus]
+    if dangling:
+        logger.warning(
+            "%d dangling English links demoted to monolingual (first: %s links to missing %s)",
+            len(dangling), dangling[0].doc_id, dangling[0].en_link,
+        )
     return partitions
 
 
@@ -249,7 +242,8 @@ def load_domain_mapping(path: Path | str) -> dict[str, DomainLabel]:
         class_id, label = parts
         if label not in labels:
             raise lines.error(line_no, f"unknown domain label {label!r}")
-        mapping[class_id] = labels[label]
+        if mapping.setdefault(class_id, labels[label]) is not labels[label]:
+            raise lines.error(line_no, f"class {class_id} is already {mapping[class_id].value}")
     return mapping
 
 

@@ -226,6 +226,15 @@ def _kendall_tau_values(xs: Sequence[float], ys: Sequence[float]) -> float:
     return s / math.sqrt(untied_x * untied_y)
 
 
+def _aligned(first: Mapping[str, float], second: Mapping[str, float], what: str) -> tuple:
+    """Two system id -> score maps as vectors in id order; ``what`` names them if the ids differ."""
+    if first.keys() != second.keys():
+        missing = sorted(first.keys() ^ second.keys())
+        raise EvaluationError(f"{what} cover different systems: {', '.join(missing)}")
+    order = sorted(first)
+    return [first[s] for s in order], [second[s] for s in order]
+
+
 def kendall_tau(first: SystemRanking, second: SystemRanking) -> float:
     """Kendall's tau-b between two system rankings.
 
@@ -237,15 +246,8 @@ def kendall_tau(first: SystemRanking, second: SystemRanking) -> float:
         EvaluationError: mismatched system sets, fewer than two systems,
             or a constant score vector (zero denominator).
     """
-    if set(first.system_ids) != set(second.system_ids):
-        missing = sorted(set(first.system_ids) ^ set(second.system_ids))
-        raise EvaluationError(f"rankings cover different systems: {', '.join(missing)}")
-    first_scores = dict(zip(first.system_ids, first.scores))
-    second_scores = dict(zip(second.system_ids, second.scores))
-    order = sorted(first_scores)
-    return _kendall_tau_values(
-        [first_scores[s] for s in order], [second_scores[s] for s in order]
-    )
+    first_scores, second_scores = (dict(zip(r.system_ids, r.scores)) for r in (first, second))
+    return _kendall_tau_values(*_aligned(first_scores, second_scores, "rankings"))
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -312,20 +314,13 @@ def correlate(
         ConstantVectorError: when a metric is equal across the pool on
             either side, which leaves its correlation undefined.
     """
-    real_systems = {r.system_id for r in real_reports}
-    synthetic_systems = {r.system_id for r in synthetic_reports}
-    if real_systems != synthetic_systems:
-        missing = sorted(real_systems ^ synthetic_systems)
-        raise EvaluationError(
-            f"real and synthetic pools cover different systems: {', '.join(missing)}"
-        )
     per_metric: dict[str, MetricCorrelation] = {}
-    order = sorted(real_systems)
-    real_by_id = {r.system_id: r for r in real_reports}
-    synthetic_by_id = {r.system_id: r for r in synthetic_reports}
     for metric in METRICS:
-        xs = [real_by_id[s].value(metric) for s in order]
-        ys = [synthetic_by_id[s].value(metric) for s in order]
+        xs, ys = _aligned(
+            {r.system_id: r.value(metric) for r in real_reports},
+            {r.system_id: r.value(metric) for r in synthetic_reports},
+            "real and synthetic pools",
+        )
         per_metric[metric] = MetricCorrelation(
             tau=_kendall_tau_values(xs, ys), pearson=pearson_r(xs, ys)
         )

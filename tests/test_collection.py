@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_corpus, make_doc
 from totsim.collection import (
+    SPLITS,
     CollectionBundle,
     CollectionSpec,
     _largest_remainder,
@@ -278,6 +279,20 @@ def test_load_bundle_rejects_malformed_files(tmp_path: Path) -> None:
         load_bundle(tmp_path)
     (tmp_path / "manifest.json").write_text("[]\n", encoding="utf-8")
     with pytest.raises(CollectionError, match=r"^manifest\.json: "):
+        load_bundle(tmp_path)
+
+
+def test_load_bundle_refuses_a_query_listed_twice_in_splits(tmp_path: Path) -> None:
+    bundle, _ = assembled()
+    write_bundle(bundle, tmp_path)
+    splits = tmp_path / "splits.tsv"
+    lines = splits.read_text(encoding="utf-8").splitlines(keepends=True)
+    query_id, split = lines[0].rstrip("\n").split("\t")
+    other = next(name for name in SPLITS if name != split)
+    splits.write_text("".join(lines) + f"{query_id}\t{other}\n", encoding="utf-8")
+    with pytest.raises(
+        CollectionError, match=f"^splits.tsv line {len(lines) + 1}: duplicate query id {query_id}$"
+    ):
         load_bundle(tmp_path)
 
 

@@ -1125,6 +1125,18 @@ def drop_zz0001(path: Path) -> None:
     write_json(path, {name: [d for d in ids if d != "zz0001"] for name, ids in grouped.items()})
 
 
+def list_zz0004_twice(path: Path) -> None:
+    """List a document under both partitions."""
+    grouped = read_json(path)
+    write_json(path, {name: sorted({*ids, "zz0004"}) for name, ids in grouped.items()})
+
+
+def move_zz0002_to_full(path: Path) -> None:
+    """Put a document under ``full``, a partition that only English has."""
+    grouped = {name: [d for d in ids if d != "zz0002"] for name, ids in read_json(path).items()}
+    write_json(path, {**grouped, "full": ["zz0002"]})
+
+
 # (command, file an earlier stage wrote, how it is spoiled, what the error names)
 PROGRAM_FILES = [
     pytest.param(
@@ -1140,6 +1152,28 @@ PROGRAM_FILES = [
         drop_zz0001,
         ("zz.json", "document zz0001", "run 'totsim partition --force'"),
         id="stale-partition-map",
+    ),
+    pytest.param(
+        "sample",
+        "partition/zz.json",
+        lambda path: write_json(path, {"monolingual": [["zz0001"]], "bilingual": []}),
+        ("zz.json", "unhashable type: 'list'"),
+        id="partition-map-with-a-list-for-a-doc-id",
+    ),
+    # both readers of the map refuse it; correlate reads it to slice the real set
+    *(
+        pytest.param(
+            command,
+            "partition/zz.json",
+            spoil,
+            ("zz.json", problem, "run 'totsim partition --force'"),
+            id=f"partition-map-{case}-{command}",
+        )
+        for command in ("sample", "correlate")
+        for spoil, problem, case in (
+            (list_zz0004_twice, "lists document zz0004 twice", "listing-a-document-twice"),
+            (move_zz0002_to_full, "names partition 'full'", "naming-a-partition-zz-lacks"),
+        )
     ),
     pytest.param(
         "generate",

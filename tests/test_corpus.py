@@ -156,6 +156,27 @@ def test_partition_corpus_demotes_dangling_links(caplog: pytest.LogCaptureFixtur
     assert any("gone" in record.message for record in caplog.records)
 
 
+def test_partition_corpus_warns_once_for_every_dangling_link(
+    caplog: pytest.LogCaptureFixture,
+) -> None:
+    english = make_corpus("en", make_doc("e1"))
+    target = make_corpus(
+        "zh",
+        *(make_doc(f"z{i}", language="zh", en_link=f"gone{i}") for i in (3, 1, 2)),
+        make_doc("z4", language="zh", en_link="e1"),
+    )
+    with caplog.at_level("WARNING"):
+        mapping = partition_corpus(target, english)
+    assert [mapping[f"z{i}"] for i in (1, 2, 3, 4)] == [Partition.MONOLINGUAL] * 3 + [
+        Partition.BILINGUAL
+    ]
+    # one line for all three, naming the first document in id order and its link
+    (warning,) = [record for record in caplog.records if record.levelname == "WARNING"]
+    assert warning.getMessage() == (
+        "3 dangling English links demoted to monolingual (first: z1 links to missing gone1)"
+    )
+
+
 def test_partition_corpus_rejects_wrong_languages() -> None:
     english = make_corpus("en", make_doc("e1"))
     target = make_corpus("zh", make_doc("z1", language="zh"))
@@ -238,6 +259,16 @@ def test_load_domain_mapping_rejects_bad_rows(tmp_path: Path) -> None:
         load_domain_mapping(path)
     path.write_text("Q5\tAnimals\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="Animals"):
+        load_domain_mapping(path)
+
+
+def test_load_domain_mapping_refuses_a_class_with_two_labels(tmp_path: Path) -> None:
+    path = tmp_path / "mapping.tsv"
+    # a repeat with the same label is harmless, as in qrels
+    path.write_text("Q5\tPeople\nQ5\tPeople\n", encoding="utf-8")
+    assert load_domain_mapping(path) == {"Q5": DomainLabel.PEOPLE}
+    path.write_text("Q5\tPeople\nQ11424\tMovies\nQ5\tMovies\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^mapping.tsv line 3: class Q5 is already People$"):
         load_domain_mapping(path)
 
 

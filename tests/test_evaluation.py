@@ -282,6 +282,18 @@ def test_kendall_tau_aligns_by_system_id() -> None:
         kendall_tau(first, mismatched)
 
 
+def test_kendall_tau_and_correlate_name_the_systems_one_side_lacks() -> None:
+    first = SystemRanking(metric="mrr", system_ids=("a", "b", "c"), scores=(0.9, 0.5, 0.1))
+    other = SystemRanking(metric="mrr", system_ids=("x", "a"), scores=(1.0, 0.5))
+    with pytest.raises(EvaluationError, match="^rankings cover different systems: b, c, x$"):
+        kendall_tau(first, other)
+    real = [report("s1", 1, 1, 1), report("s2", 0, 0, 0), report("s3", 0, 1, 0)]
+    with pytest.raises(
+        EvaluationError, match="^real and synthetic pools cover different systems: s2, s3, s9$"
+    ):
+        correlate(real, [report("s9", 0, 0, 0), report("s1", 1, 1, 1)])
+
+
 def sorted_ranking(reports: list[MetricReport], metric: str) -> SystemRanking:
     """The pool ordered best first on ``metric``, ties by ascending system id."""
     ordered = sorted(reports, key=lambda r: (-r.value(metric), r.system_id))

@@ -448,6 +448,18 @@ def test_only_load_corpus_parses_a_corpus_in_cli() -> None:
     assert found == ["cli._load_corpus"]
 
 
+def test_only_partition_asks_how_many_partitions_a_language_has() -> None:
+    # every other stage takes each document's partition from _partition_of
+    cli = ast.parse((Path(totsim.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        statement.name
+        for statement in cli.body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Call) and ast.unparse(node).startswith("len(_partitions_for(")
+    ]
+    assert found == ["_partition"]
+
+
 def test_only_retrieval_and_search_build_the_lexical_pool() -> None:
     # everything else names the lexical systems by ``retrieval.LEXICAL_IDS``
     found = [c for c in callers("default_lexical_pool") if not c.startswith("retrieval.")]
