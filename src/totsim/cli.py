@@ -364,6 +364,8 @@ def _index(config: PipelineConfig, stage_dir: Path) -> dict:
         index = build_index(corpus, tokenizer)
         save_index(index, _index_path(config, entry.code))
         stats[entry.code] = {"documents": index.doc_count, "terms": len(index.terms)}
+        # the next language's corpus and index are built without this one's
+        del corpus, index
     return {"index_stats": stats}
 
 

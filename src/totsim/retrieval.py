@@ -35,8 +35,8 @@ hyperparameters, so every system this module runs is lexical.  Systems
 outside the module (dense retrievers, say) join a pool only as run files,
 which :func:`load_external_run` checks and reduces to target ranks.
 
-numpy and orjson are imported inside the functions that use them: importing
-this module, and with it the command line, loads neither.
+numpy, orjson and ``array`` are imported inside the functions that use them:
+importing this module, and with it the command line, loads none of them.
 """
 
 from __future__ import annotations
@@ -122,6 +122,8 @@ class Tokenizer:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_WHITESPACE, MODE_CJK_NGRAM):
             raise TotsimError(f"unknown tokenizer mode {self.mode!r}")
+        if isinstance(self.ngram, bool) or not isinstance(self.ngram, int):
+            raise TotsimError(f"ngram must be an integer, got {self.ngram!r}")
         if self.ngram < 1:
             raise TotsimError(f"ngram must be at least 1, got {self.ngram}")
 
@@ -241,40 +243,57 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     difficulty reflects the article text alone.  Documents are numbered
     in ascending ``doc_id`` order whatever order ``corpus`` yields them in.
     """
+    from array import array
+
     import numpy as np
 
     docs = sorted(corpus, key=lambda doc: doc.doc_id)
     # Postings are collected in doc order under first-seen term numbers,
     # then renumbered to sorted term order; a stable sort by term keeps
-    # each term's postings in ascending doc order.
+    # each term's postings in ascending doc order.  They go into compact
+    # int32 buffers, so no posting ever becomes a Python object.
     seen: dict[str, int] = {}
-    post_terms: list[int] = []
-    post_docs: list[int] = []
-    post_tfs: list[int] = []
-    lengths: list[int] = []
-    for number, doc in enumerate(docs):
-        tokens = tokenizer.tokenize(doc.body)
-        lengths.append(len(tokens))
-        for token, tf in Counter(tokens).items():
-            post_terms.append(seen.setdefault(token, len(seen)))
-            post_docs.append(number)
-            post_tfs.append(tf)
+    post_terms = array("i")
+    post_tfs = array("i")
+    doc_terms = array("i")  # each document's number of distinct terms
+    lengths = array("q")
+    for doc in docs:
+        counts = Counter(tokenizer.tokenize(doc.body))
+        lengths.append(counts.total())
+        for token in counts:
+            if token not in seen:
+                seen[token] = len(seen)
+        post_terms.extend(map(seen.__getitem__, counts))
+        post_tfs.extend(counts.values())
+        doc_terms.append(len(counts))
     terms = sorted(seen)
-    renumber = np.empty(len(terms), dtype=np.int64)
-    renumber[[seen[term] for term in terms]] = np.arange(len(terms))
-    term_of = renumber[np.asarray(post_terms, dtype=np.int64)]
+    renumber = np.empty(len(terms), dtype=np.int32)
+    renumber[np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=len(terms))] = (
+        np.arange(len(terms), dtype=np.int32)
+    )
+    del seen
+    term_of = renumber[np.frombuffer(post_terms, dtype=np.int32)]
+    del renumber, post_terms
     order = np.argsort(term_of, kind="stable")
     offsets = np.zeros(len(terms) + 1, dtype=np.int64)
     np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
+    del term_of
+    doc_numbers = np.repeat(
+        np.arange(len(docs), dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32)
+    )
+    postings_docs = doc_numbers[order]
+    del doc_numbers
+    postings_tfs = np.frombuffer(post_tfs, dtype=np.int32)[order]
+    del order, post_tfs
     index = InvertedIndex(
         language=corpus.language,
         tokenizer=tokenizer,
         doc_ids=[doc.doc_id for doc in docs],
         terms=terms,
         offsets=offsets,
-        postings_docs=np.asarray(post_docs, dtype=np.int32)[order],
-        postings_tfs=np.asarray(post_tfs, dtype=np.int32)[order],
-        doc_lengths=np.asarray(lengths, dtype=np.int64),
+        postings_docs=postings_docs,
+        postings_tfs=postings_tfs,
+        doc_lengths=np.array(lengths, dtype=np.int64),
     )
     logger.info(
         "indexed %d documents, %d terms, %d total tokens",
@@ -315,7 +334,8 @@ def load_index(path: Path | str) -> InvertedIndex:
 
     Raises:
         TotsimError: the file is not a version-2 index archive (a version-1
-            JSON index included) or its arrays do not fit together.
+            JSON index included), its meta lacks a key or holds a value of
+            the wrong type, or its arrays do not fit together.
     """
     import numpy as np
 
@@ -335,13 +355,18 @@ def load_index(path: Path | str) -> InvertedIndex:
                 arrays = {name: archive[name] for name in _INDEX_ARRAYS}
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise TotsimError(f"{path}: not a readable {INDEX_FORMAT} file ({exc})") from exc
-    return InvertedIndex(
-        language=meta["language"],
-        tokenizer=Tokenizer.from_dict(meta["tokenizer"]),
-        doc_ids=meta["doc_ids"],
-        terms=meta["terms"],
-        **arrays,
-    )
+    try:
+        tokenizer = Tokenizer.from_dict(meta["tokenizer"])
+        lists = {"doc_ids": meta["doc_ids"], "terms": meta["terms"]}
+        language = meta["language"]
+    except KeyError as exc:
+        raise TotsimError(f"{path}: index meta: missing key {exc}") from None
+    except (TypeError, TotsimError) as exc:
+        raise TotsimError(f"{path}: index meta: bad tokenizer ({exc})") from None
+    for key, value in lists.items():
+        if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+            raise TotsimError(f"{path}: index meta: {key} is not a list of strings")
+    return InvertedIndex(language=language, tokenizer=tokenizer, **lists, **arrays)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import json
 import shutil
+import zipfile
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
+import numpy as np
 import pytest
 
 from totsim.corpus import Corpus, Document
@@ -40,6 +44,34 @@ def make_doc(
 
 def make_corpus(language: str = "en", *docs: Document) -> Corpus:
     return Corpus(language, docs)
+
+
+def edit_index_meta(path: Path, edit: Callable[[dict], object]) -> None:
+    """Rewrite the ``meta`` member of the index archive at ``path`` after ``edit``."""
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    meta = json.loads(np.load(io.BytesIO(members["meta.npy"])).tobytes())
+    edit(meta)
+    buffer = io.BytesIO()
+    np.save(buffer, np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    members["meta.npy"] = buffer.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+
+
+# (how an index's meta is spoiled, what the refusal says, case name), for
+# load_index and for search
+SPOILED_INDEX_META: list[tuple[Callable[[dict], object], str, str]] = [
+    (lambda meta: meta.pop("terms"), "missing key 'terms'", "without-terms"),
+    (lambda meta: meta.pop("tokenizer"), "missing key 'tokenizer'", "without-tokenizer"),
+    (lambda meta: meta["tokenizer"].pop("ngram"), "missing key 'ngram'", "without-ngram"),
+    (lambda meta: meta.update(tokenizer="cjk-ngram"), "bad tokenizer", "tokenizer-a-string"),
+    (lambda meta: meta["tokenizer"].update(ngram="2"), "bad tokenizer", "ngram-a-string"),
+    (lambda meta: meta.update(doc_ids=5), "doc_ids is not a list of strings", "doc-ids-a-number"),
+    (lambda meta: meta.update(terms="ab"), "terms is not a list of strings", "terms-a-string"),
+    (lambda meta: meta.update(terms=[1, 2]), "terms is not a list of strings", "terms-numbers"),
+]
 
 
 def read_run(path: Path, queries: Iterable[str], depth: int = DEFAULT_DEPTH) -> RunResult:

@@ -16,7 +16,7 @@ from typing import Callable
 import pytest
 import yaml
 
-from conftest import TOY_DIR, read_run
+from conftest import SPOILED_INDEX_META, TOY_DIR, edit_index_meta, read_run
 import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
@@ -1174,6 +1174,16 @@ PROGRAM_FILES = [
             (list_zz0004_twice, "lists document zz0004 twice", "listing-a-document-twice"),
             (move_zz0002_to_full, "names partition 'full'", "naming-a-partition-zz-lacks"),
         )
+    ),
+    *(
+        pytest.param(
+            "search",
+            "index/zz.npz",
+            lambda path, spoil=spoil: edit_index_meta(path, spoil),
+            ("zz.npz", message),
+            id=f"index-meta-{case}",
+        )
+        for spoil, message, case in SPOILED_INDEX_META
     ),
     pytest.param(
         "generate",

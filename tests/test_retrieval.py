@@ -8,7 +8,10 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import zipfile
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import totsim.retrieval as retrieval
-from conftest import make_corpus, make_doc, read_run
+from conftest import SPOILED_INDEX_META, edit_index_meta, make_corpus, make_doc, read_run
 from totsim.errors import RunFileError, TotsimError
 from totsim.evaluation import RunResult
 from totsim.retrieval import (
@@ -162,6 +165,12 @@ def test_tokenizer_validates_configuration() -> None:
         Tokenizer(mode="cjk-ngram", ngram=0)
 
 
+@pytest.mark.parametrize("ngram", [2.0, True, "2"])
+def test_tokenizer_refuses_an_ngram_that_is_not_an_integer(ngram) -> None:
+    with pytest.raises(TotsimError, match="ngram must be an integer"):
+        Tokenizer(mode="cjk-ngram", ngram=ngram)
+
+
 def test_tokenizer_dict_round_trip() -> None:
     tokenizer = Tokenizer(mode="cjk-ngram", ngram=3)
     assert Tokenizer.from_dict(tokenizer.to_dict()) == tokenizer
@@ -200,6 +209,86 @@ def test_build_index_ignores_titles_and_aliases() -> None:
     assert index.terms == ["plain", "words"]
     assert index.term_id("unique_title") is None
     assert index.term_id("secret") is None
+
+
+def reference_index(docs, tokenizer: Tokenizer) -> dict[str, list[int]]:
+    """The CSR arrays and term totals of ``docs``, built term by term from per-document counts."""
+    ordered = sorted(docs, key=lambda doc: doc.doc_id)
+    counts = [Counter(tokenizer.tokenize(doc.body)) for doc in ordered]
+    terms = sorted(set().union(*counts))
+    postings = [
+        [(number, count[term]) for number, count in enumerate(counts) if term in count]
+        for term in terms
+    ]
+    return {
+        "offsets": list(accumulate(map(len, postings), initial=0)),
+        "postings_docs": [number for slice_ in postings for number, _ in slice_],
+        "postings_tfs": [tf for slice_ in postings for _, tf in slice_],
+        "doc_lengths": [sum(count.values()) for count in counts],
+        "term_ctf": [sum(count[term] for count in counts) for term in terms],
+        "terms": terms,
+        "doc_ids": [doc.doc_id for doc in ordered],
+    }
+
+
+class DocList(list):
+    """Documents in the order given, unlike a corpus, which iterates by id."""
+
+    language = "zz"
+
+
+BODY = st.one_of(
+    # a small alphabet repeats tokens, and bodies of spaces and marks have none
+    st.text(alphabet=st.sampled_from(list("東京都한국タab B1 ,_")), max_size=30),
+    MIXED_TEXT,
+)
+
+
+@given(
+    bodies=st.lists(BODY, max_size=8),
+    tokenizer=st.builds(
+        Tokenizer,
+        mode=st.sampled_from(["cjk-ngram", "whitespace"]),
+        ngram=st.integers(min_value=1, max_value=3),
+    ),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(bodies=[], tokenizer=CJK, shuffle=random.Random(0))
+@example(bodies=["", " ,_", "東京東京 ab ab"], tokenizer=CJK, shuffle=random.Random(0))
+@settings(max_examples=300, deadline=None)
+def test_build_index_matches_a_naive_reference(
+    bodies: list[str], tokenizer: Tokenizer, shuffle: random.Random
+) -> None:
+    docs = DocList(make_doc(f"d{number:02d}", body=body) for number, body in enumerate(bodies))
+    shuffle.shuffle(docs)
+    index = build_index(docs, tokenizer)
+    expected = reference_index(docs, tokenizer)
+    for name, values in expected.items():
+        assert list(getattr(index, name)) == values, name
+    arrays = [index.offsets, index.postings_docs, index.postings_tfs, index.doc_lengths]
+    assert [array.dtype for array in arrays] == [np.int64, np.int32, np.int32, np.int64]
+
+
+@pytest.mark.parametrize("documents", [1000, 4000])
+def test_build_index_memory_per_posting(documents: int) -> None:
+    rng = random.Random(documents)
+    vocabulary = [f"w{number}" for number in range(1000)]
+    corpus = make_corpus(
+        "en",
+        *(
+            make_doc(f"d{number:05d}", body=" ".join(rng.choices(vocabulary, k=300)))
+            for number in range(documents)
+        ),
+    )
+    build_index(make_corpus("en", make_doc()), WS)  # loads what the build imports
+    tracemalloc.start()
+    try:
+        index = build_index(corpus, WS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a Python int per posting, or a list slot holding one, would cost more
+    assert peak <= 40 * len(index.postings_docs)
 
 
 def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
@@ -259,6 +348,19 @@ def test_load_index_rejects_foreign_files(tmp_path: Path) -> None:
                 data = buffer.getvalue()
             archive.writestr(name, data)
     with pytest.raises(TotsimError, match="do not fit"):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    ("spoil", "message"),
+    [pytest.param(spoil, message, id=case) for spoil, message, case in SPOILED_INDEX_META],
+)
+def test_load_index_refuses_a_spoiled_meta(tmp_path: Path, spoil, message: str) -> None:
+    # two terms, so a terms string of two characters would fit the arrays
+    path = tmp_path / "index.npz"
+    save_index(build_index(make_corpus("en", make_doc("a", body="ab ab cd")), WS), path)
+    edit_index_meta(path, spoil)
+    with pytest.raises(TotsimError, match=re.escape(f"{path}: index meta: {message}")):
         load_index(path)
 
 
@@ -707,10 +809,11 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
 
 def test_importing_the_cli_does_not_load_numpy() -> None:
     # numpy and orjson are loaded by the index, search and run-writing code
-    # paths only, and requests (with urllib3) by the HTTP backend only, so
-    # stages that never index, search or call a hosted model keep their footprint.
+    # paths only, array by the index build only, and requests (with urllib3) by
+    # the HTTP backend only, so stages that never index, search or call a
+    # hosted model keep their footprint.
     src = Path(__file__).resolve().parents[1] / "src"
-    heavy = {"numpy", "orjson", "requests", "urllib3"}
+    heavy = {"array", "numpy", "orjson", "requests", "urllib3"}
     code = f"import sys; import totsim.cli; print({heavy!r} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code],
