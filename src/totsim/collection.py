@@ -243,7 +243,8 @@ def load_queries(path: Path | str) -> dict[str, str]:
 
     Raises:
         CollectionError: a byte that is not UTF-8, a line without a tab,
-            or a repeated query id; it names the line.
+            a query id that is empty or holds whitespace, or a repeated
+            query id; it names the line.
     """
     queries: dict[str, str] = {}
     lines = TextLines(path, CollectionError)
@@ -251,6 +252,8 @@ def load_queries(path: Path | str) -> dict[str, str]:
         parts = line.rstrip("\n").split("\t", 1)
         if len(parts) != 2:
             raise lines.error(line_no, "expected two columns")
+        if parts[0].split() != [parts[0]]:
+            raise lines.error(line_no, f"query id {parts[0]!r} is empty or holds whitespace")
         if parts[0] in queries:
             raise lines.error(line_no, f"duplicate query id {parts[0]}")
         queries[parts[0]] = parts[1]

@@ -122,8 +122,9 @@ def _parse_record(raw: object, language: str) -> Document:
         if key not in raw:
             raise ValueError(f"missing required key {key!r}")
     doc_id = raw["id"]
-    if not isinstance(doc_id, str) or not doc_id:
-        raise ValueError("document id must be a non-empty string")
+    # qrels and run lines split on whitespace, so an id may hold none
+    if not isinstance(doc_id, str) or doc_id.split() != [doc_id]:
+        raise ValueError("document id must be a non-empty string without whitespace")
     if not isinstance(raw["title"], str):
         raise ValueError("title must be a string")
     if not isinstance(raw["text"], str):

@@ -6,7 +6,8 @@ Each sampled entity goes through two steps.  The article body
 tip-of-the-tongue style request at temperature 0.3.  A generated query
 is only accepted if it never mentions the target's title or aliases
 after aggressive normalization; up to three attempts are made before the
-entity is discarded.
+entity is discarded.  ``generate_query`` declares these settings, and
+``generate_batch`` passes them through to it unchanged.
 
 The summarize request depends only on the source article, so a caller
 may pass a ``summaries`` memo that serves every variation asking for the
@@ -388,10 +389,19 @@ def generate_query(
         summaries=summaries,
     )
     prompt = build_generation_prompt(variation, summary, language, templates)
-    used_translator = translator if variation.post_translate else None
-    fingerprint = _fingerprint(
-        generator, summarize_temperature, generate_temperature, used_translator
-    )
+    shared = {
+        "query_id": query_id,
+        "target_doc_id": candidate.doc_id,
+        "language": language,
+        "variation": variation,
+        "summary": summary,
+        "provider_fingerprint": _fingerprint(
+            generator,
+            summarize_temperature,
+            generate_temperature,
+            translator if variation.post_translate else None,
+        ),
+    }
     for attempt in range(1, MAX_ATTEMPTS + 1):
         text = generator.complete(prompt, generate_temperature)
         if not text.strip():
@@ -402,29 +412,12 @@ def generate_query(
         # newlines or tab runs the model produced
         text = " ".join(text.split())
         if anonymity_check(text, names[0], names[1:]):
-            return SyntheticQuery(
-                query_id=query_id,
-                text=text,
-                target_doc_id=candidate.doc_id,
-                language=language,
-                variation=variation,
-                attempts=attempt,
-                summary=summary,
-                provider_fingerprint=fingerprint,
-            )
+            return SyntheticQuery(text=text, attempts=attempt, **shared)
         logger.info(
             "%s: attempt %d leaked a target name; retrying", query_id, attempt
         )
     logger.warning("%s: discarded after %d failed anonymity attempts", query_id, MAX_ATTEMPTS)
-    return DiscardRecord(
-        query_id=query_id,
-        target_doc_id=candidate.doc_id,
-        language=language,
-        variation=variation,
-        attempts=MAX_ATTEMPTS,
-        summary=summary,
-        provider_fingerprint=fingerprint,
-    )
+    return DiscardRecord(attempts=MAX_ATTEMPTS, **shared)
 
 
 def generate_batch(
@@ -434,15 +427,15 @@ def generate_batch(
     english_corpus: Corpus | None,
     generator: ChatProvider,
     templates: TemplateSet,
-    translator: Translator | None = None,
-    char_budget: int = DEFAULT_CHAR_BUDGET,
-    summarize_temperature: float = SUMMARIZE_TEMPERATURE,
-    generate_temperature: float = GENERATE_TEMPERATURE,
-    workers: int = 1,
     *,
-    summaries: dict[str, str] | None = None,
+    workers: int = 1,
+    **settings,
 ) -> list[SyntheticQuery | DiscardRecord]:
     """Generate for every candidate, preserving candidate order.
+
+    Every keyword but ``workers`` goes unchanged to each
+    :func:`generate_query` call, which declares it; an unknown one fails
+    the batch at its first call, before any provider call.
 
     Requests run on ``workers`` pool threads; results still come back in
     input order, so a deterministic backend yields the same batch bytes at
@@ -462,17 +455,7 @@ def generate_batch(
             return None  # an earlier call raised: the batch fails, so start no more
         try:
             return generate_query(
-                candidate,
-                variation,
-                corpus,
-                english_corpus,
-                generator,
-                templates,
-                translator=translator,
-                char_budget=char_budget,
-                summarize_temperature=summarize_temperature,
-                generate_temperature=generate_temperature,
-                summaries=summaries,
+                candidate, variation, corpus, english_corpus, generator, templates, **settings
             )
         except BaseException:
             failed.set()

@@ -366,7 +366,10 @@ def load_index(path: Path | str) -> InvertedIndex:
     for key, value in lists.items():
         if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
             raise TotsimError(f"{path}: index meta: {key} is not a list of strings")
-    return InvertedIndex(language=language, tokenizer=tokenizer, **lists, **arrays)
+    try:
+        return InvertedIndex(language=language, tokenizer=tokenizer, **lists, **arrays)
+    except TotsimError as exc:
+        raise TotsimError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from totsim.collection import (
     _largest_remainder,
     assemble_collection,
     load_bundle,
+    load_queries,
     validate_collection,
     write_bundle,
 )
@@ -294,6 +296,19 @@ def test_load_bundle_refuses_a_query_listed_twice_in_splits(tmp_path: Path) -> N
         CollectionError, match=f"^splits.tsv line {len(lines) + 1}: duplicate query id {query_id}$"
     ):
         load_bundle(tmp_path)
+
+
+@pytest.mark.parametrize("query_id", ["real 1", "real1 ", "real\u30001", " ", ""])
+def test_load_queries_refuses_a_query_id_that_qrels_could_not_name(
+    tmp_path: Path, query_id: str
+) -> None:
+    path = tmp_path / "queries.tsv"
+    path.write_text(f"real0\tfirst text\n{query_id}\tsecond text\n", encoding="utf-8")
+    with pytest.raises(
+        CollectionError,
+        match=re.escape(f"queries.tsv line 2: query id {query_id!r} is empty or holds whitespace"),
+    ):
+        load_queries(path)
 
 
 def test_validate_accepts_clean_bundle() -> None:

@@ -1186,6 +1186,13 @@ PROGRAM_FILES = [
         for spoil, message, case in SPOILED_INDEX_META
     ),
     pytest.param(
+        "search",
+        "index/zz.npz",
+        lambda path: edit_index_meta(path, lambda meta: meta["doc_ids"].pop()),
+        ("zz.npz", "postings arrays do not fit together"),
+        id="index-arrays-that-do-not-fit",
+    ),
+    pytest.param(
         "generate",
         "sample/zz-monolingual.jsonl",
         cut_first_row,
@@ -1236,6 +1243,32 @@ def test_a_spoiled_stage_file_fails_with_one_error_line(
     capsys.readouterr()
     assert main([command, "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
     assert_one_error_line(capsys.readouterr().err, command, *named)
+
+
+@pytest.mark.parametrize(
+    ("command", "name", "line"),
+    [
+        pytest.param(
+            "ingest",
+            "corpus_zz.jsonl",
+            '{"id": "zz 9999", "title": "t", "text": "x"}',
+            id="document-id",
+        ),
+        pytest.param("search", "real_queries_zz.tsv", "real 1\tsome text", id="real-query-id"),
+    ],
+)
+def test_an_id_with_whitespace_fails_with_one_error_line(
+    tree_copy: Path, capsys: pytest.CaptureFixture[str], command: str, name: str, line: str
+) -> None:
+    # qrels and run lines are split on whitespace, so no file could name such an id
+    path = tree_copy / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines) + line + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--config", str(tree_copy / "config.yaml"), "--force"]) == 1
+    assert_one_error_line(
+        capsys.readouterr().err, command, f"{name} line {len(lines) + 1}", "whitespace"
+    )
 
 
 def test_a_worker_count_below_one_is_refused(

@@ -116,6 +116,15 @@ def test_ingest_rejects_mistyped_fields(tmp_path: Path, field: str, value) -> No
         ingest_corpus(path, "en")
 
 
+@pytest.mark.parametrize("doc_id", ["zz 0001", "zz0001 ", "zz\t0001", "zz\u30000001", " "])
+def test_ingest_refuses_a_document_id_with_whitespace(tmp_path: Path, doc_id: str) -> None:
+    # qrels and run lines are split on whitespace, so such an id could not be read back
+    records = [{"id": "a", "title": "t", "text": "x"}, {"id": doc_id, "title": "u", "text": "y"}]
+    path = write_corpus_file(tmp_path / "c.jsonl", records)
+    with pytest.raises(CorpusError, match="c.jsonl line 2: document id .* without whitespace"):
+        ingest_corpus(path, "en")
+
+
 def test_ingest_rejects_duplicate_ids(tmp_path: Path) -> None:
     records = [{"id": "a", "title": "t", "text": "x"}, {"id": "a", "title": "u", "text": "y"}]
     path = write_corpus_file(tmp_path / "c.jsonl", records)

@@ -496,6 +496,93 @@ def test_generate_batch_starts_no_call_once_one_has_raised(workers: int) -> None
     assert 51 < provider.calls <= 51 + workers
 
 
+class Recording:
+    """Summarizes each prompt by its own text and asks for a clean query; keeps every call."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, float]] = []
+        self.lock = threading.Lock()
+
+    def complete(self, prompt: str, temperature: float) -> str:
+        with self.lock:
+            self.calls.append((prompt, temperature))
+        return f"summary of {prompt}" if prompt.startswith("S") else "a clean request"
+
+
+def linked_batch() -> tuple:
+    """Four bilingual entities, each linked to its own English page."""
+    target = make_corpus(
+        "zz",
+        *(
+            make_doc(f"z{i}", title=f"T{i}", body=f"target body {i}", language="zz", en_link=f"e{i}")
+            for i in range(4)
+        ),
+    )
+    english = make_corpus(
+        "en", *(make_doc(f"e{i}", title=f"E{i}", body=f"english body {i}") for i in range(4))
+    )
+    candidates = [
+        EntityCandidate(f"z{i}", Partition.BILINGUAL, DomainLabel.GENERAL, 0) for i in range(4)
+    ]
+    return target, english, candidates
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "setting",
+    ["translator", "char_budget", "summarize_temperature", "generate_temperature", "summaries"],
+)
+def test_generate_batch_passes_each_setting_to_every_call(setting: str, workers: int) -> None:
+    target, english, candidates = linked_batch()
+    memo: dict[str, str] = {}
+    value = {
+        "translator": MappingTranslator({"a clean request": "a translated request"}),
+        "char_budget": 4,
+        "summarize_temperature": 0.9,
+        "generate_temperature": 0.1,
+        "summaries": memo,
+    }[setting]
+    variation = PromptVariation.V4 if setting == "translator" else PromptVariation.V1
+    provider = Recording()
+    records = generate_batch(
+        candidates, variation, target, english, provider, small_templates(),
+        workers=workers, **{setting: value},
+    )
+    assert [r.target_doc_id for r in records] == [c.doc_id for c in candidates]
+    assert all(isinstance(r, SyntheticQuery) for r in records)
+    # one summarize call per entity, so each check below covers every call
+    summarized = [prompt for prompt, _ in provider.calls if prompt.startswith("S")]
+    assert len(summarized) == 4
+    fingerprints = {r.provider_fingerprint for r in records}
+    found, expected = {
+        "translator": ({r.text for r in records}, {"a translated request"}),
+        "char_budget": ({len(prompt) for prompt in summarized}, {len("SZ ") + 4}),
+        "summarize_temperature": (
+            fingerprints,
+            {"model=recording;summarize_temperature=0.9;generate_temperature=0.3"},
+        ),
+        "generate_temperature": (
+            fingerprints,
+            {"model=recording;summarize_temperature=0.5;generate_temperature=0.1"},
+        ),
+        "summaries": (set(memo.values()), {r.summary for r in records}),
+    }[setting]
+    assert found == expected
+
+
+def test_generate_batch_refuses_an_unknown_setting_before_any_call() -> None:
+    target, english, candidates = linked_batch()
+    provider = Recording()
+    with pytest.raises(TypeError, match="temprature"):
+        generate_batch(
+            candidates, PromptVariation.V1, target, english, provider, small_templates(),
+            workers=2, temprature=0.1,
+        )
+    assert provider.calls == []
+
+
 def test_query_manifest_round_trip(tmp_path: Path) -> None:
     records = [
         SyntheticQuery(

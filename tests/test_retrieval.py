@@ -364,6 +364,17 @@ def test_load_index_refuses_a_spoiled_meta(tmp_path: Path, spoil, message: str) 
         load_index(path)
 
 
+def test_load_index_names_the_file_whose_arrays_do_not_fit(tmp_path: Path) -> None:
+    path = tmp_path / "index.npz"
+    docs = (make_doc("a", body="ab ab cd"), make_doc("b", body="cd"))
+    save_index(build_index(make_corpus("en", *docs), WS), path)
+    edit_index_meta(path, lambda meta: meta["doc_ids"].pop())
+    with pytest.raises(
+        TotsimError, match=re.escape(f"{path}: en index: postings arrays do not fit together")
+    ):
+        load_index(path)
+
+
 def test_bm25_matches_hand_computed_scores() -> None:
     ranking = score_bm25("red fish", fish_index(), k1=1.2, b=0.75)
     assert [doc for doc, _ in ranking] == ["a", "b", "c"]

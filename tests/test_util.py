@@ -464,3 +464,20 @@ def test_only_retrieval_and_search_build_the_lexical_pool() -> None:
     # everything else names the lexical systems by ``retrieval.LEXICAL_IDS``
     found = [c for c in callers("default_lexical_pool") if not c.startswith("retrieval.")]
     assert found == ["cli._search"]
+
+
+def test_only_generate_query_declares_the_generation_settings() -> None:
+    # generate_batch passes every setting on untouched, so a new one is declared once
+    generation = Path(totsim.__file__).parent / "generation.py"
+    declared = {
+        node.name: {arg.arg for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+        for node in ast.parse(generation.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("generate_query", "generate_batch")
+    }
+    assert declared["generate_query"] & declared["generate_batch"] == {
+        "variation",
+        "corpus",
+        "english_corpus",
+        "generator",
+        "templates",
+    }
