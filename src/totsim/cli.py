@@ -69,8 +69,8 @@ from .generation import (
     write_query_manifest,
 )
 from .retrieval import (
+    INDEX_VERSION,
     LEXICAL_IDS,
-    Tokenizer,
     build_index,
     default_lexical_pool,
     load_external_run,
@@ -357,11 +357,7 @@ def _index(config: PipelineConfig, stage_dir: Path) -> dict:
     stats: dict[str, dict[str, int]] = {}
     for entry in config.languages:
         corpus = _load_corpus(config, entry.code)
-        if entry.tokenizer is not None:
-            tokenizer = Tokenizer(mode=entry.tokenizer)
-        else:
-            tokenizer = tokenizer_for_language(entry.code)
-        index = build_index(corpus, tokenizer)
+        index = build_index(corpus, tokenizer_for_language(entry.code, entry.tokenizer))
         save_index(index, _index_path(config, entry.code))
         stats[entry.code] = {"documents": index.doc_count, "terms": len(index.terms)}
         # the next language's corpus and index are built without this one's
@@ -640,8 +636,8 @@ STAGES: dict[str, Stage] = {
     "partition": Stage("partition", _partition, version=2),
     "sample": Stage("sample", _sample),
     "generate": Stage("generate", _generate),
-    # 2: one CSR ``.npz`` archive per language.
-    "index": Stage("index", _index, version=2),
+    # the archive's format version; 2 made it one CSR ``.npz`` per language.
+    "index": Stage("index", _index, version=INDEX_VERSION),
     # 2: adds ``ranks.tsv`` beside each query set's run files.
     "search": Stage("search", _search, version=2),
     # 2: one ``<set>.ranks.tsv`` per query set, the external runs included,

@@ -149,8 +149,10 @@ class Tokenizer:
         return cls(mode=raw["mode"], ngram=raw["ngram"])
 
 
-def tokenizer_for_language(language: str) -> Tokenizer:
-    """Character bigrams for CJK language codes, word splitting otherwise."""
+def tokenizer_for_language(language: str, mode: str | None = None) -> Tokenizer:
+    """The configured ``mode``; without one, CJK codes get character bigrams, others words."""
+    if mode is not None:
+        return Tokenizer(mode=mode)
     if language in CJK_LANGUAGES:
         return Tokenizer(mode=MODE_CJK_NGRAM, ngram=2)
     return Tokenizer(mode=MODE_WHITESPACE)

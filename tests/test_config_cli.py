@@ -508,6 +508,17 @@ def test_parse_args_requires_command_and_config() -> None:
     assert args.force
 
 
+def test_python_m_totsim_runs_the_command_line() -> None:
+    result = subprocess.run(
+        [sys.executable, "-m", "totsim", "--help"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "pipeline" in result.stdout
+
+
 @pytest.fixture(scope="module")
 def pipeline_tree(tmp_path_factory: pytest.TempPathFactory) -> Path:
     """One full toy pipeline run shared by the read-only assertions below."""

@@ -183,6 +183,15 @@ def test_tokenizer_for_language() -> None:
     assert tokenizer_for_language("de").mode == "whitespace"
 
 
+@pytest.mark.parametrize(
+    ("code", "mode", "expected"), [("zh", "whitespace", WS), ("zz", "cjk-ngram", CJK)]
+)
+def test_a_configured_tokenizer_mode_overrides_the_language_default(
+    code: str, mode: str, expected: Tokenizer
+) -> None:
+    assert tokenizer_for_language(code, mode) == expected
+
+
 def test_build_index_statistics() -> None:
     index = fish_index()
     assert index.doc_count == 3

@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+from collections import Counter
 from pathlib import Path
 from typing import Iterable
 
@@ -179,6 +180,37 @@ def test_read_json_names_the_file_of_a_bad_value(tmp_path: Path, text: str, mess
 def test_every_exported_name_exists(module_name: str) -> None:
     module = importlib.import_module(f"totsim.{module_name}")
     assert [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)] == []
+
+
+# The modules whose ``__all__`` the package republishes.
+PUBLIC_MODULES = (
+    "collection",
+    "corpus",
+    "errors",
+    "evaluation",
+    "generation",
+    "providers",
+    "retrieval",
+    "sampling",
+)
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_the_package_republishes_every_exported_name(module_name: str) -> None:
+    module = importlib.import_module(f"totsim.{module_name}")
+    assert [
+        name for name in module.__all__ if getattr(totsim, name, None) is not getattr(module, name)
+    ] == []
+
+
+def test_no_name_is_exported_by_two_public_modules() -> None:
+    # a second owner would silently shadow the first at the package root
+    owners = Counter(
+        name
+        for module_name in PUBLIC_MODULES
+        for name in importlib.import_module(f"totsim.{module_name}").__all__
+    )
+    assert sorted(name for name, count in owners.items() if count > 1) == []
 
 
 @pytest.mark.parametrize(
@@ -458,6 +490,22 @@ def test_only_partition_asks_how_many_partitions_a_language_has() -> None:
         if isinstance(node, ast.Call) and ast.unparse(node).startswith("len(_partitions_for(")
     ]
     assert found == ["_partition"]
+
+
+def test_the_index_stage_version_is_the_archive_format_version() -> None:
+    # a raised INDEX_VERSION reruns the index stage instead of failing search
+    cli = ast.parse((Path(totsim.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        ast.unparse(keyword.value)
+        for node in ast.walk(cli)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "Stage"
+        and node.args
+        and ast.unparse(node.args[0]) == "'index'"
+        for keyword in node.keywords
+        if keyword.arg == "version"
+    ]
+    assert found == ["INDEX_VERSION"]
 
 
 def test_only_retrieval_and_search_build_the_lexical_pool() -> None:
