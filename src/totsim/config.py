@@ -1,19 +1,19 @@
 """Pipeline configuration: YAML schema, validation, and content hashing.
 
 One YAML file drives every subcommand; credentials never appear in it.  Each
-accepted key is one entry of :data:`KEYS`, or of :data:`LANGUAGE_KEYS` under
-``languages.<code>``: the field it sets and the :class:`Kind` that reads,
-hashes and lists it.  Loading, ``content_hash`` (stamped into every stage
-manifest) and ``inputs`` walk these tables.  Defaults live on the dataclasses;
-null keeps one.  An unknown key, an unreadable value, a backend without the key
-it needs or a second English corpus is a :class:`ConfigError` at load.
+accepted key is declared once, on the field it sets: its dotted name, the
+:class:`Kind` that reads, hashes and lists it, and its default (null keeps it).
+:data:`KEYS` and, under ``languages.<code>``, :data:`LANGUAGE_KEYS` are derived
+from those fields; loading, ``content_hash`` (stamped into every stage manifest)
+and ``inputs`` walk them.  An unknown key, an unreadable value, a backend
+without the key it needs or a second English corpus is a :class:`ConfigError` at load.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
@@ -31,102 +31,6 @@ from .util import open_text, stable_hash
 __all__ = ["KEYS", "LANGUAGE_KEYS", "Kind", "LanguageConfig", "PipelineConfig", "load_config"]
 
 
-@dataclass(frozen=True)
-class LanguageConfig:
-    """One target language: its corpus, tokenizer, and optional real data."""
-
-    code: str
-    corpus: Path
-    tokenizer: str | None = None
-    real_queries: Path | None = None
-    real_qrels: Path | None = None
-    external_runs: Mapping[str, Path] = field(default_factory=dict)
-
-    @property
-    def pool(self) -> list[str]:
-        """The ids of the systems this language is evaluated with: lexical, then external."""
-        return [*LEXICAL_IDS, *self.external_runs]
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the pipeline needs besides credentials."""
-
-    seed: int
-    output_dir: Path
-    languages: tuple[LanguageConfig, ...]
-    english_corpus: Path | None = None
-    popularity_top_fraction: float = DEFAULT_TOP_FRACTION
-    min_chars: int = DEFAULT_MIN_CHARS
-    domain_mapping: Path | None = None
-    bucket_count: int = DEFAULT_BUCKET_COUNT
-    target_count: int = 2500
-    full_target_count: int | None = None
-    domain_ratio: Mapping[DomainLabel, float] = field(
-        default_factory=lambda: dict(DEFAULT_DOMAIN_RATIO)
-    )
-    generation_provider: str = "mock"
-    generation_model: str = ""
-    canned_path: Path | None = None
-    char_budget: int = DEFAULT_CHAR_BUDGET
-    summarize_temperature: float = SUMMARIZE_TEMPERATURE
-    generate_temperature: float = GENERATE_TEMPERATURE
-    workers: int = 1
-    translation_provider: str = "identity"
-    translation_mapping_path: Path | None = None
-    depth: int = DEFAULT_DEPTH
-    split_ratio: tuple[float, float, float] = DEFAULT_SPLIT_RATIO
-    templates_dir: Path | None = None
-    slice_real_by_partition: bool = True
-    base_dir: Path = Path(".")
-
-    def language(self, code: str) -> LanguageConfig:
-        for entry in self.languages:
-            if entry.code == code:
-                return entry
-        raise ConfigError(f"language {code!r} is not configured")
-
-    @property
-    def corpora(self) -> dict[str, Path]:
-        """Each language's corpus file by code, English's listed once even if not a target."""
-        corpora = {entry.code: entry.corpus for entry in self.languages}
-        if self.english_corpus is not None:
-            corpora.setdefault("en", self.english_corpus)
-        return corpora
-
-    def effective_full_target(self) -> int:
-        # English full-set collections match the combined size of the two
-        # partitions unless overridden.
-        return self.full_target_count or 2 * self.target_count
-
-    def content_hash(self) -> str:
-        return self._content_hash
-
-    # Frozen, so hashed once per instance; ``dataclasses.replace`` makes a new one.
-    @functools.cached_property
-    def _content_hash(self) -> str:
-        return stable_hash(_view(self, KEYS, self.base_dir))
-
-    def inputs(self) -> list[Path]:
-        """Every file or directory the config names for the pipeline to read."""
-        return [path for path in _inputs(self, KEYS) if path is not None]
-
-    def make_generator(self) -> providers.ChatProvider:
-        if self.generation_provider == "canned":
-            return providers.CannedResponseProvider(self.canned_path)
-        if self.generation_provider == "http":
-            return providers.HttpChatProvider(self.generation_model)
-        return providers.DeterministicMockProvider()
-
-    def make_translator(self) -> providers.Translator:
-        if self.translation_provider == "mapping":
-            table = providers.read_text_table(self.translation_mapping_path)
-            return providers.MappingTranslator(table)
-        if self.translation_provider == "http":
-            return providers.ChatTranslator(providers.HttpChatProvider(self.generation_model))
-        return providers.IdentityTranslator()
-
-
 class Kind(NamedTuple):
     """How a value is read (dotted key, YAML value, config dir), hashed and listed as input."""
 
@@ -135,7 +39,7 @@ class Kind(NamedTuple):
     inputs: Callable[[Any], Iterable[Path | None]] = lambda value: ()
 
 
-def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
+def _scalar(kind: type, name: str) -> Kind:
     def read(key: str, value: Any, base: Path) -> Any:
         # YAML reads yes/no as booleans: only a flag takes one, and a flag nothing else.
         # A number is read from a number only, and an integer from a whole one.
@@ -151,7 +55,7 @@ def _scalar(kind: type, name: str) -> Callable[[str, Any, Path], Any]:
                 pass
         raise ConfigError(f"{key} must be {name}, got {value!r}")
 
-    return read
+    return Kind(read)
 
 
 def _checked(kind: Kind, holds: Callable[[Any], bool], rule: str) -> Kind:
@@ -165,13 +69,13 @@ def _checked(kind: Kind, holds: Callable[[Any], bool], rule: str) -> Kind:
     return Kind(read)
 
 
-def _choice(*options: str) -> Callable[[str, Any, Path], str]:
+def _choice(*options: str) -> Kind:
     def read(key: str, value: Any, base: Path) -> str:
         if value not in options:
             raise ConfigError(f"{key} must be {' or '.join(map(repr, options))}")
         return value
 
-    return read
+    return Kind(read)
 
 
 def _path(key: str, value: Any, base: Path) -> Path:
@@ -232,11 +136,13 @@ def _languages(key: str, value: Any, base: Path) -> tuple[LanguageConfig, ...]:
 
 Table = Mapping[str, tuple[str, Kind]]  # dotted key -> (field it sets, kind of value)
 
-_INT = Kind(_scalar(int, "an integer"))
+_INT = _scalar(int, "an integer")
 _COUNT = _checked(_INT, lambda n: n >= 1, "at least 1")
-_NUMBER = Kind(_scalar(float, "a number"))
+_SIZE = _checked(_INT, lambda n: n >= 0, "at least 0")
+_NUMBER = _scalar(float, "a number")
 _FRACTION = _checked(_NUMBER, lambda f: 0 < f <= 1, "in (0, 1]")
-_TEXT = Kind(_scalar(str, "a string"))
+_TEXT = _scalar(str, "a string")
+_FLAG = _scalar(bool, "true or false")
 _INPUT = Kind(_path, _relative, lambda path: [path])
 _RUNS = Kind(
     _runs, lambda runs, base: {name: _relative(p, base) for name, p in runs.items()}, dict.values
@@ -247,43 +153,128 @@ _LANGUAGES = Kind(
     lambda langs: [path for e in langs for path in _inputs(e, LANGUAGE_KEYS)],
 )
 
-# Each ``languages.<code>`` key -> (LanguageConfig field, kind).
-LANGUAGE_KEYS: Table = {
-    "corpus": ("corpus", _INPUT),
-    "tokenizer": ("tokenizer", Kind(_choice(MODE_WHITESPACE, MODE_CJK_NGRAM))),
-    "real_queries": ("real_queries", _INPUT),
-    "real_qrels": ("real_qrels", _INPUT),
-    "external_runs": ("external_runs", _RUNS),
-}
 
-# Every other accepted dotted key -> (PipelineConfig field, kind).
-KEYS: Table = {
-    "seed": ("seed", _INT),
+def _key(key: str, kind: Kind, default: Any = MISSING, **options: Any) -> Any:
+    """A field that the dotted YAML ``key`` sets, read, hashed and listed by ``kind``."""
+    return field(default=default, metadata={"key": key, "kind": kind}, **options)
+
+
+def _table(cls: type) -> Table:
+    """Each keyed field of ``cls`` as ``dotted key -> (field name, kind)``."""
+    return {f.metadata["key"]: (f.name, f.metadata["kind"]) for f in fields(cls) if f.metadata}
+
+
+@dataclass(frozen=True)
+class LanguageConfig:
+    """One target language: its corpus, tokenizer, and optional real data."""
+
+    code: str
+    corpus: Path = _key("corpus", _INPUT)
+    tokenizer: str | None = _key("tokenizer", _choice(MODE_WHITESPACE, MODE_CJK_NGRAM), None)
+    real_queries: Path | None = _key("real_queries", _INPUT, None)
+    real_qrels: Path | None = _key("real_qrels", _INPUT, None)
+    external_runs: Mapping[str, Path] = _key("external_runs", _RUNS, default_factory=dict)
+
+    @property
+    def pool(self) -> list[str]:
+        """The ids of the systems this language is evaluated with: lexical, then external."""
+        return [*LEXICAL_IDS, *self.external_runs]
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Everything the pipeline needs besides credentials."""
+
+    seed: int = _key("seed", _INT)
     # Neither where the outputs land nor how many workers write them is hashed.
-    "output_dir": ("output_dir", Kind(_path, show=None)),
-    "workers": ("workers", _COUNT._replace(show=None)),
-    "english_corpus": ("english_corpus", _INPUT),
-    "languages": ("languages", _LANGUAGES),
-    "domain_mapping": ("domain_mapping", _INPUT),
-    "templates_dir": ("templates_dir", _INPUT),
-    "slice_real_by_partition": ("slice_real_by_partition", Kind(_scalar(bool, "true or false"))),
-    "corpus_filters.popularity_top_fraction": ("popularity_top_fraction", _FRACTION),
-    "corpus_filters.min_chars": ("min_chars", _checked(_INT, lambda n: n >= 0, "at least 0")),
-    "sampling.bucket_count": ("bucket_count", _COUNT),
-    "sampling.target_count": ("target_count", _COUNT),
-    "sampling.full_target_count": ("full_target_count", _COUNT),
-    "sampling.domain_ratio": ("domain_ratio", Kind(_domain_ratio)),
-    "generation.provider": ("generation_provider", Kind(_choice("mock", "canned", "http"))),
-    "generation.model": ("generation_model", _TEXT),
-    "generation.canned_path": ("canned_path", _INPUT),
-    "generation.char_budget": ("char_budget", _COUNT),
-    "generation.summarize_temperature": ("summarize_temperature", _NUMBER),
-    "generation.generate_temperature": ("generate_temperature", _NUMBER),
-    "translation.provider": ("translation_provider", Kind(_choice("identity", "mapping", "http"))),
-    "translation.mapping_path": ("translation_mapping_path", _INPUT),
-    "retrieval.depth": ("depth", _COUNT),
-    "collection.split_ratio": ("split_ratio", Kind(_split_ratio)),
-}
+    output_dir: Path = _key("output_dir", Kind(_path, show=None))
+    languages: tuple[LanguageConfig, ...] = _key("languages", _LANGUAGES)
+    english_corpus: Path | None = _key("english_corpus", _INPUT, None)
+    popularity_top_fraction: float = _key(
+        "corpus_filters.popularity_top_fraction", _FRACTION, DEFAULT_TOP_FRACTION
+    )
+    min_chars: int = _key("corpus_filters.min_chars", _SIZE, DEFAULT_MIN_CHARS)
+    domain_mapping: Path | None = _key("domain_mapping", _INPUT, None)
+    bucket_count: int = _key("sampling.bucket_count", _COUNT, DEFAULT_BUCKET_COUNT)
+    target_count: int = _key("sampling.target_count", _COUNT, 2500)
+    full_target_count: int | None = _key("sampling.full_target_count", _COUNT, None)
+    domain_ratio: Mapping[DomainLabel, float] = _key(
+        "sampling.domain_ratio", Kind(_domain_ratio), default_factory=DEFAULT_DOMAIN_RATIO.copy
+    )
+    generation_provider: str = _key(
+        "generation.provider", _choice("mock", "canned", "http"), "mock"
+    )
+    generation_model: str = _key("generation.model", _TEXT, "")
+    canned_path: Path | None = _key("generation.canned_path", _INPUT, None)
+    char_budget: int = _key("generation.char_budget", _COUNT, DEFAULT_CHAR_BUDGET)
+    summarize_temperature: float = _key(
+        "generation.summarize_temperature", _NUMBER, SUMMARIZE_TEMPERATURE
+    )
+    generate_temperature: float = _key(
+        "generation.generate_temperature", _NUMBER, GENERATE_TEMPERATURE
+    )
+    workers: int = _key("workers", _COUNT._replace(show=None), 1)  # not hashed: see output_dir
+    translation_provider: str = _key(
+        "translation.provider", _choice("identity", "mapping", "http"), "identity"
+    )
+    translation_mapping_path: Path | None = _key("translation.mapping_path", _INPUT, None)
+    depth: int = _key("retrieval.depth", _COUNT, DEFAULT_DEPTH)
+    split_ratio: tuple[float, float, float] = _key(
+        "collection.split_ratio", Kind(_split_ratio), DEFAULT_SPLIT_RATIO
+    )
+    templates_dir: Path | None = _key("templates_dir", _INPUT, None)
+    slice_real_by_partition: bool = _key("slice_real_by_partition", _FLAG, True)
+    base_dir: Path = Path(".")
+
+    def language(self, code: str) -> LanguageConfig:
+        for entry in self.languages:
+            if entry.code == code:
+                return entry
+        raise ConfigError(f"language {code!r} is not configured")
+
+    @property
+    def corpora(self) -> dict[str, Path]:
+        """Each language's corpus file by code, English's listed once even if not a target."""
+        corpora = {entry.code: entry.corpus for entry in self.languages}
+        if self.english_corpus is not None:
+            corpora.setdefault("en", self.english_corpus)
+        return corpora
+
+    def effective_full_target(self) -> int:
+        # English full-set collections match the combined size of the two
+        # partitions unless overridden.
+        return self.full_target_count or 2 * self.target_count
+
+    def content_hash(self) -> str:
+        return self._content_hash
+
+    # Frozen, so hashed once per instance; ``dataclasses.replace`` makes a new one.
+    @functools.cached_property
+    def _content_hash(self) -> str:
+        return stable_hash(_view(self, KEYS, self.base_dir))
+
+    def inputs(self) -> list[Path]:
+        """Every file or directory the config names for the pipeline to read."""
+        return [path for path in _inputs(self, KEYS) if path is not None]
+
+    def make_generator(self) -> providers.ChatProvider:
+        if self.generation_provider == "canned":
+            return providers.CannedResponseProvider(self.canned_path)
+        if self.generation_provider == "http":
+            return providers.HttpChatProvider(self.generation_model)
+        return providers.DeterministicMockProvider()
+
+    def make_translator(self) -> providers.Translator:
+        if self.translation_provider == "mapping":
+            table = providers.read_text_table(self.translation_mapping_path)
+            return providers.MappingTranslator(table)
+        if self.translation_provider == "http":
+            return providers.ChatTranslator(providers.HttpChatProvider(self.generation_model))
+        return providers.IdentityTranslator()
+
+
+LANGUAGE_KEYS: Table = _table(LanguageConfig)  # each ``languages.<code>`` key
+KEYS: Table = _table(PipelineConfig)  # every other accepted dotted key
 
 
 def _view(obj: Any, table: Table, base: Path) -> dict[str, Any]:

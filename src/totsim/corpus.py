@@ -32,6 +32,7 @@ __all__ = [
     "Corpus",
     "ingest_corpus",
     "partition_corpus",
+    "by_popularity",
     "filter_by_popularity",
     "filter_by_length",
     "load_domain_mapping",
@@ -205,17 +206,18 @@ def _snap_ceil(value: float) -> int:
     return math.ceil(value)
 
 
+def by_popularity(pool: Iterable[Document]) -> list[Document]:
+    """``pool`` most viewed first; ties on ``page_views`` break by ascending ``doc_id``."""
+    return sorted(pool, key=lambda d: (-d.page_views, d.doc_id))
+
+
 def filter_by_popularity(
     pool: Iterable[Document], top_fraction: float = DEFAULT_TOP_FRACTION
 ) -> list[Document]:
-    """Keep the most viewed ``ceil(top_fraction * n)`` documents of ``pool``.
-
-    Ties on ``page_views`` break by ascending ``doc_id`` so the survivor
-    set is deterministic.  Returned in descending popularity order.
-    """
+    """The first ``ceil(top_fraction * n)`` documents of ``pool`` in :func:`by_popularity` order."""
     if not 0.0 < top_fraction <= 1.0:
         raise CorpusError(f"top_fraction must be in (0, 1], got {top_fraction}")
-    docs = sorted(pool, key=lambda d: (-d.page_views, d.doc_id))
+    docs = by_popularity(pool)
     if not docs:
         raise CorpusError("popularity filter received an empty pool")
     keep = _snap_ceil(top_fraction * len(docs))

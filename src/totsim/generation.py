@@ -491,12 +491,20 @@ def write_query_manifest(
 
 
 def _record_from_row(row: Mapping) -> SyntheticQuery | DiscardRecord:
+    for key in ("query_id", "doc_id", "language", "text", "summary", "provider_fingerprint"):
+        if not isinstance(row[key], str):
+            raise ValueError(f"{key} must be a string, got {row[key]!r}")
+    attempts = row["attempts"]
+    if isinstance(attempts, bool) or not isinstance(attempts, int) or attempts < 1:
+        raise ValueError(f"attempts must be a positive integer, got {attempts!r}")
+    if not isinstance(row["discarded"], bool):
+        raise ValueError(f"discarded must be true or false, got {row['discarded']!r}")
     shared = {
         "query_id": row["query_id"],
         "target_doc_id": row["doc_id"],
         "language": row["language"],
         "variation": PromptVariation(row["variation"]),
-        "attempts": row["attempts"],
+        "attempts": attempts,
         "summary": row["summary"],
         "provider_fingerprint": row["provider_fingerprint"],
     }

@@ -187,15 +187,19 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         import numpy as np
 
-        n_postings = len(self.postings_docs)
+        n_postings = self.postings_docs.size
+        arrays = [getattr(self, name) for name in _INDEX_ARRAYS]
         consistent = (
-            len(self.offsets) == len(self.terms) + 1
+            all(array.ndim == 1 and array.dtype.kind in "iu" for array in arrays)
+            and len(self.offsets) == len(self.terms) + 1
             and len(self.doc_lengths) == len(self.doc_ids)
             and len(self.postings_tfs) == n_postings
             and int(self.offsets[0]) == 0
             and int(self.offsets[-1]) == n_postings
             and bool(np.all(np.diff(self.offsets) > 0))
             and bool(np.all((self.postings_docs >= 0) & (self.postings_docs < len(self.doc_ids))))
+            and self.postings_tfs.min(initial=1) >= 1
+            and self.doc_lengths.min(initial=0) >= 0
         )
         if not consistent:
             raise TotsimError(f"{self.language} index: postings arrays do not fit together")
@@ -337,7 +341,8 @@ def load_index(path: Path | str) -> InvertedIndex:
     Raises:
         TotsimError: the file is not a version-2 index archive (a version-1
             JSON index included), its meta lacks a key or holds a value of
-            the wrong type, or its arrays do not fit together.
+            the wrong type, or its arrays are not 1-D integers that fit
+            together (every term count positive, no length negative).
     """
     import numpy as np
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Document, DomainLabel, Partition
+from .corpus import Document, DomainLabel, Partition, by_popularity
 from .errors import SamplingError
 from .util import read_jsonl, stable_hash, write_jsonl
 
@@ -100,14 +100,13 @@ class EntityCandidate:
 def stratify(pool: Sequence[Document], bucket_count: int) -> list[list[str]]:
     """Split ``pool`` into ``bucket_count`` popularity buckets of doc ids.
 
-    Documents are ordered by descending ``page_views`` (ties by ascending
-    ``doc_id``); bucket 0 holds the most viewed.  With ``n = q * B + r``
-    documents the first ``r`` buckets get ``q + 1``, the rest ``q``, so
-    bucket sizes never differ by more than one.
+    Bucket 0 holds the most viewed, in :func:`~totsim.corpus.by_popularity`
+    order.  With ``n = q * B + r`` documents the first ``r`` buckets get
+    ``q + 1``, the rest ``q``, so bucket sizes never differ by more than one.
     """
     if bucket_count <= 0:
         raise SamplingError(f"bucket_count must be positive, got {bucket_count}")
-    ordered = [d.doc_id for d in sorted(pool, key=lambda d: (-d.page_views, d.doc_id))]
+    ordered = [d.doc_id for d in by_popularity(pool)]
     if len(ordered) < bucket_count:
         logger.warning(
             "pool of %d documents is smaller than bucket_count %d; some buckets will be empty",

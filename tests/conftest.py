@@ -46,18 +46,40 @@ def make_corpus(language: str = "en", *docs: Document) -> Corpus:
     return Corpus(language, docs)
 
 
+def edit_index_array(path: Path, name: str, edit: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Replace the ``name`` member of the index archive at ``path`` with ``edit`` of it."""
+    with zipfile.ZipFile(path) as archive:
+        members = {member: archive.read(member) for member in archive.namelist()}
+    buffer = io.BytesIO()
+    np.save(buffer, edit(np.load(io.BytesIO(members[f"{name}.npy"]))))
+    members[f"{name}.npy"] = buffer.getvalue()
+    with zipfile.ZipFile(path, "w") as archive:
+        for member, data in members.items():
+            archive.writestr(member, data)
+
+
 def edit_index_meta(path: Path, edit: Callable[[dict], object]) -> None:
     """Rewrite the ``meta`` member of the index archive at ``path`` after ``edit``."""
-    with zipfile.ZipFile(path) as archive:
-        members = {name: archive.read(name) for name in archive.namelist()}
-    meta = json.loads(np.load(io.BytesIO(members["meta.npy"])).tobytes())
-    edit(meta)
-    buffer = io.BytesIO()
-    np.save(buffer, np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
-    members["meta.npy"] = buffer.getvalue()
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, data in members.items():
-            archive.writestr(name, data)
+
+    def rewrite(raw: np.ndarray) -> np.ndarray:
+        meta = json.loads(raw.tobytes())
+        edit(meta)
+        return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+    edit_index_array(path, "meta", rewrite)
+
+
+# (array, how an index's array is spoiled, case name), for load_index and for
+# search: each is refused as arrays that do not fit together
+SPOILED_INDEX_ARRAYS: list[tuple[str, Callable[[np.ndarray], np.ndarray], str]] = [
+    ("offsets", lambda offsets: offsets.astype(np.float64), "float-offsets"),
+    ("doc_lengths", lambda lengths: lengths[:, None], "doc-lengths-a-column"),
+    ("postings_tfs", lambda tfs: tfs + 0.5, "fractional-tfs"),
+    ("postings_tfs", lambda tfs: -tfs, "negated-tfs"),
+    ("postings_tfs", lambda tfs: tfs * 0, "zero-tfs"),
+    ("doc_lengths", lambda lengths: lengths - lengths.max() - 1, "negative-doc-lengths"),
+    ("postings_docs", lambda docs: docs.astype(bool), "boolean-doc-numbers"),
+]
 
 
 # (how an index's meta is spoiled, what the refusal says, case name), for

@@ -16,7 +16,14 @@ from typing import Callable
 import pytest
 import yaml
 
-from conftest import SPOILED_INDEX_META, TOY_DIR, edit_index_meta, read_run
+from conftest import (
+    SPOILED_INDEX_ARRAYS,
+    SPOILED_INDEX_META,
+    TOY_DIR,
+    edit_index_array,
+    edit_index_meta,
+    read_run,
+)
 import totsim.config as config_module
 from totsim.cli import STAGES, cmd_pipeline, main, parse_args, run_stage
 from totsim.config import KEYS, LANGUAGE_KEYS, LanguageConfig, PipelineConfig, load_config
@@ -301,6 +308,18 @@ def test_every_field_is_set_by_exactly_one_key() -> None:
     assert Counter(name for name, _ in LANGUAGE_KEYS.values()) == {
         f.name: 1 for f in dataclasses.fields(LanguageConfig) if f.name != "code"
     }
+
+
+@pytest.mark.parametrize(
+    ("cls", "table", "unkeyed"),
+    [(PipelineConfig, KEYS, "base_dir"), (LanguageConfig, LANGUAGE_KEYS, "code")],
+    ids=["KEYS", "LANGUAGE_KEYS"],
+)
+def test_each_key_is_declared_on_the_field_it_sets(cls: type, table: dict, unkeyed: str) -> None:
+    # the table is read off the fields, so no second list of keys can drift from them
+    keyed = [f for f in dataclasses.fields(cls) if f.name != unkeyed]
+    assert all(isinstance(f.metadata.get("key"), str) for f in keyed)
+    assert table == {f.metadata["key"]: (f.name, f.metadata["kind"]) for f in keyed}
 
 
 def test_null_keeps_the_default(tmp_path: Path) -> None:
@@ -1148,6 +1167,33 @@ def move_zz0002_to_full(path: Path) -> None:
     write_json(path, {**grouped, "full": ["zz0002"]})
 
 
+def edit_first_row(path: Path, **values: object) -> None:
+    """Set ``values`` in the first row of the JSONL file at ``path``."""
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    rows[0].update(values)
+    write_jsonl(path, rows)
+
+
+# a generated query row's value of the wrong type, and what its refusal says
+SPOILED_QUERY_ROWS = [
+    ({"text": 123}, "text must be a string, got 123", "text-a-number"),
+    ({"doc_id": ["a"]}, "doc_id must be a string, got ['a']", "doc-id-a-list"),
+    ({"query_id": 5}, "query_id must be a string, got 5", "query-id-a-number"),
+    ({"summary": None}, "summary must be a string, got None", "summary-null"),
+    ({"language": 1}, "language must be a string, got 1", "language-a-number"),
+    (
+        {"provider_fingerprint": {}},
+        "provider_fingerprint must be a string, got {}",
+        "fingerprint-an-object",
+    ),
+    ({"attempts": 0}, "attempts must be a positive integer, got 0", "attempts-zero"),
+    ({"attempts": 1.5}, "attempts must be a positive integer, got 1.5", "attempts-fractional"),
+    ({"attempts": True}, "attempts must be a positive integer, got True", "attempts-a-flag"),
+    ({"discarded": "no"}, "discarded must be true or false, got 'no'", "discarded-a-string"),
+    ({"discarded": 0}, "discarded must be true or false, got 0", "discarded-a-number"),
+]
+
+
 # (command, file an earlier stage wrote, how it is spoiled, what the error names)
 PROGRAM_FILES = [
     pytest.param(
@@ -1203,12 +1249,32 @@ PROGRAM_FILES = [
         ("zz.npz", "postings arrays do not fit together"),
         id="index-arrays-that-do-not-fit",
     ),
+    *(
+        pytest.param(
+            "search",
+            "index/zz.npz",
+            lambda path, name=name, spoil=spoil: edit_index_array(path, name, spoil),
+            ("zz.npz", "postings arrays do not fit together"),
+            id=f"index-arrays-{case}",
+        )
+        for name, spoil, case in SPOILED_INDEX_ARRAYS
+    ),
     pytest.param(
         "generate",
         "sample/zz-monolingual.jsonl",
         cut_first_row,
         ("zz-monolingual.jsonl line 1", "invalid JSON"),
         id="sample-row",
+    ),
+    *(
+        pytest.param(
+            "search",
+            "generate/zz/monolingual-V1.jsonl",
+            lambda path, values=values: edit_first_row(path, **values),
+            ("monolingual-V1.jsonl line 1", message),
+            id=f"query-row-{case}",
+        )
+        for values, message, case in SPOILED_QUERY_ROWS
     ),
     pytest.param(
         "select",

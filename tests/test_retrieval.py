@@ -20,7 +20,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import totsim.retrieval as retrieval
-from conftest import SPOILED_INDEX_META, edit_index_meta, make_corpus, make_doc, read_run
+from conftest import (
+    SPOILED_INDEX_ARRAYS,
+    SPOILED_INDEX_META,
+    edit_index_array,
+    edit_index_meta,
+    make_corpus,
+    make_doc,
+    read_run,
+)
 from totsim.errors import RunFileError, TotsimError
 from totsim.evaluation import RunResult
 from totsim.retrieval import (
@@ -378,6 +386,23 @@ def test_load_index_names_the_file_whose_arrays_do_not_fit(tmp_path: Path) -> No
     docs = (make_doc("a", body="ab ab cd"), make_doc("b", body="cd"))
     save_index(build_index(make_corpus("en", *docs), WS), path)
     edit_index_meta(path, lambda meta: meta["doc_ids"].pop())
+    with pytest.raises(
+        TotsimError, match=re.escape(f"{path}: en index: postings arrays do not fit together")
+    ):
+        load_index(path)
+
+
+@pytest.mark.parametrize(
+    ("name", "spoil"),
+    [pytest.param(name, spoil, id=case) for name, spoil, case in SPOILED_INDEX_ARRAYS],
+)
+def test_load_index_refuses_arrays_of_the_wrong_shape_type_or_sign(
+    tmp_path: Path, name: str, spoil
+) -> None:
+    # each spoiled array keeps its length, so only its shape, type or sign is wrong
+    path = tmp_path / "index.npz"
+    save_index(fish_index(), path)
+    edit_index_array(path, name, spoil)
     with pytest.raises(
         TotsimError, match=re.escape(f"{path}: en index: postings arrays do not fit together")
     ):

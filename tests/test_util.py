@@ -492,6 +492,18 @@ def test_only_partition_asks_how_many_partitions_a_language_has() -> None:
     assert found == ["_partition"]
 
 
+def test_only_corpus_reads_page_views() -> None:
+    # the popularity order is corpus.by_popularity's; filtering and bucketing both take it
+    found = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(Path(totsim.__file__).parent.glob("*.py"))
+        if path.name != "corpus.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "page_views"
+    ]
+    assert found == []
+
+
 def test_the_index_stage_version_is_the_archive_format_version() -> None:
     # a raised INDEX_VERSION reruns the index stage instead of failing search
     cli = ast.parse((Path(totsim.__file__).parent / "cli.py").read_text(encoding="utf-8"))
