@@ -27,6 +27,7 @@ import random
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -92,31 +93,29 @@ def join_mixed(words: list[str]) -> str:
     return "".join(pieces)
 
 
+def distinct(draw: Callable[[int], str], count: int) -> list[str]:
+    """The first ``count`` distinct results of ``draw(number of distinct results so far)``."""
+    drawn: dict[str, None] = {}
+    while len(drawn) < count:
+        drawn.setdefault(draw(len(drawn)))
+    return list(drawn)
+
+
 def make_zz_titles(rng: random.Random, count: int) -> list[str]:
-    titles: list[str] = []
-    seen: set[str] = set()
-    while len(titles) < count:
-        title = han_word(rng, TITLE_BAND, rng.choice((2, 3, 3)))
-        if title not in seen:
-            seen.add(title)
-            titles.append(title)
-    return titles
+    return distinct(lambda _: han_word(rng, TITLE_BAND, rng.choice((2, 3, 3))), count)
 
 
 def make_en_titles(rng: random.Random, count: int) -> list[str]:
     """Distinct titles of two pool words until every pair is used, then of three, and so on."""
-    titles: list[str] = []
-    seen: set[str] = set()
-    words, limit = 2, len(EN_TITLE_POOL) ** 2
-    while len(titles) < count:
-        if len(titles) == limit:
+
+    def draw(drawn: int) -> str:
+        words, limit = 2, len(EN_TITLE_POOL) ** 2
+        while drawn >= limit:
             words += 1
             limit += len(EN_TITLE_POOL) ** words
-        title = " ".join(rng.choice(EN_TITLE_POOL).capitalize() for _ in range(words))
-        if title not in seen:
-            seen.add(title)
-            titles.append(title)
-    return titles
+        return " ".join(rng.choice(EN_TITLE_POOL).capitalize() for _ in range(words))
+
+    return distinct(draw, count)
 
 
 def pick_views(rng: random.Random) -> int:
@@ -135,6 +134,24 @@ def pick_classes(rng: random.Random) -> list[str]:
     if roll < 0.30:
         return ["Q999999"]
     return []
+
+
+def en_alias(rng: random.Random) -> str:
+    return f"{rng.choice(EN_TITLE_POOL).capitalize()} {rng.choice(EN_TITLE_POOL)}"
+
+
+def zz_alias(rng: random.Random) -> str:
+    return han_word(rng, TITLE_BAND, rng.choice((2, 3)))
+
+
+def article(
+    rng: random.Random, alias_chance: float, alias: Callable[[random.Random], str], **fields
+) -> dict:
+    """A corpus row of ``fields``, views and classes, and one ``alias`` with ``alias_chance``."""
+    row = {**fields, "views": pick_views(rng), "instance_of": pick_classes(rng)}
+    if rng.random() < alias_chance:
+        row["aliases"] = [alias(rng)]
+    return row
 
 
 def zz_body(
@@ -193,55 +210,27 @@ def main() -> None:
     for i, doc_id in enumerate(linked_zz[LINKED:]):
         links[doc_id] = f"en{9990 + i}"
 
-    en_rows = []
-    en_words: dict[str, list[str]] = {}
+    body_words: dict[str, list[str]] = {}
+    rows: dict[str, list[dict]] = {"en": [], "zz": []}
     for doc_id, title in zip(en_ids, en_titles):
-        body, words = en_body(rng)
-        en_words[doc_id] = words
-        row = {
-            "id": doc_id,
-            "title": title,
-            "text": body,
-            "views": pick_views(rng),
-            "instance_of": pick_classes(rng),
-        }
-        if rng.random() < 0.25:
-            row["aliases"] = [f"{rng.choice(EN_TITLE_POOL).capitalize()} {rng.choice(EN_TITLE_POOL)}"]
-        en_rows.append(row)
-
-    zz_words: dict[str, list[str]] = {}
-    zz_rows = []
+        text, body_words[doc_id] = en_body(rng)
+        rows["en"].append(article(rng, 0.25, en_alias, id=doc_id, title=title, text=text))
     for doc_id, title in zip(zz_ids, zz_titles):
-        loanwords: list[str] = []
-        linked = links.get(doc_id)
-        if linked in en_words:
-            pool = sorted(set(en_words[linked]))
-            loanwords = rng.sample(pool, min(12, len(pool)))
-        body, words = zz_body(rng, units, loanwords)
-        zz_words[doc_id] = words
-        row = {
-            "id": doc_id,
-            "title": title,
-            "text": body,
-            "views": pick_views(rng),
-            "instance_of": pick_classes(rng),
-        }
-        if rng.random() < 0.3:
-            row["aliases"] = [han_word(rng, TITLE_BAND, rng.choice((2, 3)))]
+        # a linked article borrows loanwords from its English counterpart
+        pool = sorted(set(body_words.get(links.get(doc_id), ())))
+        text, body_words[doc_id] = zz_body(rng, units, rng.sample(pool, min(12, len(pool))))
+        row = article(rng, 0.3, zz_alias, id=doc_id, title=title, text=text)
         if doc_id in links:
             row["en_id"] = links[doc_id]
-        zz_rows.append(row)
-
-    (OUT / "corpus_zz.jsonl").write_text(
-        "".join(dump_json(row) + "\n" for row in zz_rows), encoding="utf-8"
-    )
-    (OUT / "corpus_en.jsonl").write_text(
-        "".join(dump_json(row) + "\n" for row in en_rows), encoding="utf-8"
-    )
+        rows["zz"].append(row)
+    for code, corpus in rows.items():
+        (OUT / f"corpus_{code}.jsonl").write_text(
+            "".join(dump_json(row) + "\n" for row in corpus), encoding="utf-8"
+        )
 
     # Real query fixtures: body-word samples from well-covered targets in
     # each partition, with a little cross-document noise.
-    rich = [doc_id for doc_id in zz_ids if len(zz_words[doc_id]) >= 120]
+    rich = [doc_id for doc_id in zz_ids if len(body_words[doc_id]) >= 120]
     mono_rich = [d for d in rich if d not in links or links[d] not in set(linked_en)]
     bi_rich = [d for d in rich if d in links and links[d] in set(linked_en)]
     targets = sorted(rng.sample(mono_rich, REAL_PER_PARTITION)) + sorted(
@@ -254,11 +243,11 @@ def main() -> None:
         # Two recalled phrases (contiguous spans) plus one stray word from
         # another article, roughly how a re-finding query mixes sharp
         # fragments with noise.
-        words = zz_words[doc_id]
+        words = body_words[doc_id]
         first = rng.randrange(len(words) - 6)
         second = rng.randrange(len(words) - 6)
         noise_doc = rng.choice([d for d in rich if d != doc_id])
-        noise = rng.sample(zz_words[noise_doc], 1)
+        noise = rng.sample(body_words[noise_doc], 1)
         text = join_mixed(
             words[first : first + 6] + ["。"] + words[second : second + 6] + noise
         )

@@ -59,9 +59,11 @@ class Partition(str, Enum):
 
 
 class DomainLabel(str, Enum):
+    """A document's domain; ``sample`` draws and writes domains in this order, General first."""
+
+    GENERAL = "General"
     MOVIES = "Movies"
     PEOPLE = "People"
-    GENERAL = "General"
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ class InvertedIndex:
     ``terms[t]``, both ascending.  The postings of term ``t`` are
     ``postings_docs[offsets[t]:offsets[t + 1]]`` (int32 doc numbers,
     ascending) with ``postings_tfs`` (int32) alongside; ``doc_lengths``
-    holds each document's token count.
+    holds each document's token count, the sum of its term counts.
     """
 
     language: str
@@ -192,14 +192,16 @@ class InvertedIndex:
         consistent = (
             all(array.ndim == 1 and array.dtype.kind in "iu" for array in arrays)
             and len(self.offsets) == len(self.terms) + 1
-            and len(self.doc_lengths) == len(self.doc_ids)
             and len(self.postings_tfs) == n_postings
             and int(self.offsets[0]) == 0
             and int(self.offsets[-1]) == n_postings
             and bool(np.all(np.diff(self.offsets) > 0))
+            and _ascends_within_terms(self.offsets, self.postings_docs)
             and bool(np.all((self.postings_docs >= 0) & (self.postings_docs < len(self.doc_ids))))
             and self.postings_tfs.min(initial=1) >= 1
-            and self.doc_lengths.min(initial=0) >= 0
+            and np.array_equal(
+                _tf_sums(self.postings_docs, self.postings_tfs, len(self.doc_ids)), self.doc_lengths
+            )
         )
         if not consistent:
             raise TotsimError(f"{self.language} index: postings arrays do not fit together")
@@ -235,6 +237,29 @@ class InvertedIndex:
         qtf_of = {t: counts[token] for token in counts if (t := self.term_id(token)) is not None}
         term_ids = np.array(sorted(qtf_of), dtype=np.int64)
         return term_ids, np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
+
+
+def _ascends_within_terms(offsets: np.ndarray, docs: np.ndarray) -> bool:
+    """Whether each term's postings name strictly ascending doc numbers."""
+    rising = docs[1:] > docs[:-1]
+    rising[offsets[1:-1] - 1] = True  # the pairs that cross into the next term
+    return bool(rising.all())
+
+
+# Postings summed at a time by _tf_sums, which bounds the memory it takes.
+_TF_SUM_SLICE = 1 << 16
+
+
+def _tf_sums(docs: np.ndarray, tfs: np.ndarray, doc_count: int) -> np.ndarray:
+    """Each document's sum of term counts, as float64."""
+    import numpy as np
+
+    sums = np.zeros(doc_count)
+    for start in range(0, docs.size, _TF_SUM_SLICE):
+        part = slice(start, start + _TF_SUM_SLICE)
+        # bincount counts intp; the cast lets uint64 doc numbers through on any numpy
+        sums += np.bincount(docs[part].astype(np.intp), tfs[part], minlength=doc_count)
+    return sums
 
 
 def _position(names: list[str], name: str) -> int | None:
@@ -342,7 +367,9 @@ def load_index(path: Path | str) -> InvertedIndex:
         TotsimError: the file is not a version-2 index archive (a version-1
             JSON index included), its meta lacks a key or holds a value of
             the wrong type, or its arrays are not 1-D integers that fit
-            together (every term count positive, no length negative).
+            together (each term's documents listed once, in ascending
+            order; every term count positive; each document's length the
+            sum of its term counts).
     """
     import numpy as np
 

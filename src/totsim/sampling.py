@@ -1,10 +1,11 @@
 """Stratified sampling of target entities across popularity and domain.
 
 Each partition pool is split per domain into equal-depth popularity
-buckets (most viewed documents in bucket 0).  Candidates are then drawn
-round-robin across buckets without replacement until the per-domain
-target is met, which spreads the sample over the whole popularity range
-instead of clustering at the head.
+buckets (most viewed documents in bucket 0).  Domains are drawn in
+:class:`~totsim.corpus.DomainLabel` order; within one, candidates are
+drawn round-robin across buckets without replacement until its target is
+met, which spreads the sample over the whole popularity range instead of
+clustering at the head.
 """
 
 from __future__ import annotations
@@ -46,10 +47,6 @@ DEFAULT_DOMAIN_RATIO: dict[DomainLabel, float] = {
     DomainLabel.MOVIES: 0.1,
     DomainLabel.PEOPLE: 0.1,
 }
-
-# Fixed emission order for per-domain loops; draws themselves are seeded
-# per domain so this only fixes output row order.
-DOMAIN_ORDER = (DomainLabel.GENERAL, DomainLabel.MOVIES, DomainLabel.PEOPLE)
 
 
 def check_domain_ratio(ratio: Mapping[DomainLabel, float]) -> None:
@@ -125,11 +122,11 @@ def stratify(pool: Sequence[Document], bucket_count: int) -> list[list[str]]:
 
 def domain_targets(target_count: int, domain_ratio: Mapping[DomainLabel, float]) -> dict[DomainLabel, int]:
     """Per-domain draw counts: non-general domains round, general absorbs the rest."""
-    targets: dict[DomainLabel, int] = {}
-    for domain in DOMAIN_ORDER:
-        if domain is DomainLabel.GENERAL:
-            continue
-        targets[domain] = round(target_count * domain_ratio[domain])
+    targets = {
+        domain: round(target_count * domain_ratio[domain])
+        for domain in DomainLabel
+        if domain is not DomainLabel.GENERAL
+    }
     targets[DomainLabel.GENERAL] = target_count - sum(targets.values())
     if targets[DomainLabel.GENERAL] < 0:
         raise SamplingError("domain_ratio rounding left no room for the general domain")
@@ -160,7 +157,7 @@ def sample_candidates(
     targets = domain_targets(config.target_count, config.domain_ratio)
     candidates: list[EntityCandidate] = []
     seen: set[str] = set()
-    for domain in DOMAIN_ORDER:
+    for domain in DomainLabel:
         target = targets[domain]
         buckets = [list(bucket) for bucket in pools.get(domain, [])]
         available = sum(len(b) for b in buckets)

@@ -70,7 +70,10 @@ def edit_index_meta(path: Path, edit: Callable[[dict], object]) -> None:
 
 
 # (array, how an index's array is spoiled, case name), for load_index and for
-# search: each is refused as arrays that do not fit together
+# search: each is refused as arrays that do not fit together.  Every spoiled
+# array keeps its length.  doc-repeated-within-a-term copies each even posting
+# over the next, so a term of two or more postings that starts at an even
+# position lists its first document twice.
 SPOILED_INDEX_ARRAYS: list[tuple[str, Callable[[np.ndarray], np.ndarray], str]] = [
     ("offsets", lambda offsets: offsets.astype(np.float64), "float-offsets"),
     ("doc_lengths", lambda lengths: lengths[:, None], "doc-lengths-a-column"),
@@ -79,6 +82,12 @@ SPOILED_INDEX_ARRAYS: list[tuple[str, Callable[[np.ndarray], np.ndarray], str]] 
     ("postings_tfs", lambda tfs: tfs * 0, "zero-tfs"),
     ("doc_lengths", lambda lengths: lengths - lengths.max() - 1, "negative-doc-lengths"),
     ("postings_docs", lambda docs: docs.astype(bool), "boolean-doc-numbers"),
+    (
+        "postings_docs",
+        lambda docs: np.repeat(docs[::2], 2)[: docs.size],
+        "doc-repeated-within-a-term",
+    ),
+    ("doc_lengths", lambda lengths: lengths * 0, "zero-doc-lengths"),
 ]
 
 

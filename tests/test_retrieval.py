@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 import zipfile
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -407,6 +408,29 @@ def test_load_index_refuses_arrays_of_the_wrong_shape_type_or_sign(
         TotsimError, match=re.escape(f"{path}: en index: postings arrays do not fit together")
     ):
         load_index(path)
+
+
+def test_index_refuses_postings_out_of_order_within_a_term() -> None:
+    index = fish_index()
+    assert index.terms[2] == "fish" and list(index.postings_docs[2:4]) == [0, 2]
+    assert list(index.postings_tfs[2:4]) == [2, 1]
+    docs, tfs = index.postings_docs.copy(), index.postings_tfs.copy()
+    # each document keeps its tf, so its length still fits; only the order is wrong
+    docs[2:4], tfs[2:4] = [2, 0], [1, 2]
+    with pytest.raises(TotsimError, match="en index: postings arrays do not fit together"):
+        replace(index, postings_docs=docs, postings_tfs=tfs)
+
+
+def test_index_checks_doc_lengths_a_slice_of_postings_at_a_time(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    monkeypatch.setattr(retrieval, "_TF_SUM_SLICE", 2)
+    index = fish_index()
+    assert list(index.doc_lengths) == [4, 2, 2]
+    replace(index, postings_docs=index.postings_docs.astype(np.uint64))  # unsigned numbers fit
+    # the same total, spread over the documents wrongly
+    with pytest.raises(TotsimError, match="en index: postings arrays do not fit together"):
+        replace(index, doc_lengths=np.array([4, 3, 1], dtype=np.int64))
 
 
 def test_bm25_matches_hand_computed_scores() -> None:

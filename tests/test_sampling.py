@@ -169,6 +169,19 @@ def test_sample_emits_domains_in_fixed_order() -> None:
     ]
 
 
+def test_sample_writes_candidates_grouped_by_domain_in_declared_order(tmp_path: Path) -> None:
+    pools = {
+        domain: stratify([make_doc(f"{domain.value}-{i:02d}") for i in range(20)], 3)
+        for domain in DomainLabel
+    }
+    config = SamplingConfig(target_count=20, bucket_count=3, seed=5)
+    path = tmp_path / "candidates.jsonl"
+    write_candidate_manifest(path, sample_candidates(pools, config, Partition.FULL), config)
+    domains = [row["domain"] for row in read_jsonl(path)]
+    groups = [domain for i, domain in enumerate(domains) if domains[i - 1 : i] != [domain]]
+    assert groups == [domain.value for domain in DomainLabel]
+
+
 def test_sample_reports_shortfall_by_domain() -> None:
     pools = {DomainLabel.GENERAL: [["a", "b"]]}
     config = SamplingConfig(target_count=3, bucket_count=1, domain_ratio=GENERAL_ONLY)
