@@ -15,8 +15,10 @@ The index is compressed sparse row: documents are numbered in ascending
 are the slice ``offsets[t]:offsets[t + 1]`` of parallel doc-number and
 term-frequency arrays.  Each language's index is one pickle-free ``.npz``
 archive (format version 2) whose ``meta`` member holds the document ids,
-terms, language and tokenizer as canonical JSON; it is written with fixed
-member timestamps, so the same corpus always gives the same bytes.
+terms, language and tokenizer as canonical JSON (sorted keys, no spaces,
+non-ASCII text unescaped), which one ``orjson`` call writes straight to bytes;
+it is written with fixed member timestamps, so the same corpus always gives
+the same bytes.
 
 Scoring is term-at-a-time, one pass per query for a whole system pool: the
 postings of the query's matched terms are gathered once, then each system
@@ -54,7 +56,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import RunFileError, TotsimError
-from .util import TextLines, atomic_output, dump_json
+from .util import TextLines, atomic_output
 
 if TYPE_CHECKING:
     import numpy as np
@@ -207,7 +209,7 @@ class InvertedIndex:
             raise TotsimError(f"{self.language} index: postings arrays do not fit together")
         self.collection_length = int(self.doc_lengths.sum())
         self.term_ctf = (
-            np.add.reduceat(self.postings_tfs.astype(np.int64), self.offsets[:-1])
+            np.add.reduceat(self.postings_tfs, self.offsets[:-1], dtype=np.int64)
             if n_postings
             else np.zeros(0, dtype=np.int64)
         )
@@ -340,9 +342,11 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
 
     Members are stored uncompressed with the zip format's fixed epoch
     timestamp (``numpy.savez`` stamps the current time), so the bytes
-    depend only on the index.
+    depend only on the index.  ``orjson`` writes the meta as the bytes of
+    :func:`~totsim.util.dump_json`'s text, without building that text.
     """
     import numpy as np
+    import orjson
 
     meta = {
         "format": INDEX_FORMAT,
@@ -352,7 +356,8 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
         "doc_ids": index.doc_ids,
         "terms": index.terms,
     }
-    members = {"meta": np.frombuffer(dump_json(meta).encode("utf-8"), dtype=np.uint8)}
+    meta_bytes = orjson.dumps(meta, option=orjson.OPT_SORT_KEYS)
+    members = {"meta": np.frombuffer(meta_bytes, dtype=np.uint8)}
     members.update((name, getattr(index, name)) for name in _INDEX_ARRAYS)
     with atomic_output(path) as handle, zipfile.ZipFile(handle, "w") as archive:
         for name, array in members.items():
@@ -546,47 +551,53 @@ def run_search(
     system id -> qrels query id -> the target's 1-based rank, or 0 when the
     query was not searched or its target is not in the top ``depth``.
     """
-    import numpy as np
-
     ranks = {system.system_id: dict.fromkeys(qrels, 0) for system in systems}
-    rank_fields = [f" {rank} " for rank in range(1, min(depth, index.doc_count) + 1)]
+    docs = [doc_id.encode("utf-8") for doc_id in index.doc_ids]
+    rank_fields = [b" %d " % rank for rank in range(1, min(depth, index.doc_count) + 1)]
     with ExitStack() as stack:
         handles = [stack.enter_context(atomic_output(path)) for path in run_paths]
         for query_id in sorted(queries):
             rankings = _rank_pool(queries[query_id], index, systems, depth)
             target = _position(index.doc_ids, qrels[query_id]) if query_id in qrels else None
             for system, handle, (numbers, scores) in zip(systems, handles, rankings, strict=True):
-                if target is not None and (hits := np.flatnonzero(numbers == target)).size:
-                    ranks[system.system_id][query_id] = int(hits[0]) + 1
-                if numbers.size:
-                    doc_ids = map(index.doc_ids.__getitem__, numbers.tolist())
-                    handle.write(
-                        _run_lines(query_id, system.system_id, doc_ids, rank_fields, scores)
-                    )
+                if not numbers.size:
+                    continue
+                numbers = numbers.tolist()
+                if target in numbers:
+                    ranks[system.system_id][query_id] = numbers.index(target) + 1
+                ranked = map(docs.__getitem__, numbers)
+                lines = _ranking_bytes(query_id, system.system_id, ranked, rank_fields, scores)
+                handle.write(lines)
     return ranks
 
 
-def _run_lines(
-    query_id: str, system_id: str, doc_ids: Iterable[str], ranks: Iterable[str], scores: np.ndarray
+def _ranking_bytes(
+    query_id: str, system_id: str, docs: Iterable[bytes], ranks: Sequence[bytes], scores: np.ndarray
 ) -> bytes:
     """One ranking in the six-column run format: query_id Q0 doc_id rank score system_id.
 
-    ``ranks`` holds the rank column with its separators (" 1 ", " 2 ", ...).
-    Scores get their ``repr`` text.  One ``orjson`` call formats a ranking's
-    scores; its shortest round-trip text equals ``repr``'s for magnitudes in
-    [1e-4, 1e16), and ``repr`` writes the rest (orjson writes ``1e+16`` as ``1e16``).
+    ``docs`` holds the ranked doc ids as UTF-8 bytes, one per score, and
+    ``ranks`` the rank column with its separators (b" 1 ", b" 2 ", ...), at
+    least one per score.  Scores get their ``repr`` text.  One ``orjson`` call
+    formats a ranking's scores; its shortest round-trip text equals ``repr``'s
+    for magnitudes in [1e-4, 1e16), and ``repr`` writes the rest (orjson writes
+    ``1e+16`` as ``1e16`` and infinities as ``null``).
     """
     import numpy as np
     import orjson
 
     values = scores.tolist()
-    texts = orjson.dumps(values).decode()[1:-1].split(",")
+    texts = orjson.dumps(values)[1:-1].split(b",")
     magnitudes = np.abs(scores)
     for i in np.flatnonzero((magnitudes < 1e-4) | ~(magnitudes < 1e16)).tolist():
-        texts[i] = repr(values[i])
-    head, tail = f"{query_id} Q0 ", f" {system_id}\n"
-    lines = map("".join, zip(doc_ids, ranks, texts))
-    return (head + (tail + head).join(lines) + tail).encode("utf-8")
+        texts[i] = repr(values[i]).encode("ascii")
+    # Five parts a line, filled column by column, so one join copies each byte once.
+    parts = [f"{query_id} Q0 ".encode("utf-8"), b"", b"", b"", f" {system_id}\n".encode("utf-8")]
+    parts *= len(values)
+    parts[1::5] = docs
+    parts[2::5] = ranks[: len(values)]
+    parts[3::5] = texts
+    return b"".join(parts)
 
 
 def load_external_run(

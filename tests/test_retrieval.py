@@ -48,7 +48,8 @@ from totsim.retrieval import (
     score_ql_dirichlet,
     tokenizer_for_language,
 )
-from totsim.retrieval import _run_lines
+from totsim.retrieval import _ranking_bytes
+from totsim.util import dump_json
 
 WS = Tokenizer(mode="whitespace")
 CJK = Tokenizer(mode="cjk-ngram")
@@ -319,6 +320,84 @@ def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
     assert first.read_bytes() == second.read_bytes()
     assert INDEX_FORMAT.encode("utf-8") in first.read_bytes()
     assert score_bm25("red fish", loaded) == score_bm25("red fish", index)
+
+
+def index_of_names(doc_ids: list[str], terms: list[str]) -> InvertedIndex:
+    """An index over ``doc_ids`` and ``terms`` in which term t occurs once, in doc t mod n."""
+    postings_docs = np.arange(len(terms), dtype=np.int32) % len(doc_ids)
+    return InvertedIndex(
+        language="zz",
+        tokenizer=CJK,
+        doc_ids=doc_ids,
+        terms=terms,
+        offsets=np.arange(len(terms) + 1, dtype=np.int64),
+        postings_docs=postings_docs,
+        postings_tfs=np.ones(len(terms), dtype=np.int32),
+        doc_lengths=np.bincount(postings_docs, minlength=len(doc_ids)).astype(np.int64),
+    )
+
+
+# The characters JSON writers may escape or mangle, besides any other one.
+JSON_EDGE_CHARACTERS = [
+    '"', "\\", "/", "\x00", "\x08", "\x1f", "\x7f", "\u2028", "\u2029", "\ufeff", "\U0001f600"
+]
+NAME = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(JSON_EDGE_CHARACTERS), st.characters(blacklist_categories=("Cs",))
+    ),
+    max_size=6,
+)
+
+
+@given(
+    doc_ids=st.lists(NAME, min_size=1, max_size=6, unique=True),
+    terms=st.lists(NAME, max_size=12, unique=True),
+)
+@example(doc_ids=JSON_EDGE_CHARACTERS, terms=[chr(code) for code in range(0x100)])
+@settings(max_examples=200, deadline=None)
+def test_index_meta_is_canonical_json_of_any_names(
+    tmp_path_factory, doc_ids: list[str], terms: list[str]
+) -> None:
+    index = index_of_names(sorted(doc_ids), sorted(terms))
+    path = tmp_path_factory.mktemp("index") / "zz.npz"
+    save_index(index, path)
+    meta = {
+        "format": INDEX_FORMAT,
+        "version": retrieval.INDEX_VERSION,
+        "language": "zz",
+        "tokenizer": CJK.to_dict(),
+        "doc_ids": index.doc_ids,
+        "terms": index.terms,
+    }
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive["meta"].tobytes() == dump_json(meta).encode("utf-8")
+    loaded = load_index(path)
+    assert (loaded.doc_ids, loaded.terms) == (index.doc_ids, index.terms)
+
+
+def test_save_index_memory_stays_near_its_meta_bytes(tmp_path: Path) -> None:
+    # About as many CJK bigrams as toy's zz index, each in one or two
+    # documents, so the meta outweighs every postings array.
+    rng = random.Random(37)
+    han = [chr(code) for code in range(0x4E00, 0x6300)]
+    corpus = make_corpus(
+        "zz",
+        *(make_doc(f"d{n:03d}", body="".join(rng.choices(han, k=130))) for n in range(290)),
+    )
+    index = build_index(corpus, CJK)
+    assert 35_000 <= len(index.terms) <= 39_000
+    path = tmp_path / "zz.npz"
+    save_index(index, path)  # loads what saving imports
+    tracemalloc.start()
+    try:
+        save_index(index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with zipfile.ZipFile(path) as archive:
+        meta_bytes = archive.getinfo("meta.npy").file_size
+    # encoding the meta through a list of str chunks takes about 11 times its bytes
+    assert peak < 4 * meta_bytes
 
 
 def test_index_bytes_do_not_depend_on_corpus_order(tmp_path: Path) -> None:
@@ -861,19 +940,23 @@ EDGE_SCORES = [
 )
 @example(scores=EDGE_SCORES)
 @example(scores=[-score for score in EDGE_SCORES])
+@example(scores=[math.inf, 1.0, -math.inf])
 @settings(max_examples=200, deadline=None)
 def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[float]) -> None:
     ordered = sorted(scores, reverse=True)
-    rankings = {"q1": [(f"d{i}", s) for i, s in enumerate(ordered)]}
+    # ids outside ASCII are written as their UTF-8 bytes
+    rankings = {"問q1": [(f"d{i}-東é", s) for i, s in enumerate(ordered)]}
     run = RunResult(system_id="sys", rankings=rankings)
     path = tmp_path_factory.mktemp("runs") / "out.run"
-    doc_ids, values = zip(*run.rankings["q1"])
-    ranks = [f" {rank} " for rank in range(1, len(values) + 1)]
-    path.write_bytes(_run_lines("q1", run.system_id, doc_ids, ranks, np.array(values)))
+    doc_ids, values = zip(*run.rankings["問q1"])
+    docs = [doc_id.encode("utf-8") for doc_id in doc_ids]
+    ranks = [b" %d " % rank for rank in range(1, len(values) + 1)]
+    path.write_bytes(_ranking_bytes("問q1", run.system_id, docs, ranks, np.array(values)))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [line.split()[4] for line in lines] == [repr(score) for score in ordered]
-    loaded = read_run(path, ["q1"])
+    loaded = read_run(path, ["問q1"])
     assert loaded.rankings == rankings
+    assert load_external_run(path, {"問q1": doc_ids[0]}) == {"問q1": 1}
 
 
 def test_importing_the_cli_does_not_load_numpy() -> None:
