@@ -14,10 +14,11 @@ from collections import Counter
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import totsim.retrieval as retrieval
@@ -260,6 +261,13 @@ BODY = st.one_of(
     # a small alphabet repeats tokens, and bodies of spaces and marks have none
     st.text(alphabet=st.sampled_from(list("東京都한국タab B1 ,_")), max_size=30),
     MIXED_TEXT,
+    # one token hundreds of times, so a term count needs many bits of the sort key
+    st.builds(
+        lambda token, count, tail: f"{token} " * count + tail,
+        st.sampled_from(["ab", "東京", "b1"]),
+        st.integers(min_value=100, max_value=700),
+        st.text(alphabet=st.sampled_from(list("東京ab ")), max_size=8),
+    ),
 )
 
 
@@ -274,6 +282,7 @@ BODY = st.one_of(
 )
 @example(bodies=[], tokenizer=CJK, shuffle=random.Random(0))
 @example(bodies=["", " ,_", "東京東京 ab ab"], tokenizer=CJK, shuffle=random.Random(0))
+@example(bodies=["ab " * 700, "", "b1 " * 300 + "ab"], tokenizer=WS, shuffle=random.Random(0))
 @settings(max_examples=300, deadline=None)
 def test_build_index_matches_a_naive_reference(
     bodies: list[str], tokenizer: Tokenizer, shuffle: random.Random
@@ -288,17 +297,49 @@ def test_build_index_matches_a_naive_reference(
     assert [array.dtype for array in arrays] == [np.int64, np.int32, np.int32, np.int64]
 
 
-@pytest.mark.parametrize("documents", [1000, 4000])
-def test_build_index_memory_per_posting(documents: int) -> None:
+@given(
+    bodies=st.lists(BODY, min_size=1, max_size=8),
+    tokenizer=st.sampled_from([CJK, WS]),
+    terms_per_range=st.integers(min_value=1, max_value=3),
+)
+@example(bodies=["red fish blue fish", "red car", "ab " * 700], tokenizer=WS, terms_per_range=1)
+@settings(max_examples=200, deadline=None)
+def test_build_index_sorts_keys_that_would_overflow_a_range_of_terms_at_a_time(
+    bodies: list[str], tokenizer: Tokenizer, terms_per_range: int
+) -> None:
+    docs = DocList(make_doc(f"d{number:02d}", body=body) for number, body in enumerate(bodies))
+    expected = reference_index(docs, tokenizer)
+    span = max(expected["postings_tfs"], default=0) + 1
+    assume(len(expected["terms"]) > terms_per_range)  # at least two ranges
+    # the keys of one more term per range would reach the limit
+    limit = terms_per_range * len(docs) * span
+    with mock.patch.object(retrieval, "_KEY_LIMIT", limit):
+        index = build_index(docs, tokenizer)
+    for name, values in expected.items():
+        assert list(getattr(index, name)) == values, name
+
+
+def postings_heavy_corpus(documents: int):
+    """``documents`` bodies of 300 words drawn from 1,000, about 260 postings each."""
     rng = random.Random(documents)
     vocabulary = [f"w{number}" for number in range(1000)]
-    corpus = make_corpus(
+    return make_corpus(
         "en",
         *(
             make_doc(f"d{number:05d}", body=" ".join(rng.choices(vocabulary, k=300)))
             for number in range(documents)
         ),
     )
+
+
+@pytest.fixture(scope="module")
+def postings_heavy_index() -> InvertedIndex:
+    return build_index(postings_heavy_corpus(4000), WS)
+
+
+@pytest.mark.parametrize("documents", [1000, 4000])
+def test_build_index_memory_per_posting(documents: int) -> None:
+    corpus = postings_heavy_corpus(documents)
     build_index(make_corpus("en", make_doc()), WS)  # loads what the build imports
     tracemalloc.start()
     try:
@@ -306,8 +347,67 @@ def test_build_index_memory_per_posting(documents: int) -> None:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a Python int per posting, or a list slot holding one, would cost more
-    assert peak <= 40 * len(index.postings_docs)
+    # the int64 sort keys and the two int32 outputs are 16 B; a permutation
+    # and gathered copies of the postings, or a Python int per posting, cost more
+    assert peak <= 20 * len(index.postings_docs)
+
+
+def test_save_index_copies_no_postings_array(
+    tmp_path: Path, postings_heavy_index: InvertedIndex
+) -> None:
+    path = tmp_path / "en.npz"
+    save_index(postings_heavy_index, path)  # loads what saving imports
+    tracemalloc.start()
+    try:
+        save_index(postings_heavy_index, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with zipfile.ZipFile(path) as archive:
+        meta_bytes = archive.getinfo("meta.npy").file_size
+        postings_bytes = archive.getinfo("postings_docs.npy").file_size
+    assert postings_bytes > 50 * meta_bytes
+    # the meta's bytes (orjson keeps a buffer of up to twice their length), not a postings copy
+    assert peak < 2 * meta_bytes + 64 * 1024
+
+
+def test_load_index_holds_little_beyond_the_index_it_returns(
+    tmp_path: Path, postings_heavy_index: InvertedIndex
+) -> None:
+    path = tmp_path / "en.npz"
+    save_index(postings_heavy_index, path)
+    load_index(path)  # loads what loading imports
+    tracemalloc.start()
+    try:
+        index = load_index(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(index.postings_tfs, postings_heavy_index.postings_tfs)
+    # an int64 copy of the term counts alone would take half the index again
+    assert peak <= 1.5 * retained
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+@pytest.mark.parametrize("collection_length", [2**31 - 1, 2**31])
+def test_term_totals_are_exact_up_to_and_past_the_int32_range(
+    dtype, collection_length: int
+) -> None:
+    # one term makes up the whole collection, so its total is the collection's length
+    lengths = [2**30, collection_length - 2**30]
+    index = InvertedIndex(
+        language="zz",
+        tokenizer=WS,
+        doc_ids=["x", "y"],
+        terms=["a"],
+        offsets=np.array([0, 2], dtype=np.int64),
+        postings_docs=np.array([0, 1], dtype=np.int32),
+        postings_tfs=np.array(lengths, dtype=dtype),
+        doc_lengths=np.array(lengths, dtype=np.int64),
+    )
+    assert index.collection_length == collection_length
+    assert index.term_ctf.dtype == np.int64
+    assert index.term_ctf.tolist() == [collection_length]
 
 
 def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
