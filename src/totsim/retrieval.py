@@ -208,8 +208,11 @@ class InvertedIndex:
         if not consistent:
             raise TotsimError(f"{self.language} index: postings arrays do not fit together")
         self.collection_length = int(self.doc_lengths.sum())
+        # No term's total exceeds the collection's length, so below 2**31 an
+        # int32 sum is exact and int32 term counts are summed without a copy.
+        sum_dtype = np.int32 if self.collection_length < 2**31 else np.int64
         self.term_ctf = (
-            np.add.reduceat(self.postings_tfs, self.offsets[:-1], dtype=np.int64)
+            np.add.reduceat(self.postings_tfs, self.offsets[:-1], dtype=sum_dtype).astype(np.int64)
             if n_postings
             else np.zeros(0, dtype=np.int64)
         )
@@ -251,6 +254,9 @@ def _ascends_within_terms(offsets: np.ndarray, docs: np.ndarray) -> bool:
 # Postings summed at a time by _tf_sums, which bounds the memory it takes.
 _TF_SUM_SLICE = 1 << 16
 
+# build_index's int64 sort keys stay below this.
+_KEY_LIMIT = 1 << 63
+
 
 def _tf_sums(docs: np.ndarray, tfs: np.ndarray, doc_count: int) -> np.ndarray:
     """Each document's sum of term counts, as float64."""
@@ -281,10 +287,8 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     import numpy as np
 
     docs = sorted(corpus, key=lambda doc: doc.doc_id)
-    # Postings are collected in doc order under first-seen term numbers,
-    # then renumbered to sorted term order; a stable sort by term keeps
-    # each term's postings in ascending doc order.  They go into compact
-    # int32 buffers, so no posting ever becomes a Python object.
+    # Postings are collected in doc order under first-seen term numbers, into
+    # compact int32 buffers, so no posting ever becomes a Python object.
     seen: dict[str, int] = {}
     post_terms = array("i")
     post_tfs = array("i")
@@ -300,24 +304,53 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
         post_tfs.extend(counts.values())
         doc_terms.append(len(counts))
     terms = sorted(seen)
-    renumber = np.empty(len(terms), dtype=np.int32)
-    renumber[np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=len(terms))] = (
-        np.arange(len(terms), dtype=np.int32)
+    n_docs, n_terms = len(docs), len(terms)
+    renumber = np.empty(n_terms, dtype=np.int64)
+    renumber[np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=n_terms)] = (
+        np.arange(n_terms)
     )
     del seen
+    # Each posting becomes one int64 key, (term * n_docs + doc) * span + tf
+    # under sorted term numbers, so one in-place sort puts the postings in
+    # term order, each term's in doc order, and the sorted keys unpack into
+    # the int32 outputs.  The keys of `width` terms stay below _KEY_LIMIT;
+    # where those of every term would not, each range of `width` term
+    # numbers is keyed and sorted on its own and fills its slice of the outputs.
+    tfs = np.frombuffer(post_tfs, dtype=np.int32)
+    n_postings, span = tfs.size, int(tfs.max(initial=0)) + 1
+    width = max(1, _KEY_LIMIT // (max(n_docs, 1) * span))
     term_of = renumber[np.frombuffer(post_terms, dtype=np.int32)]
     del renumber, post_terms
-    order = np.argsort(term_of, kind="stable")
-    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(term_of, minlength=len(terms)), out=offsets[1:])
-    del term_of
-    doc_numbers = np.repeat(
-        np.arange(len(docs), dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32)
-    )
-    postings_docs = doc_numbers[order]
-    del doc_numbers
-    postings_tfs = np.frombuffer(post_tfs, dtype=np.int32)[order]
-    del order, post_tfs
+    doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32))
+    ranges = []
+    for first in range(0, n_terms, width):
+        # a single range turns term_of into its keys in place
+        inside = slice(None) if width >= n_terms else (term_of >= first) & (term_of < first + width)
+        keys = term_of[inside]
+        keys -= first
+        keys *= n_docs
+        keys += doc_of[inside]
+        keys *= span
+        keys += tfs[inside]
+        ranges.append(keys)
+    del term_of, doc_of, tfs, post_tfs
+    postings_docs = np.empty(n_postings, dtype=np.int32)
+    postings_tfs = np.empty_like(postings_docs)
+    offsets = np.zeros(n_terms + 1, dtype=np.int64)
+    start = 0
+    for first, keys in zip(range(0, n_terms, width), ranges):
+        keys.sort()
+        part = slice(start, start + keys.size)
+        np.remainder(keys, span, out=postings_tfs[part], casting="unsafe")
+        keys //= span
+        np.remainder(keys, n_docs, out=postings_docs[part], casting="unsafe")
+        keys //= n_docs
+        counts = offsets[first + 1 : first + 1 + width]
+        counts[:] = np.bincount(keys, minlength=counts.size)
+        start = part.stop
+        del keys  # so the index checks run without the last range's keys
+    del ranges
+    np.cumsum(offsets, out=offsets)
     index = InvertedIndex(
         language=corpus.language,
         tokenizer=tokenizer,
@@ -344,6 +377,10 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
     timestamp (``numpy.savez`` stamps the current time), so the bytes
     depend only on the index.  ``orjson`` writes the meta as the bytes of
     :func:`~totsim.util.dump_json`'s text, without building that text.
+    Each member is the ``.npy`` version 1.0 header followed by the array's
+    own buffer, so no array is copied (``numpy.lib.format.write_array``
+    copies into ``tobytes`` chunks of up to 16 MiB wherever the file is not
+    a real one, as a zip member is not).
     """
     import numpy as np
     import orjson
@@ -362,7 +399,9 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
     with atomic_output(path) as handle, zipfile.ZipFile(handle, "w") as archive:
         for name, array in members.items():
             with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, array, allow_pickle=False)
+                header = np.lib.format.header_data_from_array_1_0(array)
+                np.lib.format.write_array_header_1_0(member, header)
+                member.write(memoryview(np.ascontiguousarray(array)).cast("B"))
 
 
 def load_index(path: Path | str) -> InvertedIndex:

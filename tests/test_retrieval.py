@@ -422,6 +422,25 @@ def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
     assert score_bm25("red fish", loaded) == score_bm25("red fish", index)
 
 
+def test_index_members_are_numpys_own_npy_bytes_for_any_byte_order_or_stride(
+    tmp_path: Path,
+) -> None:
+    index = fish_index()
+    index = replace(
+        index,
+        postings_docs=np.repeat(index.postings_docs, 2)[::2],  # not contiguous
+        postings_tfs=index.postings_tfs.astype(">i4"),
+        doc_lengths=index.doc_lengths.astype(np.uint64),
+    )
+    path = tmp_path / "index.npz"
+    save_index(index, path)
+    with zipfile.ZipFile(path) as archive:
+        for name in ("offsets", "postings_docs", "postings_tfs", "doc_lengths"):
+            expected = io.BytesIO()
+            np.save(expected, getattr(index, name), allow_pickle=False)
+            assert archive.read(f"{name}.npy") == expected.getvalue(), name
+
+
 def index_of_names(doc_ids: list[str], terms: list[str]) -> InvertedIndex:
     """An index over ``doc_ids`` and ``terms`` in which term t occurs once, in doc t mod n."""
     postings_docs = np.arange(len(terms), dtype=np.int32) % len(doc_ids)
