@@ -172,7 +172,9 @@ class InvertedIndex:
     ``terms[t]``, both ascending.  The postings of term ``t`` are
     ``postings_docs[offsets[t]:offsets[t + 1]]`` (int32 doc numbers,
     ascending) with ``postings_tfs`` (int32) alongside; ``doc_lengths``
-    holds each document's token count, the sum of its term counts.
+    holds each document's token count, the sum of its term counts.  No
+    per-term total is kept: a query's terms get their document and
+    collection frequencies from the postings its search gathers.
     """
 
     language: str
@@ -184,7 +186,6 @@ class InvertedIndex:
     postings_tfs: np.ndarray
     doc_lengths: np.ndarray
     collection_length: int = field(init=False)
-    term_ctf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -197,9 +198,10 @@ class InvertedIndex:
             and len(self.postings_tfs) == n_postings
             and int(self.offsets[0]) == 0
             and int(self.offsets[-1]) == n_postings
-            and bool(np.all(np.diff(self.offsets) > 0))
+            and bool(np.all(self.offsets[1:] > self.offsets[:-1]))
             and _ascends_within_terms(self.offsets, self.postings_docs)
-            and bool(np.all((self.postings_docs >= 0) & (self.postings_docs < len(self.doc_ids))))
+            and (not n_postings or int(self.postings_docs.min()) >= 0)
+            and (not n_postings or int(self.postings_docs.max()) < len(self.doc_ids))
             and self.postings_tfs.min(initial=1) >= 1
             and np.array_equal(
                 _tf_sums(self.postings_docs, self.postings_tfs, len(self.doc_ids)), self.doc_lengths
@@ -208,14 +210,6 @@ class InvertedIndex:
         if not consistent:
             raise TotsimError(f"{self.language} index: postings arrays do not fit together")
         self.collection_length = int(self.doc_lengths.sum())
-        # No term's total exceeds the collection's length, so below 2**31 an
-        # int32 sum is exact and int32 term counts are summed without a copy.
-        sum_dtype = np.int32 if self.collection_length < 2**31 else np.int64
-        self.term_ctf = (
-            np.add.reduceat(self.postings_tfs, self.offsets[:-1], dtype=sum_dtype).astype(np.int64)
-            if n_postings
-            else np.zeros(0, dtype=np.int64)
-        )
 
     @property
     def doc_count(self) -> int:
@@ -495,21 +489,26 @@ def _rank_pool(
     """Each system's top ``depth`` (doc numbers, scores) for ``query``, from one gather.
 
     The query's terms come from :meth:`InvertedIndex.match`, so a repeated
-    token adds ``qtf`` times its per-posting weight.  Candidates are the
+    token adds ``qtf`` times its per-posting weight.  Each matched term's
+    document frequency is its number of gathered postings and its collection
+    frequency their tf sum, shared by every system.  Candidates are the
     documents in the gathered postings; each system's addends accumulate
     into one slot per candidate in ascending addend order.
     """
     import numpy as np
 
     term_ids, qtf = index.match(query)
-    starts = index.offsets[term_ids]
-    counts = index.offsets[term_ids + 1] - starts
+    # int64, so that any integer offsets the index accepts gather alike
+    starts = index.offsets[term_ids].astype(np.int64)
+    counts = index.offsets[term_ids + 1].astype(np.int64) - starts
     # Gathered posting j belongs to matched term owner[j] and sits at that
     # term's start plus j's rank among the term's gathered postings.
     owner = np.repeat(np.arange(len(term_ids)), counts)
     positions = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
     docs = index.postings_docs[positions]
     tf = index.postings_tfs[positions].astype(np.float64)
+    # integer-valued float64 sums are exact below 2**53, so ctf is exact
+    ctf = np.bincount(owner, weights=tf, minlength=len(term_ids))
     candidates, slot = np.unique(docs, return_inverse=True)
     weight = qtf[owner]
     idf_tf = np.log((index.doc_count - counts + 0.5) / (counts + 0.5) + 1.0)[owner] * tf
@@ -522,7 +521,7 @@ def _rank_pool(
             norm = system.k1 * (1.0 - system.b + system.b * lengths / index.avg_doc_length)
             addends = weight * (idf_tf * (system.k1 + 1.0) / (tf + norm))
         else:
-            prior = system.mu * index.term_ctf[term_ids] / index.collection_length
+            prior = system.mu * ctf / index.collection_length
             log_prior = np.log(prior)
             addends = weight * (np.log(tf + prior[owner]) - log_prior[owner])
         # bincount adds its weights in input order; equal addends are

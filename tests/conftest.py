@@ -73,7 +73,9 @@ def edit_index_meta(path: Path, edit: Callable[[dict], object]) -> None:
 # search: each is refused as arrays that do not fit together.  Every spoiled
 # array keeps its length.  doc-repeated-within-a-term copies each even posting
 # over the next, so a term of two or more postings that starts at an even
-# position lists its first document twice.
+# position lists its first document twice.  falling-unsigned-offsets swaps the
+# second and third offsets, so the second term ends before it starts; stored
+# unsigned, the difference of those two offsets wraps to a large positive one.
 SPOILED_INDEX_ARRAYS: list[tuple[str, Callable[[np.ndarray], np.ndarray], str]] = [
     ("offsets", lambda offsets: offsets.astype(np.float64), "float-offsets"),
     ("doc_lengths", lambda lengths: lengths[:, None], "doc-lengths-a-column"),
@@ -82,6 +84,12 @@ SPOILED_INDEX_ARRAYS: list[tuple[str, Callable[[np.ndarray], np.ndarray], str]] 
     ("postings_tfs", lambda tfs: tfs * 0, "zero-tfs"),
     ("doc_lengths", lambda lengths: lengths - lengths.max() - 1, "negative-doc-lengths"),
     ("postings_docs", lambda docs: docs.astype(bool), "boolean-doc-numbers"),
+    ("postings_docs", lambda docs: docs - 1, "negative-doc-numbers"),
+    (
+        "offsets",
+        lambda offsets: offsets[np.r_[0, 2, 1, 3 : offsets.size]].astype(np.uint32),
+        "falling-unsigned-offsets",
+    ),
     (
         "postings_docs",
         lambda docs: np.repeat(docs[::2], 2)[: docs.size],

@@ -216,9 +216,13 @@ def test_build_index_statistics() -> None:
     # each term's document frequency is the length of its postings slice
     df = (index.offsets[1:] - index.offsets[:-1]).tolist()
     assert dict(zip(index.terms, df)) == {"blue": 1, "car": 1, "fish": 2, "green": 1, "red": 2}
-    ctf = index.term_ctf.tolist()
-    assert dict(zip(index.terms, ctf)) == {"blue": 1, "car": 1, "fish": 3, "green": 1, "red": 2}
     assert index.term_id("absent") is None
+    # fish's collection frequency is 3, so its Dirichlet prior is mu * 3 / 8
+    prior = 10.0 * 3 / 8
+    assert score_ql_dirichlet("fish", index, mu=10.0) == [
+        ("a", pytest.approx(math.log((2 + prior) / (4 + 10.0)), abs=1e-12)),
+        ("c", pytest.approx(math.log((1 + prior) / (2 + 10.0)), abs=1e-12)),
+    ]
 
 
 def test_build_index_ignores_titles_and_aliases() -> None:
@@ -232,7 +236,7 @@ def test_build_index_ignores_titles_and_aliases() -> None:
 
 
 def reference_index(docs, tokenizer: Tokenizer) -> dict[str, list[int]]:
-    """The CSR arrays and term totals of ``docs``, built term by term from per-document counts."""
+    """The CSR arrays of ``docs``, built term by term from per-document counts."""
     ordered = sorted(docs, key=lambda doc: doc.doc_id)
     counts = [Counter(tokenizer.tokenize(doc.body)) for doc in ordered]
     terms = sorted(set().union(*counts))
@@ -245,7 +249,6 @@ def reference_index(docs, tokenizer: Tokenizer) -> dict[str, list[int]]:
         "postings_docs": [number for slice_ in postings for number, _ in slice_],
         "postings_tfs": [tf for slice_ in postings for _, tf in slice_],
         "doc_lengths": [sum(count.values()) for count in counts],
-        "term_ctf": [sum(count[term] for count in counts) for term in terms],
         "terms": terms,
         "doc_ids": [doc.doc_id for doc in ordered],
     }
@@ -384,8 +387,9 @@ def test_load_index_holds_little_beyond_the_index_it_returns(
     finally:
         tracemalloc.stop()
     assert np.array_equal(index.postings_tfs, postings_heavy_index.postings_tfs)
-    # an int64 copy of the term counts alone would take half the index again
-    assert peak <= 1.5 * retained
+    # an int64 copy of the term counts would take half the index again, and each
+    # bool array over the postings an eighth: the bound admits one of those
+    assert peak <= 1.2 * retained
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
@@ -393,7 +397,8 @@ def test_load_index_holds_little_beyond_the_index_it_returns(
 def test_term_totals_are_exact_up_to_and_past_the_int32_range(
     dtype, collection_length: int
 ) -> None:
-    # one term makes up the whole collection, so its total is the collection's length
+    # one term makes up the whole collection, so its total is the collection's
+    # length, its prior is mu, and each document scores log((dl + mu) / (dl + mu)) = 0
     lengths = [2**30, collection_length - 2**30]
     index = InvertedIndex(
         language="zz",
@@ -406,8 +411,9 @@ def test_term_totals_are_exact_up_to_and_past_the_int32_range(
         doc_lengths=np.array(lengths, dtype=np.int64),
     )
     assert index.collection_length == collection_length
-    assert index.term_ctf.dtype == np.int64
-    assert index.term_ctf.tolist() == [collection_length]
+    # a total one off would move each score by about mu / CL / (dl + mu), 5e-10
+    scores = dict(score_ql_dirichlet("a", index, mu=1e12))
+    assert scores == pytest.approx({"x": 0.0, "y": 0.0}, abs=1e-12)
 
 
 def test_index_round_trip_is_byte_identical(tmp_path: Path) -> None:
@@ -617,6 +623,14 @@ def test_index_refuses_postings_out_of_order_within_a_term() -> None:
     docs[2:4], tfs[2:4] = [2, 0], [1, 2]
     with pytest.raises(TotsimError, match="en index: postings arrays do not fit together"):
         replace(index, postings_docs=docs, postings_tfs=tfs)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.uint64])
+def test_offsets_of_any_integer_type_rank_alike(dtype) -> None:
+    index = fish_index()
+    other = replace(index, offsets=index.offsets.astype(dtype))
+    assert score_bm25("red fish", other) == score_bm25("red fish", index)
+    assert score_ql_dirichlet("red fish", other) == score_ql_dirichlet("red fish", index)
 
 
 def test_index_checks_doc_lengths_a_slice_of_postings_at_a_time(
