@@ -39,6 +39,7 @@ from .collection import (
 from .config import PipelineConfig, load_config
 from .corpus import (
     Corpus,
+    CorpusFile,
     Partition,
     assign_domain,
     default_domain_mapping,
@@ -165,6 +166,10 @@ def _existing(config: PipelineConfig, path: Path) -> Path:
     return path
 
 
+def _corpus_file(config: PipelineConfig, code: str) -> CorpusFile:
+    return CorpusFile(config.corpora[code], code)
+
+
 def _load_corpus(config: PipelineConfig, code: str) -> Corpus:
     return ingest_corpus(config.corpora[code], code)
 
@@ -231,7 +236,8 @@ def _query_sets(
 
 
 def _ingest(config: PipelineConfig, stage_dir: Path) -> dict:
-    return {"document_counts": {code: len(_load_corpus(config, code)) for code in config.corpora}}
+    counts = {code: sum(1 for _ in _corpus_file(config, code)) for code in config.corpora}
+    return {"document_counts": counts}
 
 
 def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
@@ -356,12 +362,13 @@ def _generate(config: PipelineConfig, stage_dir: Path) -> dict:
 def _index(config: PipelineConfig, stage_dir: Path) -> dict:
     stats: dict[str, dict[str, int]] = {}
     for entry in config.languages:
-        corpus = _load_corpus(config, entry.code)
-        index = build_index(corpus, tokenizer_for_language(entry.code, entry.tokenizer))
+        # the build reads the corpus file a line at a time and holds no article
+        tokenizer = tokenizer_for_language(entry.code, entry.tokenizer)
+        index = build_index(_corpus_file(config, entry.code), tokenizer)
         save_index(index, _index_path(config, entry.code))
         stats[entry.code] = {"documents": index.doc_count, "terms": len(index.terms)}
-        # the next language's corpus and index are built without this one's
-        del corpus, index
+        # the next language's index is built without this one's
+        del index
     return {"index_stats": stats}
 
 
@@ -369,7 +376,6 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
     pool = default_lexical_pool()
     for entry in config.languages:
         index = load_index(_existing(config, _index_path(config, entry.code)))
-        indexed = set(index.doc_ids)
         for set_name, (queries, qrels) in sorted(_query_sets(config, entry.code).items()):
             # A qrels query without a text, or a target outside the index,
             # would rank 0 for every system, unseen.  Only the real set reads
@@ -387,7 +393,7 @@ def _search(config: PipelineConfig, stage_dir: Path) -> dict:
                     entry.real_qrels, unjudged, set_name,
                 )
             for query_id, doc_id in sorted(qrels.items()):
-                if doc_id not in indexed:
+                if index.doc_number(doc_id) is None:
                     source = entry.real_qrels if set_name == "real" else entry.code
                     raise EvaluationError(
                         f"{source}: {set_name} query {query_id} targets {doc_id}, "

@@ -2,12 +2,15 @@
 
 A corpus is a JSON Lines file, one article per line, with keys ``id``,
 ``title``, ``text`` and optional ``views``, ``aliases``, ``en_id``, and
-``instance_of``.  Documents in a non-English corpus are partitioned by
-whether their ``en_id`` resolves to a document in the English corpus:
-resolvable links go to the bilingual partition, everything else is
-monolingual.  Downstream sampling draws from partition pools that were
-first filtered by popularity and article length and then labeled with a
-domain derived from ``instance_of`` metadata.
+``instance_of``.  :class:`CorpusFile` reads one lazily, a line at a time,
+for a pass that needs each article once; :func:`ingest_corpus` holds it as
+a :class:`Corpus`.  Both apply the same checks.  Documents in a
+non-English corpus are partitioned by whether their ``en_id`` resolves to
+a document in the English corpus: resolvable links go to the bilingual
+partition, everything else is monolingual.  Downstream sampling draws
+from partition pools that were first filtered by popularity and article
+length and then labeled with a domain derived from ``instance_of``
+metadata.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "DomainLabel",
     "Document",
     "Corpus",
+    "CorpusFile",
     "ingest_corpus",
     "partition_corpus",
     "by_popularity",
@@ -93,11 +97,7 @@ class Corpus:
 
     def __init__(self, language: str, documents: Iterable[Document]):
         self.language = language
-        self._docs: dict[str, Document] = {}
-        for doc in documents:
-            if doc.doc_id in self._docs:
-                raise CorpusError(f"duplicate document id {doc.doc_id!r}")
-            self._docs[doc.doc_id] = doc
+        self._docs = {doc.doc_id: doc for doc in _unique(documents)}
         self._order = sorted(self._docs)
 
     def __len__(self) -> int:
@@ -115,6 +115,16 @@ class Corpus:
             return self._docs[doc_id]
         except KeyError:
             raise CorpusError(f"unknown document id {doc_id!r} in {self.language} corpus") from None
+
+
+def _unique(documents: Iterable[Document]) -> Iterator[Document]:
+    """``documents`` as they come; a repeated id raises :class:`CorpusError`."""
+    seen: set[str] = set()
+    for doc in documents:
+        if doc.doc_id in seen:
+            raise CorpusError(f"duplicate document id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        yield doc
 
 
 def _parse_record(raw: object, language: str) -> Document:
@@ -156,6 +166,28 @@ def _parse_record(raw: object, language: str) -> Document:
     )
 
 
+class CorpusFile:
+    """A JSONL corpus file, read lazily: each pass parses and checks one line at a time.
+
+    Documents come in file order, and only the ids seen so far are held, so
+    a pass over a corpus never holds its articles.  The checks, their line
+    numbers and their messages are :func:`ingest_corpus`'s, and a pass that
+    ends logs the same ``ingested`` line.
+    """
+
+    def __init__(self, path: Path | str, language: str):
+        self.path = path
+        self.language = language
+
+    def __iter__(self) -> Iterator[Document]:
+        language = self.language
+        documents = read_jsonl(self.path, lambda raw: _parse_record(raw, language), CorpusError)
+        count = 0
+        for count, doc in enumerate(_unique(documents), start=1):
+            yield doc
+        logger.info("ingested %d documents for language %s", count, language)
+
+
 def ingest_corpus(path: Path | str, language: str) -> Corpus:
     """Parse a JSONL corpus file into a :class:`Corpus`.
 
@@ -168,10 +200,7 @@ def ingest_corpus(path: Path | str, language: str) -> Corpus:
             or mistyped fields, or a duplicate document id.  Parse
             diagnostics name the line number.
     """
-    documents = read_jsonl(path, lambda raw: _parse_record(raw, language), CorpusError)
-    corpus = Corpus(language, documents)
-    logger.info("ingested %d documents for language %s", len(corpus), language)
-    return corpus
+    return Corpus(language, CorpusFile(path, language))
 
 
 def partition_corpus(corpus: Corpus, english_corpus: Corpus) -> dict[str, Partition]:

@@ -13,12 +13,15 @@ sweeps measure ranking behavior, not indexing differences:
 The index is compressed sparse row: documents are numbered in ascending
 ``doc_id`` order, terms in sorted order, and the postings of term ``t``
 are the slice ``offsets[t]:offsets[t + 1]`` of parallel doc-number and
-term-frequency arrays.  Each language's index is one pickle-free ``.npz``
-archive (format version 2) whose ``meta`` member holds the document ids,
-terms, language and tokenizer as canonical JSON (sorted keys, no spaces,
-non-ASCII text unescaped), which one ``orjson`` call writes straight to bytes;
-it is written with fixed member timestamps, so the same corpus always gives
-the same bytes.
+term-frequency arrays.  It is built in one pass over documents in any
+order, read one at a time (from a :class:`~totsim.corpus.CorpusFile`, say),
+keeping only each document's id, length and postings, so no corpus is
+held.  Each language's index is one pickle-free ``.npz`` archive (format
+version 2) whose ``meta`` member holds the document ids, terms, language
+and tokenizer as canonical JSON (sorted keys, no spaces, non-ASCII text
+unescaped), which one ``orjson`` call writes straight to bytes; it is
+written with fixed member timestamps, so the same corpus always gives the
+same bytes.
 
 Scoring is term-at-a-time, one pass per query for a whole system pool: the
 postings of the query's matched terms are gathered once, then each system
@@ -225,6 +228,10 @@ class InvertedIndex:
         """The term's number, or ``None`` when no document contains it."""
         return _position(self.terms, term)
 
+    def doc_number(self, doc_id: str) -> int | None:
+        """The document's number, or ``None`` when the index does not hold it."""
+        return _position(self.doc_ids, doc_id)
+
     def match(self, query: str) -> tuple[np.ndarray, np.ndarray]:
         """The query's matched term numbers (ascending) and their counts in it.
 
@@ -238,15 +245,29 @@ class InvertedIndex:
         return term_ids, np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
 
 
+# Postings checked or summed at a time by the index checks, which bounds
+# the memory they take.
+_CHECK_SLICE = 1 << 14
+
+
 def _ascends_within_terms(offsets: np.ndarray, docs: np.ndarray) -> bool:
-    """Whether each term's postings name strictly ascending doc numbers."""
-    rising = docs[1:] > docs[:-1]
-    rising[offsets[1:-1] - 1] = True  # the pairs that cross into the next term
-    return bool(rising.all())
+    """Whether each term's postings name strictly ascending doc numbers.
 
+    ``offsets`` must ascend.  Pair ``p`` compares ``docs[p]`` with
+    ``docs[p + 1]``; the pairs that cross into the next term are exempt.
+    """
+    import numpy as np
 
-# Postings summed at a time by _tf_sums, which bounds the memory it takes.
-_TF_SUM_SLICE = 1 << 16
+    for start in range(0, docs.size - 1, _CHECK_SLICE):
+        stop = min(start + _CHECK_SLICE, docs.size - 1)
+        rising = docs[start + 1 : stop + 1] > docs[start:stop]
+        # the terms that start after a pair of this slice
+        starts = offsets[np.searchsorted(offsets, start + 1) : np.searchsorted(offsets, stop + 1)]
+        rising[starts - (start + 1)] = True
+        if not rising.all():
+            return False
+    return True
+
 
 # build_index's int64 sort keys stay below this.
 _KEY_LIMIT = 1 << 63
@@ -257,8 +278,8 @@ def _tf_sums(docs: np.ndarray, tfs: np.ndarray, doc_count: int) -> np.ndarray:
     import numpy as np
 
     sums = np.zeros(doc_count)
-    for start in range(0, docs.size, _TF_SUM_SLICE):
-        part = slice(start, start + _TF_SUM_SLICE)
+    for start in range(0, docs.size, _CHECK_SLICE):
+        part = slice(start, start + _CHECK_SLICE)
         # bincount counts intp; the cast lets uint64 doc numbers through on any numpy
         sums += np.bincount(docs[part].astype(np.intp), tfs[part], minlength=doc_count)
     return sums
@@ -273,23 +294,28 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     """Index every document body in ``corpus`` with ``tokenizer``.
 
     Only bodies are indexed; titles and aliases stay out so retrieval
-    difficulty reflects the article text alone.  Documents are numbered
-    in ascending ``doc_id`` order whatever order ``corpus`` yields them in.
+    difficulty reflects the article text alone.  ``corpus`` is any iterable
+    of documents with unique ids and a ``language``, a
+    :class:`~totsim.corpus.CorpusFile` included, and is read in one pass in
+    the order it yields them: each document leaves behind only its id, its
+    length and its postings, so no corpus is held.  Documents are numbered
+    in ascending ``doc_id`` order whatever that order is.
     """
     from array import array
 
     import numpy as np
 
-    docs = sorted(corpus, key=lambda doc: doc.doc_id)
-    # Postings are collected in doc order under first-seen term numbers, into
-    # compact int32 buffers, so no posting ever becomes a Python object.
+    # Postings are collected in input order under first-seen term numbers,
+    # into compact int32 buffers, so no posting ever becomes a Python object.
     seen: dict[str, int] = {}
+    ids: list[str] = []
     post_terms = array("i")
     post_tfs = array("i")
     doc_terms = array("i")  # each document's number of distinct terms
     lengths = array("q")
-    for doc in docs:
+    for doc in corpus:
         counts = Counter(tokenizer.tokenize(doc.body))
+        ids.append(doc.doc_id)
         lengths.append(counts.total())
         for token in counts:
             if token not in seen:
@@ -297,8 +323,17 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
         post_terms.extend(map(seen.__getitem__, counts))
         post_tfs.extend(counts.values())
         doc_terms.append(len(counts))
+    # one permutation numbers the documents by ascending id
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    doc_ids = [ids[i] for i in order]
+    del ids
+    order = np.array(order, dtype=np.intp)
+    number_of = np.empty(order.size, dtype=np.int32)  # by input position
+    number_of[order] = np.arange(order.size, dtype=np.int32)
+    doc_lengths = np.frombuffer(lengths, dtype=np.int64)[order]
+    del order, lengths
     terms = sorted(seen)
-    n_docs, n_terms = len(docs), len(terms)
+    n_docs, n_terms = len(doc_ids), len(terms)
     renumber = np.empty(n_terms, dtype=np.int64)
     renumber[np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=n_terms)] = (
         np.arange(n_terms)
@@ -315,7 +350,8 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     width = max(1, _KEY_LIMIT // (max(n_docs, 1) * span))
     term_of = renumber[np.frombuffer(post_terms, dtype=np.int32)]
     del renumber, post_terms
-    doc_of = np.repeat(np.arange(n_docs, dtype=np.int32), np.frombuffer(doc_terms, dtype=np.int32))
+    doc_of = np.repeat(number_of, np.frombuffer(doc_terms, dtype=np.int32))
+    del number_of, doc_terms
     ranges = []
     for first in range(0, n_terms, width):
         # a single range turns term_of into its keys in place
@@ -348,12 +384,12 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     index = InvertedIndex(
         language=corpus.language,
         tokenizer=tokenizer,
-        doc_ids=[doc.doc_id for doc in docs],
+        doc_ids=doc_ids,
         terms=terms,
         offsets=offsets,
         postings_docs=postings_docs,
         postings_tfs=postings_tfs,
-        doc_lengths=np.array(lengths, dtype=np.int64),
+        doc_lengths=doc_lengths,
     )
     logger.info(
         "indexed %d documents, %d terms, %d total tokens",
@@ -398,6 +434,39 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
                 member.write(memoryview(np.ascontiguousarray(array)).cast("B"))
 
 
+# Bytes of an archive member read at a time by _read_member.
+_READ_CHUNK = 1 << 16
+
+
+def _read_member(archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The array in ``archive``'s ``<name>.npy`` member, read a chunk at a time.
+
+    ``numpy.load`` fills an array from a zip member in 256 KiB pieces, each
+    held while the next is read; this reads 64 KiB chunks.  As with
+    ``allow_pickle=False``, an object array is refused.
+    """
+    import numpy as np
+
+    npy = np.lib.format
+    read_header = {(1, 0): npy.read_array_header_1_0, (2, 0): npy.read_array_header_2_0}
+    with archive.open(f"{name}.npy") as member:
+        version = npy.read_magic(member)
+        if version not in read_header:
+            raise ValueError(f"{name}: unsupported .npy version {version}")
+        shape, fortran_order, dtype = read_header[version](member)
+        if dtype.hasobject:
+            raise ValueError(f"{name}: object arrays cannot be loaded")
+        array = np.empty(shape, dtype, order="F" if fortran_order else "C")
+        data = array.reshape(-1, order="A").view(np.uint8)
+        for start in range(0, data.size, _READ_CHUNK):
+            part = data[start : start + _READ_CHUNK]
+            chunk = member.read(part.size)
+            if len(chunk) < part.size:
+                raise ValueError(f"{name}: ran out of data")
+            part[:] = np.frombuffer(chunk, dtype=np.uint8)
+    return array
+
+
 def load_index(path: Path | str) -> InvertedIndex:
     """Read an index written by :func:`save_index`.
 
@@ -409,22 +478,20 @@ def load_index(path: Path | str) -> InvertedIndex:
             order; every term count positive; each document's length the
             sum of its term counts).
     """
-    import numpy as np
-
     with open(path, "rb") as handle:
         if not zipfile.is_zipfile(handle):
             raise TotsimError(f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} archive")
         handle.seek(0)
         try:
-            with np.load(handle, allow_pickle=False) as archive:
-                meta = json.loads(archive["meta"].tobytes())
+            with zipfile.ZipFile(handle) as archive:
+                meta = json.loads(_read_member(archive, "meta").tobytes())
                 if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
                     raise TotsimError(f"{path}: not a {INDEX_FORMAT} file")
                 if meta.get("version") != INDEX_VERSION:
                     raise TotsimError(
                         f"{path}: unsupported index version {meta.get('version')!r}"
                     )
-                arrays = {name: archive[name] for name in _INDEX_ARRAYS}
+                arrays = {name: _read_member(archive, name) for name in _INDEX_ARRAYS}
         except (KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise TotsimError(f"{path}: not a readable {INDEX_FORMAT} file ({exc})") from exc
     try:
@@ -596,7 +663,7 @@ def run_search(
         handles = [stack.enter_context(atomic_output(path)) for path in run_paths]
         for query_id in sorted(queries):
             rankings = _rank_pool(queries[query_id], index, systems, depth)
-            target = _position(index.doc_ids, qrels[query_id]) if query_id in qrels else None
+            target = index.doc_number(qrels[query_id]) if query_id in qrels else None
             for system, handle, (numbers, scores) in zip(systems, handles, rankings, strict=True):
                 if not numbers.size:
                     continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -988,6 +989,52 @@ def test_ingest_counts_an_english_corpus_that_is_not_a_target(toy_copy: Path) ->
     assert main(["ingest", "--config", config_arg]) == 0
     manifest = read_json(toy_copy / "out" / "ingest" / "manifest.json")
     assert manifest["document_counts"] == {"zz": 320, "en": 260}
+
+
+def test_index_archives_do_not_depend_on_corpus_line_order(toy_copy: Path) -> None:
+    # the build reads each corpus file in line order and numbers documents by id
+    for name in ("corpus_zz.jsonl", "corpus_en.jsonl"):
+        path = toy_copy / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(name).shuffle(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+    assert main(["index", "--config", str(toy_copy / "config.yaml")]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((toy_copy / "out" / "index").glob("*.npz"))
+    }
+    assert digests == INDEX_DIGESTS
+
+
+@pytest.mark.parametrize(
+    ("spoil", "message"),
+    [
+        # the first article again, at the end
+        (lambda lines: lines + lines[:1], "duplicate document id 'zz0001'"),
+        (
+            lambda lines: lines[:4] + ['{"id": "zz9999"\n'] + lines[4:],
+            "corpus_zz.jsonl line 5: invalid JSON (Expecting ',' delimiter)",
+        ),
+        (
+            lambda lines: lines[:6] + ['{"id": "zz9999", "title": "t"}\n'] + lines[6:],
+            "corpus_zz.jsonl line 7: missing required key 'text'",
+        ),
+    ],
+    ids=["repeated-id", "unreadable-line", "line-without-text"],
+)
+def test_index_refuses_a_corpus_as_ingest_does(
+    toy_copy: Path, capsys: pytest.CaptureFixture[str], spoil, message: str
+) -> None:
+    path = toy_copy / "corpus_zz.jsonl"
+    path.write_text(
+        "".join(spoil(path.read_text(encoding="utf-8").splitlines(keepends=True))),
+        encoding="utf-8",
+    )
+    config_arg = str(toy_copy / "config.yaml")
+    capsys.readouterr()
+    for stage in ("ingest", "index"):
+        assert main([stage, "--config", config_arg, "--force"]) == 1
+        assert capsys.readouterr().err == f"error: {stage}: {message}\n"
 
 
 def test_a_sample_shortfall_names_the_language_and_partition(

@@ -15,6 +15,7 @@ from totsim.corpus import (
     DEFAULT_MIN_CHARS,
     DEFAULT_TOP_FRACTION,
     Corpus,
+    CorpusFile,
     DomainLabel,
     Partition,
     assign_domain,
@@ -130,6 +131,46 @@ def test_ingest_rejects_duplicate_ids(tmp_path: Path) -> None:
     path = write_corpus_file(tmp_path / "c.jsonl", records)
     with pytest.raises(CorpusError, match="duplicate"):
         ingest_corpus(path, "en")
+
+
+def test_corpus_file_yields_documents_in_file_order_as_it_reads(
+    tmp_path: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    records = [{"id": "b", "title": "t", "text": "x"}, {"id": "a", "title": "u", "text": "y"}]
+    path = write_corpus_file(tmp_path / "c.jsonl", records)
+    reader = CorpusFile(path, "en")
+    assert reader.language == "en"
+    with caplog.at_level("INFO", logger="totsim.corpus"):
+        # each pass reads the file again
+        for _ in range(2):
+            assert [doc.doc_id for doc in reader] == ["b", "a"]
+    assert [r.getMessage() for r in caplog.records] == ["ingested 2 documents for language en"] * 2
+    assert list(reader) == list(ingest_corpus(path, "en"))[::-1]
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"id": "a", "title": "u", "text": "y"}',  # a repeated id
+        "{broken",
+        '{"id": "c", "title": "u"}',
+        '{"id": "c d", "title": "u", "text": "y"}',
+    ],
+    ids=["repeated-id", "invalid-json", "without-text", "id-with-space"],
+)
+def test_corpus_file_refuses_what_ingest_refuses_after_the_lines_before(
+    tmp_path: Path, bad_line: str
+) -> None:
+    lines = ['{"id": "a", "title": "t", "text": "x"}', "", '{"id": "b", "title": "t", "text": "x"}']
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join([*lines, bad_line]) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as ingested:
+        ingest_corpus(path, "en")
+    read = []
+    with pytest.raises(CorpusError) as streamed:
+        read.extend(doc.doc_id for doc in CorpusFile(path, "en"))
+    assert str(streamed.value) == str(ingested.value)
+    assert read == ["a", "b"]
 
 
 def test_corpus_iterates_in_doc_id_order() -> None:

@@ -410,8 +410,9 @@ def reads_text(call: ast.Call) -> bool:
         for arg in [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
         if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
     ]
-    # a zip member, named by its ZipInfo, opens as bytes in every mode
-    zip_member = bool(call.args) and "ZipInfo(" in ast.unparse(call.args[0])
+    # a zip member opens as bytes in every mode, and the package calls every
+    # ZipFile it opens members on ``archive``
+    zip_member = isinstance(func, ast.Attribute) and ast.unparse(func.value) == "archive"
     return not zip_member and not any("b" in mode for mode in modes)
 
 
@@ -425,6 +426,8 @@ def reads_text(call: ast.Call) -> bool:
         ('open(path, "rb")', False),
         ('os.fdopen(fd, "wb")', False),
         ('archive.open(zipfile.ZipInfo(name), "w")', False),
+        ('archive.open(f"{name}.npy")', False),
+        ('handle.open(f"{name}.txt")', True),
         ('resources.files("totsim")', False),
     ],
 )
