@@ -243,10 +243,11 @@ def _ingest(config: PipelineConfig, stage_dir: Path) -> dict:
 def _partition(config: PipelineConfig, stage_dir: Path) -> dict:
     # a language with one partition has nothing to map
     mapped = [entry.code for entry in config.languages if len(_partitions_for(entry.code)) > 1]
-    english = _load_corpus(config, "en") if mapped else None
+    # one pass over each corpus file, keeping ids and English links only
+    english = _corpus_file(config, "en").ids() if mapped else None
     counts: dict[str, dict[str, int]] = {}
     for code in mapped:
-        mapping = partition_corpus(_load_corpus(config, code), english)
+        mapping = partition_corpus(_corpus_file(config, code), english)
         grouped = {partition.value: [] for partition in _partitions_for(code)}
         for doc_id in sorted(mapping):
             grouped[mapping[doc_id].value].append(doc_id)

@@ -34,6 +34,7 @@ __all__ = [
     "Document",
     "Corpus",
     "CorpusFile",
+    "CorpusIds",
     "ingest_corpus",
     "partition_corpus",
     "by_popularity",
@@ -187,6 +188,21 @@ class CorpusFile:
             yield doc
         logger.info("ingested %d documents for language %s", count, language)
 
+    def ids(self) -> CorpusIds:
+        """The file's document ids, from one pass."""
+        return CorpusIds(self.language, frozenset(doc.doc_id for doc in self))
+
+
+@dataclass(frozen=True)
+class CorpusIds:
+    """A corpus's language and document ids: all that resolving a link into it needs."""
+
+    language: str
+    ids: frozenset[str]
+
+    def __contains__(self, doc_id: object) -> bool:
+        return doc_id in self.ids
+
 
 def ingest_corpus(path: Path | str, language: str) -> Corpus:
     """Parse a JSONL corpus file into a :class:`Corpus`.
@@ -203,12 +219,16 @@ def ingest_corpus(path: Path | str, language: str) -> Corpus:
     return Corpus(language, CorpusFile(path, language))
 
 
-def partition_corpus(corpus: Corpus, english_corpus: Corpus) -> dict[str, Partition]:
+def partition_corpus(corpus, english_corpus) -> dict[str, Partition]:
     """Assign every document in ``corpus`` to monolingual or bilingual.
 
     A document is bilingual when its ``en_link`` resolves to a document in
     ``english_corpus``.  Dangling links are demoted to monolingual with one
-    warning for them all rather than failing the run.
+    warning for them all, naming the lowest-id such document, rather than
+    failing the run.  ``corpus`` is any iterable of documents with a
+    ``language``, a :class:`CorpusFile` included, read in one pass that keeps
+    only ids and links; ``english_corpus`` is a :class:`Corpus` or the
+    :class:`CorpusIds` of an English file.
     """
     if corpus.language == "en":
         raise CorpusError("partitioning applies to non-English corpora only")
@@ -216,15 +236,17 @@ def partition_corpus(corpus: Corpus, english_corpus: Corpus) -> dict[str, Partit
         raise CorpusError(
             f"expected an English reference corpus, got language {english_corpus.language!r}"
         )
-    partitions = {
-        doc.doc_id: Partition.BILINGUAL if doc.en_link in english_corpus else Partition.MONOLINGUAL
-        for doc in corpus
-    }
-    dangling = [d for d in corpus if d.en_link is not None and d.en_link not in english_corpus]
+    partitions: dict[str, Partition] = {}
+    dangling: list[tuple[str, str]] = []
+    for doc in corpus:
+        linked = doc.en_link in english_corpus
+        partitions[doc.doc_id] = Partition.BILINGUAL if linked else Partition.MONOLINGUAL
+        if doc.en_link is not None and not linked:
+            dangling.append((doc.doc_id, doc.en_link))
     if dangling:
         logger.warning(
             "%d dangling English links demoted to monolingual (first: %s links to missing %s)",
-            len(dangling), dangling[0].doc_id, dangling[0].en_link,
+            len(dangling), *min(dangling),
         )
     return partitions
 

@@ -28,7 +28,10 @@ postings of the query's matched terms are gathered once, then each system
 accumulates one addend per posting into its document.  Each document's
 addends are summed in ascending order, so documents whose addends form
 equal multisets get bit-equal scores, and rankings honour the
-(-score, doc_id) rule exactly instead of by float summation noise.
+(-score, doc_id) rule exactly instead of by float summation noise.  Beyond
+the addends, a query's work is sized by its candidate documents: each
+candidate's length normalisation is computed once and gathered per posting,
+and one system's sorted addends are freed before the next system's exist.
 
 Tokenization is either lowercase word splitting for alphabetic scripts
 or character n-grams over CJK runs (with word splitting applied to any
@@ -334,11 +337,11 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     del order, lengths
     terms = sorted(seen)
     n_docs, n_terms = len(doc_ids), len(terms)
+    first_seen = np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=n_terms)
+    del seen  # before the int64 renumbering arrays exist
     renumber = np.empty(n_terms, dtype=np.int64)
-    renumber[np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=n_terms)] = (
-        np.arange(n_terms)
-    )
-    del seen
+    renumber[first_seen] = np.arange(n_terms)
+    del first_seen
     # Each posting becomes one int64 key, (term * n_docs + doc) * span + tf
     # under sorted term numbers, so one in-place sort puts the postings in
     # term order, each term's in doc order, and the sorted keys unpack into
@@ -560,7 +563,9 @@ def _rank_pool(
     document frequency is its number of gathered postings and its collection
     frequency their tf sum, shared by every system.  Candidates are the
     documents in the gathered postings; each system's addends accumulate
-    into one slot per candidate in ascending addend order.
+    into one slot per candidate in ascending addend order.  Document
+    lengths enter per candidate: BM25's normalisation and query
+    likelihood's ``log(dl + mu)`` are computed once per candidate.
     """
     import numpy as np
 
@@ -572,32 +577,38 @@ def _rank_pool(
     # term's start plus j's rank among the term's gathered postings.
     owner = np.repeat(np.arange(len(term_ids)), counts)
     positions = np.arange(owner.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    docs = index.postings_docs[positions]
+    candidates, slot = np.unique(index.postings_docs[positions], return_inverse=True)
     tf = index.postings_tfs[positions].astype(np.float64)
+    del positions
     # integer-valued float64 sums are exact below 2**53, so ctf is exact
     ctf = np.bincount(owner, weights=tf, minlength=len(term_ids))
-    candidates, slot = np.unique(docs, return_inverse=True)
     weight = qtf[owner]
     idf_tf = np.log((index.doc_count - counts + 0.5) / (counts + 0.5) + 1.0)[owner] * tf
-    lengths = index.doc_lengths[docs]
+    lengths = index.doc_lengths[candidates]
     rankings = []
     for system in systems:
         # Operand order is part of the output: ``b * (dl / avgdl)`` for
         # ``b * dl / avgdl`` would change scores' last bits and run-file bytes.
+        # Each posting gathers its candidate's normalisation, bit for bit the
+        # value computed from the posting's own document length.
         if system.kind == "bm25":
             norm = system.k1 * (1.0 - system.b + system.b * lengths / index.avg_doc_length)
-            addends = weight * (idf_tf * (system.k1 + 1.0) / (tf + norm))
+            addends = weight * (idf_tf * (system.k1 + 1.0) / (tf + norm[slot]))
         else:
             prior = system.mu * ctf / index.collection_length
             log_prior = np.log(prior)
             addends = weight * (np.log(tf + prior[owner]) - log_prior[owner])
         # bincount adds its weights in input order; equal addends are
-        # interchangeable, so an unstable sort by value suffices.
+        # interchangeable, so an unstable sort by value suffices.  Each
+        # sorted copy replaces the array it was gathered by or from.
         order = np.argsort(addends)
-        scores = np.bincount(slot[order], weights=addends[order], minlength=candidates.size)
+        addends = addends[order]
+        order = slot[order]  # each sorted addend's slot
+        scores = np.bincount(order, weights=addends, minlength=candidates.size)
+        del order, addends  # before the next system makes its own
         if system.kind != "bm25":
             base = float((qtf * log_prior).sum())
-            scores = base + scores - qtf.sum() * np.log(index.doc_lengths[candidates] + system.mu)
+            scores = base + scores - qtf.sum() * np.log(lengths + system.mu)
         top = np.lexsort((candidates, -scores))[:depth]
         rankings.append((candidates[top], scores[top]))
     return rankings

@@ -227,6 +227,39 @@ def test_partition_corpus_warns_once_for_every_dangling_link(
     )
 
 
+def test_partition_corpus_reads_corpus_files_in_one_pass(
+    tmp_path: Path, caplog: pytest.LogCaptureFixture
+) -> None:
+    # file order is not id order: the warning still names the lowest-id dangling document
+    english = write_corpus_file(
+        tmp_path / "en.jsonl", [{"id": f"e{i}", "title": "t", "text": "x"} for i in (2, 1)]
+    )
+    records = [
+        {"id": f"z{i}", "title": "t", "text": "x", **({"en_id": link} if link else {})}
+        for i, link in ((4, "gone4"), (3, "e1"), (1, None), (2, "gone2"), (5, "e2"))
+    ]
+    target = write_corpus_file(tmp_path / "zh.jsonl", records)
+    with caplog.at_level("INFO"):
+        english_ids = CorpusFile(english, "en").ids()
+        mapping = partition_corpus(CorpusFile(target, "zh"), english_ids)
+    logged = [record.getMessage() for record in caplog.records]
+    assert english_ids.language == "en" and "e1" in english_ids and "z1" not in english_ids
+    held = partition_corpus(ingest_corpus(target, "zh"), ingest_corpus(english, "en"))
+    assert mapping == held == {
+        "z1": Partition.MONOLINGUAL,
+        "z2": Partition.MONOLINGUAL,
+        "z3": Partition.BILINGUAL,
+        "z4": Partition.MONOLINGUAL,
+        "z5": Partition.BILINGUAL,
+    }
+    # one ingested line per file, then the warning
+    assert logged == [
+        "ingested 2 documents for language en",
+        "ingested 5 documents for language zh",
+        "2 dangling English links demoted to monolingual (first: z2 links to missing gone2)",
+    ]
+
+
 def test_partition_corpus_rejects_wrong_languages() -> None:
     english = make_corpus("en", make_doc("e1"))
     target = make_corpus("zh", make_doc("z1", language="zh"))

@@ -483,6 +483,11 @@ def test_only_load_corpus_parses_a_corpus_in_cli() -> None:
     assert found == ["cli._load_corpus"]
 
 
+def test_only_the_stages_that_read_bodies_hold_a_whole_corpus() -> None:
+    # ingest, partition and index read each corpus file a line at a time
+    assert sorted(set(callers("_load_corpus"))) == ["cli._assemble", "cli._generate", "cli._sample"]
+
+
 def test_only_partition_asks_how_many_partitions_a_language_has() -> None:
     # every other stage takes each document's partition from _partition_of
     cli = ast.parse((Path(totsim.__file__).parent / "cli.py").read_text(encoding="utf-8"))
