@@ -16,12 +16,13 @@ are the slice ``offsets[t]:offsets[t + 1]`` of parallel doc-number and
 term-frequency arrays.  It is built in one pass over documents in any
 order, read one at a time (from a :class:`~totsim.corpus.CorpusFile`, say),
 keeping only each document's id, length and postings, so no corpus is
-held.  Each language's index is one pickle-free ``.npz`` archive (format
-version 2) whose ``meta`` member holds the document ids, terms, language
-and tokenizer as canonical JSON (sorted keys, no spaces, non-ASCII text
-unescaped), which one ``orjson`` call writes straight to bytes; it is
-written with fixed member timestamps, so the same corpus always gives the
-same bytes.
+held.  The terms are a :class:`~totsim.vocabulary.Vocabulary`, which holds
+every CJK bigram as a packed integer code.  Each language's index is one
+pickle-free ``.npz`` archive (format version 2) whose ``meta`` member holds
+the document ids, terms, language and tokenizer as canonical JSON (sorted
+keys, no spaces, non-ASCII text unescaped), which ``orjson`` writes straight
+to bytes, the terms a chunk at a time; it is written with fixed member
+timestamps, so the same corpus always gives the same bytes.
 
 Scoring is term-at-a-time, one pass per query for a whole system pool: the
 postings of the query's matched terms are gathered once, then each system
@@ -50,9 +51,10 @@ importing this module, and with it the command line, loads none of them.
 from __future__ import annotations
 
 import bisect
-import json
+import itertools
 import logging
 import math
+import operator
 import re
 import zipfile
 from collections import Counter
@@ -66,6 +68,8 @@ from .util import TextLines, atomic_output
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .vocabulary import Vocabulary
 
 logger = logging.getLogger(__name__)
 
@@ -149,6 +153,16 @@ class Tokenizer:
                 tokens.extend(part[i : i + n] for i in range(len(part) - n + 1))
         return tokens
 
+    def packed_tokens(self, text: str) -> tuple[np.ndarray, list[str]]:
+        """:meth:`tokenize`'s tokens in any order, as :func:`~totsim.vocabulary.pack` gives them."""
+        from .vocabulary import pack
+
+        if self.mode == MODE_WHITESPACE or self.ngram > 2:
+            return pack(self.tokenize(text), [], self.ngram)  # such n-grams never pack
+        parts = _CJK_SPLIT_RE.split(text)
+        words = [word for part in parts[::2] for word in _WORD_RE.findall(part.lower())]
+        return pack(words, parts[1::2], self.ngram)
+
     def to_dict(self) -> dict:
         return {"mode": self.mode, "ngram": self.ngram}
 
@@ -169,13 +183,14 @@ def tokenizer_for_language(language: str, mode: str | None = None) -> Tokenizer:
 # The numeric members of an index archive, besides ``meta``.
 _INDEX_ARRAYS = ("offsets", "postings_docs", "postings_tfs", "doc_lengths")
 
-
 @dataclass(eq=False)
 class InvertedIndex:
     """CSR postings plus the document statistics both scorers need.
 
     Document number ``i`` is ``doc_ids[i]`` and term number ``t`` is
-    ``terms[t]``, both ascending.  The postings of term ``t`` are
+    ``terms[t]``, both strictly ascending; ``terms`` is a
+    :class:`~totsim.vocabulary.Vocabulary` (a list given here becomes one).
+    The postings of term ``t`` are
     ``postings_docs[offsets[t]:offsets[t + 1]]`` (int32 doc numbers,
     ascending) with ``postings_tfs`` (int32) alongside; ``doc_lengths``
     holds each document's token count, the sum of its term counts.  No
@@ -186,7 +201,7 @@ class InvertedIndex:
     language: str
     tokenizer: Tokenizer
     doc_ids: list[str]
-    terms: list[str]
+    terms: Vocabulary
     offsets: np.ndarray
     postings_docs: np.ndarray
     postings_tfs: np.ndarray
@@ -196,6 +211,17 @@ class InvertedIndex:
     def __post_init__(self) -> None:
         import numpy as np
 
+        from .vocabulary import Vocabulary
+
+        if not isinstance(self.terms, Vocabulary):
+            self.terms = Vocabulary.of(self.terms)
+        ids = self.doc_ids
+        for name, ascends in (
+            ("doc_ids", all(map(operator.lt, ids, itertools.islice(ids, 1, None)))),
+            ("terms", self.terms.ascends()),
+        ):
+            if not ascends:
+                raise TotsimError(f"{self.language} index: {name} do not strictly ascend")
         n_postings = self.postings_docs.size
         arrays = [getattr(self, name) for name in _INDEX_ARRAYS]
         consistent = (
@@ -229,7 +255,7 @@ class InvertedIndex:
 
     def term_id(self, term: str) -> int | None:
         """The term's number, or ``None`` when no document contains it."""
-        return _position(self.terms, term)
+        return self.terms.numbers([term])[0]
 
     def doc_number(self, doc_id: str) -> int | None:
         """The document's number, or ``None`` when the index does not hold it."""
@@ -243,7 +269,8 @@ class InvertedIndex:
         import numpy as np
 
         counts = Counter(self.tokenizer.tokenize(query))
-        qtf_of = {t: counts[token] for token in counts if (t := self.term_id(token)) is not None}
+        numbers = self.terms.numbers(counts)
+        qtf_of = {t: qtf for t, qtf in zip(numbers, counts.values()) if t is not None}
         term_ids = np.array(sorted(qtf_of), dtype=np.int64)
         return term_ids, np.array([qtf_of[t] for t in term_ids.tolist()], dtype=np.float64)
 
@@ -308,24 +335,31 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
 
     import numpy as np
 
-    # Postings are collected in input order under first-seen term numbers,
-    # into compact int32 buffers, so no posting ever becomes a Python object.
+    from .vocabulary import Vocabulary
+
+    # Postings are collected in input order into compact buffers, so no
+    # posting ever becomes a Python object.  A posting's term is its packed
+    # code or, for a term that does not pack, a first-seen number.
     seen: dict[str, int] = {}
     ids: list[str] = []
-    post_terms = array("i")
+    post_terms = array("Q")
     post_tfs = array("i")
     doc_terms = array("i")  # each document's number of distinct terms
     lengths = array("q")
     for doc in corpus:
-        counts = Counter(tokenizer.tokenize(doc.body))
+        codes, longer = tokenizer.packed_tokens(doc.body)
+        codes, code_tfs = np.unique(codes, return_counts=True)
+        counts = Counter(longer)
         ids.append(doc.doc_id)
-        lengths.append(counts.total())
+        lengths.append(int(code_tfs.sum()) + counts.total())
         for token in counts:
             if token not in seen:
                 seen[token] = len(seen)
+        post_terms.frombytes(codes.tobytes())
         post_terms.extend(map(seen.__getitem__, counts))
+        post_tfs.frombytes(code_tfs.astype(np.int32).tobytes())
         post_tfs.extend(counts.values())
-        doc_terms.append(len(counts))
+        doc_terms.append(codes.size + len(counts))
     # one permutation numbers the documents by ascending id
     order = sorted(range(len(ids)), key=ids.__getitem__)
     doc_ids = [ids[i] for i in order]
@@ -335,13 +369,10 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     number_of[order] = np.arange(order.size, dtype=np.int32)
     doc_lengths = np.frombuffer(lengths, dtype=np.int64)[order]
     del order, lengths
-    terms = sorted(seen)
+    term_of = np.frombuffer(post_terms, dtype=np.int64)  # codes stay below 2**53
+    terms = Vocabulary.of_postings(term_of, seen)
+    del seen
     n_docs, n_terms = len(doc_ids), len(terms)
-    first_seen = np.fromiter(map(seen.__getitem__, terms), dtype=np.int32, count=n_terms)
-    del seen  # before the int64 renumbering arrays exist
-    renumber = np.empty(n_terms, dtype=np.int64)
-    renumber[first_seen] = np.arange(n_terms)
-    del first_seen
     # Each posting becomes one int64 key, (term * n_docs + doc) * span + tf
     # under sorted term numbers, so one in-place sort puts the postings in
     # term order, each term's in doc order, and the sorted keys unpack into
@@ -351,8 +382,7 @@ def build_index(corpus, tokenizer: Tokenizer) -> InvertedIndex:
     tfs = np.frombuffer(post_tfs, dtype=np.int32)
     n_postings, span = tfs.size, int(tfs.max(initial=0)) + 1
     width = max(1, _KEY_LIMIT // (max(n_docs, 1) * span))
-    term_of = renumber[np.frombuffer(post_terms, dtype=np.int32)]
-    del renumber, post_terms
+    del post_terms  # term_of keeps its buffer
     doc_of = np.repeat(number_of, np.frombuffer(doc_terms, dtype=np.int32))
     del number_of, doc_terms
     ranges = []
@@ -409,7 +439,8 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
     Members are stored uncompressed with the zip format's fixed epoch
     timestamp (``numpy.savez`` stamps the current time), so the bytes
     depend only on the index.  ``orjson`` writes the meta as the bytes of
-    :func:`~totsim.util.dump_json`'s text, without building that text.
+    :func:`~totsim.util.dump_json`'s text, without building that text; the
+    terms go a chunk at a time, twice: once to size the ``.npy`` header.
     Each member is the ``.npy`` version 1.0 header followed by the array's
     own buffer, so no array is copied (``numpy.lib.format.write_array``
     copies into ``tobytes`` chunks of up to 16 MiB wherever the file is not
@@ -418,22 +449,33 @@ def save_index(index: InvertedIndex, path: Path | str) -> None:
     import numpy as np
     import orjson
 
+    from .vocabulary import terms_json
+
     meta = {
         "format": INDEX_FORMAT,
         "version": INDEX_VERSION,
         "language": index.language,
         "tokenizer": index.tokenizer.to_dict(),
         "doc_ids": index.doc_ids,
-        "terms": index.terms,
+        "terms": [],
     }
     meta_bytes = orjson.dumps(meta, option=orjson.OPT_SORT_KEYS)
-    members = {"meta": np.frombuffer(meta_bytes, dtype=np.uint8)}
-    members.update((name, getattr(index, name)) for name in _INDEX_ARRAYS)
+    # only the tokenizer and the version follow the terms
+    split = meta_bytes.rindex(b'"terms":[]') + len(b'"terms":[')
+    size = len(meta_bytes) + sum(map(len, terms_json(index.terms)))
+    header = {"descr": "|u1", "fortran_order": False, "shape": (size,)}
+    npy = np.lib.format
     with atomic_output(path) as handle, zipfile.ZipFile(handle, "w") as archive:
-        for name, array in members.items():
+        with archive.open(zipfile.ZipInfo("meta.npy"), "w", force_zip64=True) as member:
+            npy.write_array_header_1_0(member, header)
+            member.write(meta_bytes[:split])
+            for piece in terms_json(index.terms):
+                member.write(piece)
+            member.write(meta_bytes[split:])
+        for name in _INDEX_ARRAYS:
+            array = getattr(index, name)
             with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as member:
-                header = np.lib.format.header_data_from_array_1_0(array)
-                np.lib.format.write_array_header_1_0(member, header)
+                npy.write_array_header_1_0(member, npy.header_data_from_array_1_0(array))
                 member.write(memoryview(np.ascontiguousarray(array)).cast("B"))
 
 
@@ -476,18 +518,20 @@ def load_index(path: Path | str) -> InvertedIndex:
     Raises:
         TotsimError: the file is not a version-2 index archive (a version-1
             JSON index included), its meta lacks a key or holds a value of
-            the wrong type, or its arrays are not 1-D integers that fit
-            together (each term's documents listed once, in ascending
-            order; every term count positive; each document's length the
-            sum of its term counts).
+            the wrong type, its doc ids or terms do not strictly ascend, or
+            its arrays are not 1-D integers that fit together (each term's
+            documents listed once, in ascending order; every term count
+            positive; each document's length the sum of its term counts).
     """
+    from .vocabulary import Vocabulary, parse_meta
+
     with open(path, "rb") as handle:
         if not zipfile.is_zipfile(handle):
             raise TotsimError(f"{path}: not a {INDEX_FORMAT} version {INDEX_VERSION} archive")
         handle.seek(0)
         try:
             with zipfile.ZipFile(handle) as archive:
-                meta = json.loads(_read_member(archive, "meta").tobytes())
+                meta = parse_meta(_read_member(archive, "meta").tobytes().decode("utf-8"))
                 if not isinstance(meta, dict) or meta.get("format") != INDEX_FORMAT:
                     raise TotsimError(f"{path}: not a {INDEX_FORMAT} file")
                 if meta.get("version") != INDEX_VERSION:
@@ -506,7 +550,11 @@ def load_index(path: Path | str) -> InvertedIndex:
     except (TypeError, TotsimError) as exc:
         raise TotsimError(f"{path}: index meta: bad tokenizer ({exc})") from None
     for key, value in lists.items():
-        if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        if key == "terms":
+            strings = isinstance(value, Vocabulary)  # what parse_meta makes of them
+        else:
+            strings = isinstance(value, list) and all(isinstance(name, str) for name in value)
+        if not strings:
             raise TotsimError(f"{path}: index meta: {key} is not a list of strings")
     try:
         return InvertedIndex(language=language, tokenizer=tokenizer, **lists, **arrays)

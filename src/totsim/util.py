@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Iterable, Iterator, TextIO
@@ -39,8 +40,20 @@ def stable_hash(obj: Any) -> str:
 
 
 def dump_json(obj: Any) -> str:
-    """Serialize with sorted keys and stable separators for reproducible bytes."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    """Serialize with sorted keys and stable separators for reproducible bytes.
+
+    A read-only sequence that is not a list (an index's term vocabulary, say)
+    is written as the list of its items.
+    """
+    return json.dumps(
+        obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"), default=_sequence_items
+    )
+
+
+def _sequence_items(obj: Any) -> list:
+    if isinstance(obj, Sequence) and not isinstance(obj, (str, bytes, bytearray)):
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 @contextmanager

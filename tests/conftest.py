@@ -113,6 +113,25 @@ SPOILED_INDEX_META: list[tuple[Callable[[dict], object], str, str]] = [
 ]
 
 
+# (how an index's meta is put out of order, what the refusal says, case name),
+# for load_index and for search: both lists are bisected, so each must
+# strictly ascend.  Every spoil keeps the lists' lengths, so the arrays fit.
+DISORDERED_INDEX_META: list[tuple[Callable[[dict], object], str, str]] = [
+    (lambda meta: meta["terms"].reverse(), "terms do not strictly ascend", "terms-reversed"),
+    (
+        lambda meta: meta["terms"].__setitem__(1, meta["terms"][0]),
+        "terms do not strictly ascend",
+        "a-term-repeated",
+    ),
+    (lambda meta: meta["doc_ids"].reverse(), "doc_ids do not strictly ascend", "doc-ids-reversed"),
+    (
+        lambda meta: meta["doc_ids"].__setitem__(1, meta["doc_ids"][0]),
+        "doc_ids do not strictly ascend",
+        "a-doc-id-repeated",
+    ),
+]
+
+
 def read_run(path: Path, queries: Iterable[str], depth: int = DEFAULT_DEPTH) -> RunResult:
     """The rankings of ``queries`` in a run file, read without checks, best first.
 

@@ -18,6 +18,7 @@ import pytest
 import yaml
 
 from conftest import (
+    DISORDERED_INDEX_META,
     SPOILED_INDEX_ARRAYS,
     SPOILED_INDEX_META,
     TOY_DIR,
@@ -1288,6 +1289,16 @@ PROGRAM_FILES = [
             id=f"index-meta-{case}",
         )
         for spoil, message, case in SPOILED_INDEX_META
+    ),
+    *(
+        pytest.param(
+            "search",
+            "index/zz.npz",
+            lambda path, spoil=spoil: edit_index_meta(path, spoil),
+            ("zz.npz", message),
+            id=f"index-meta-{case}",
+        )
+        for spoil, message, case in DISORDERED_INDEX_META
     ),
     pytest.param(
         "search",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 import re
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import totsim.retrieval as retrieval
 from conftest import (
+    DISORDERED_INDEX_META,
     SPOILED_INDEX_ARRAYS,
     SPOILED_INDEX_META,
     TOY_DIR,
@@ -54,6 +56,7 @@ from totsim.retrieval import (
 )
 from totsim.retrieval import _ranking_bytes
 from totsim.util import dump_json
+from totsim.vocabulary import Vocabulary, decode, parse_meta
 
 WS = Tokenizer(mode="whitespace")
 CJK = Tokenizer(mode="cjk-ngram")
@@ -164,6 +167,21 @@ def test_cjk_tokenizer_matches_per_character_oracle(text: str, ngram: int) -> No
     )
 
 
+@given(
+    text=MIXED_TEXT,
+    mode=st.sampled_from(["cjk-ngram", "whitespace"]),
+    ngram=st.integers(min_value=1, max_value=3),
+)
+@example(text="a ab abc 𠮷 𠮷野 東京都 東", mode="cjk-ngram", ngram=2)
+@settings(max_examples=400, deadline=None)
+def test_packed_tokens_are_the_tokens(text: str, mode: str, ngram: int) -> None:
+    tokenizer = Tokenizer(mode=mode, ngram=ngram)
+    codes, longer = tokenizer.packed_tokens(text)
+    assert codes.dtype == np.uint64
+    assert all(len(token) > 2 for token in longer)
+    assert Counter(decode(codes) + longer) == Counter(tokenizer.tokenize(text))
+
+
 def test_cjk_tokenizer_range_edges_match_oracle() -> None:
     edges = "".join(RANGE_EDGES)
     for ngram in (1, 2, 3):
@@ -257,6 +275,9 @@ def reference_index(docs, tokenizer: Tokenizer) -> dict[str, list[int]]:
     }
 
 
+PREFIX_WORDS = ["a", "ab", "abc", "𠮷", "𠮷野", "𠮷野家", "東", "東京", "東京都"]
+
+
 class DocList(list):
     """Documents in the order given, unlike a corpus, which iterates by id."""
 
@@ -267,6 +288,9 @@ BODY = st.one_of(
     # a small alphabet repeats tokens, and bodies of spaces and marks have none
     st.text(alphabet=st.sampled_from(list("東京都한국タab B1 ,_")), max_size=30),
     MIXED_TEXT,
+    # words either side of the two-code-point boundary, packed terms and str
+    # terms sharing their prefixes, supplementary-plane points among them
+    st.lists(st.sampled_from(PREFIX_WORDS) | MIXED_TEXT, max_size=6).map(" ".join),
     # one token hundreds of times, so a term count needs many bits of the sort key
     st.builds(
         lambda token, count, tail: f"{token} " * count + tail,
@@ -448,9 +472,27 @@ def test_build_index_frees_its_term_dict_before_renumbering() -> None:
     finally:
         tracemalloc.stop()
     assert len(index.terms) > 30_000
-    # with the dict alive beside the int64 renumbering arrays the build
-    # peaks at 1.58 times what it returns, without it at 1.44
-    assert peak <= 1.5 * retained
+    # One str per bigram (about 3 MiB) with a first-seen dict over them
+    # (1.6 MiB) took the build to 6.1 MiB; as packed codes its terms take
+    # 0.3 MiB and it peaks near 2.9 MiB
+    assert peak <= 4.5 * 2**20
+
+
+def test_load_index_holds_the_toy_vocabulary_as_codes(tmp_path: Path) -> None:
+    path = tmp_path / "zz.npz"
+    save_index(build_index(CorpusFile(TOY_DIR / "corpus_zz.jsonl", "zz"), CJK), path)
+    load_index(path)  # loads what loading imports
+    tracemalloc.start()
+    try:
+        index = load_index(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.terms.codes.size > 30_000  # all but a few dozen Latin words
+    # One str per bigram held 4.3 MiB and peaked at 4.6 MiB; packed codes
+    # take 0.3 MiB beside the 1.2 MiB of postings arrays
+    assert retained <= 2 * 2**20
+    assert peak <= 3 * 2**20
 
 
 def test_rank_pool_memory_per_gathered_posting(postings_heavy_index: InvertedIndex) -> None:
@@ -580,6 +622,152 @@ def test_index_meta_is_canonical_json_of_any_names(
         assert archive["meta"].tobytes() == dump_json(meta).encode("utf-8")
     loaded = load_index(path)
     assert (loaded.doc_ids, loaded.terms) == (index.doc_ids, index.terms)
+
+
+@given(terms=st.lists(NAME | st.sampled_from(PREFIX_WORDS), max_size=40), size=st.integers(1, 5))
+@example(terms=["", "\x00", "a", "a\x00", "ab", "abc", "b", "\ud800", "𠮷", "𠮷野"], size=2)
+@settings(max_examples=300, deadline=None)
+def test_vocabulary_reads_as_the_sorted_terms(terms: list[str], size: int) -> None:
+    terms = sorted(set(terms))
+    vocabulary = Vocabulary.of(terms)
+    assert vocabulary.ascends()
+    assert len(vocabulary) == len(terms)
+    assert list(vocabulary) == [vocabulary[t] for t in range(len(terms))] == terms
+    assert vocabulary == terms and terms == vocabulary and vocabulary != terms + ["?"]
+    assert [term for chunk in vocabulary.chunks(size) for term in chunk] == terms
+    others = ["", "\x00", "a", "zz", "abc", "東京", "東京都"]
+    assert vocabulary.numbers(terms + others) == [
+        terms.index(term) if term in terms else None for term in terms + others
+    ]
+    assert vocabulary[-1:] == terms[-1:]
+
+
+@given(terms=st.lists(NAME | st.sampled_from(PREFIX_WORDS), max_size=12))
+@example(terms=["abc", "a"])  # each part ascends, not their merge
+@example(terms=["a", "\x00"])
+@settings(max_examples=300, deadline=None)
+def test_vocabulary_ascends_exactly_when_its_terms_do(terms: list[str]) -> None:
+    expected = all(a < b for a, b in zip(terms, terms[1:]))
+    assert Vocabulary.of(terms).ascends() is expected
+
+
+@pytest.mark.parametrize(
+    ("doc_ids", "terms", "name"),
+    [
+        (["x", "y"], ["red", "blue"], "terms"),
+        (["x", "y"], ["b", "a"], "terms"),
+        (["x", "y"], ["abc", "a"], "terms"),
+        (["x", "y"], ["a", "a"], "terms"),
+        (["x", "y"], ["abc", "abc"], "terms"),
+        (["y", "x"], ["a", "b"], "doc_ids"),
+        (["x", "x"], ["a", "b"], "doc_ids"),
+    ],
+)
+def test_index_refuses_names_that_do_not_strictly_ascend(
+    doc_ids: list[str], terms: list[str], name: str
+) -> None:
+    with pytest.raises(TotsimError, match=f"^zz index: {name} do not strictly ascend$"):
+        index_of_names(doc_ids, terms)
+
+
+@pytest.mark.parametrize(
+    ("spoil", "message"),
+    [pytest.param(spoil, message, id=case) for spoil, message, case in DISORDERED_INDEX_META],
+)
+def test_load_index_refuses_names_out_of_order(tmp_path: Path, spoil, message: str) -> None:
+    # packed and str terms over three documents
+    bodies = {"a": "red fish ab b", "b": "a red", "c": "ab"}
+    docs = [make_doc(doc_id, body=body) for doc_id, body in bodies.items()]
+    path = tmp_path / "index.npz"
+    save_index(build_index(make_corpus("en", *docs), WS), path)
+    edit_index_meta(path, spoil)
+    with pytest.raises(TotsimError, match=re.escape(f"{path}: en index: {message}")):
+        load_index(path)
+
+
+# Terms that JSON writers escape in different ways, packed and str.
+FOREIGN_TERMS = sorted(
+    ["a", "ab", "abc", '"q', "back\\slash", "\x00", "\x1f", "\x7f", "\u2028"]
+    + ["東京", "東京都", "𠮷野"]
+)
+
+
+def foreign_meta(index: InvertedIndex) -> dict:
+    """The index's meta as json.loads reads it, keys in reverse order."""
+    meta = {
+        "terms": list(index.terms),
+        "tokenizer": index.tokenizer.to_dict(),
+        "language": index.language,
+        "format": INDEX_FORMAT,
+        "doc_ids": index.doc_ids,
+        "version": retrieval.INDEX_VERSION,
+    }
+    return meta
+
+
+def write_foreign_meta(path: Path, meta: dict, cut: int | None = None) -> None:
+    """Replace the archive's meta with ``meta`` as ``json.dumps`` writes it with indents."""
+    text = json.dumps(meta, ensure_ascii=True, indent=1)[:cut]
+    edit_index_array(path, "meta", lambda _: np.frombuffer(text.encode("utf-8"), dtype=np.uint8))
+
+
+def test_load_index_reads_a_meta_from_another_json_writer(tmp_path: Path) -> None:
+    index = index_of_names(["d1", "d\u00e9"], FOREIGN_TERMS)
+    canonical, path = tmp_path / "canonical.npz", tmp_path / "foreign.npz"
+    save_index(index, canonical)
+    save_index(index, path)
+    write_foreign_meta(path, foreign_meta(index))
+    with zipfile.ZipFile(path) as archive:
+        assert b"\\u6771" in archive.read("meta.npy")  # 東, escaped
+    expected, loaded = load_index(canonical), load_index(path)
+    assert (loaded.language, loaded.tokenizer) == (expected.language, expected.tokenizer)
+    assert (loaded.doc_ids, loaded.terms) == (expected.doc_ids, expected.terms) == (
+        index.doc_ids,
+        FOREIGN_TERMS,
+    )
+    for name in retrieval._INDEX_ARRAYS:
+        assert np.array_equal(getattr(loaded, name), getattr(expected, name)), name
+    # re-saved, it is the canonical archive again
+    save_index(loaded, path)
+    assert path.read_bytes() == canonical.read_bytes()
+
+
+def test_load_index_refuses_a_foreign_meta_with_a_bad_terms_array(tmp_path: Path) -> None:
+    index = index_of_names(["d1"], FOREIGN_TERMS)
+    path = tmp_path / "foreign.npz"
+    save_index(index, path)
+    meta = foreign_meta(index)
+    meta["terms"][3] = 5
+    write_foreign_meta(path, meta)
+    with pytest.raises(
+        TotsimError, match=re.escape(f"{path}: index meta: terms is not a list of strings")
+    ):
+        load_index(path)
+    # cut short inside the terms array
+    meta = foreign_meta(index)
+    text = json.dumps(meta, ensure_ascii=True, indent=1)
+    write_foreign_meta(path, meta, cut=text.index("abc"))
+    with pytest.raises(TotsimError, match=re.escape(f"{path}: not a readable {INDEX_FORMAT} file")):
+        load_index(path)
+
+
+@given(
+    terms=st.lists(NAME, max_size=12, unique=True),
+    write=st.sampled_from(
+        [
+            dump_json,
+            json.dumps,
+            lambda meta: json.dumps(meta, ensure_ascii=True, indent=1),
+            lambda meta: json.dumps(meta, separators=(" ,\n", " :\t")),
+        ]
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_meta_reads_what_json_loads_reads(terms: list[str], write) -> None:
+    meta = {"terms": sorted(terms), "doc_ids": ["a"], "nested": {"terms": [1]}}
+    parsed = parse_meta(write(meta))
+    assert isinstance(parsed["terms"], Vocabulary)
+    assert {**parsed, "terms": list(parsed["terms"])} == json.loads(write(meta))
 
 
 def test_save_index_memory_stays_near_its_meta_bytes(tmp_path: Path) -> None:
@@ -1290,11 +1478,11 @@ def test_run_file_round_trip_preserves_scores(tmp_path_factory, scores: list[flo
 
 def test_importing_the_cli_does_not_load_numpy() -> None:
     # numpy and orjson are loaded by the index, search and run-writing code
-    # paths only, array by the index build only, and requests (with urllib3) by
-    # the HTTP backend only, so stages that never index, search or call a
-    # hosted model keep their footprint.
+    # paths only, array and totsim.vocabulary by the index code paths only,
+    # and requests (with urllib3) by the HTTP backend only, so stages that
+    # never index, search or call a hosted model keep their footprint.
     src = Path(__file__).resolve().parents[1] / "src"
-    heavy = {"array", "numpy", "orjson", "requests", "urllib3"}
+    heavy = {"array", "numpy", "orjson", "requests", "urllib3", "totsim.vocabulary"}
     code = f"import sys; import totsim.cli; print({heavy!r} & set(sys.modules))"
     result = subprocess.run(
         [sys.executable, "-c", code],

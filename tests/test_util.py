@@ -344,7 +344,9 @@ def test_the_package_import_graph_is_layered() -> None:
         path.stem: package_imports(ast.parse(path.read_text(encoding="utf-8")))
         for path in sorted(Path(totsim.__file__).parent.glob("*.py"))
     }
-    leaves = {"errors", "util"}
+    # vocabulary holds retrieval's terms and imports no package module itself
+    assert graph["vocabulary"] == set()
+    leaves = {"errors", "util", "vocabulary"}
     assert {name: graph[name] - leaves for name in ("evaluation", "retrieval")} == {
         "evaluation": set(),
         "retrieval": set(),
